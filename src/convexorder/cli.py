@@ -130,8 +130,6 @@ def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out, ti
             jobs=jobs,
             functions=tuple(f.strip() for f in functions.split(",") if f.strip()),
             timing=timing,
-            output_format=fmt,
-            output_path=out,
         )
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc

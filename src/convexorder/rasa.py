@@ -13,6 +13,12 @@ the normalised sum of independent binomial draws with parameters x_i and rhs
 is the uniform mixture of the laws of the normalised i.i.d. sums.  The
 verifiers here decide those order relations with the exact oracle.
 
+The forms and the verifiers of the Rasa relations run on the integer lattice
+kernel (:mod:`.lattice`): one :class:`LatticePoint` per parameter tuple holds
+the laws as int numerators, and the form's coefficients are read off the
+same integers.  ``generalized_pair``, ``poisson_binomial`` and
+``verify_hoeffding`` stay on :class:`DiscreteDistribution`.
+
 Boundary parameters x_i in {0, 1} are handled directly through the Dirac
 degeneration of the binomial law, so no limiting argument is required
 anywhere: every claim is a finite, exact computation.
@@ -24,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .convex_functions import ConvexTestFunction, builtin_family
 from .cx_order import CxVerdict, cx_compare_oracle, sign_changes
@@ -35,20 +41,31 @@ from .distributions import (
     as_rational,
     bernoulli,
     binomial,
-    convolve,
     convolve_many,
     mixture,
     scale,
+)
+from .lattice import (
+    LatticeLaw,
+    bernstein_numerators,
+    cauchy_power,
+    cauchy_product,
+    dot,
+    lattice_oracle,
+    probe_table,
+    uniform_mixture,
 )
 
 __all__ = [
     "RasaPair",
     "PsiPattern",
     "GeneralizedVerdicts",
+    "LatticePoint",
     "bernstein",
     "bernstein_vector",
     "rasa_form",
     "rasa_form_general",
+    "lattice_point",
     "rasa_pair",
     "generalized_pair",
     "verify_theorem_main",
@@ -72,7 +89,6 @@ def bernstein(n: int, i: int, x: RationalLike) -> Fraction:
     return math.comb(n, i) * x**i * (1 - x) ** (n - i)
 
 
-@lru_cache(maxsize=None)
 def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
     """All basis values (b_{n,0}(x), ..., b_{n,n}(x)); the binomial(n, x) masses."""
     if n < 1:
@@ -90,44 +106,87 @@ def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
     )
 
 
-def _cauchy_product(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
+class LatticePoint(NamedTuple):
+    """The unscaled laws behind the m-variable form at (n, x_1..x_m).
+
+    Each x_i is written a_i / L over the least common denominator L of the
+    parameters, so every binomial(n, x_i) law carries its numerators over
+    L^n.  ``the_sum`` is their Cauchy product (the cross product, over
+    L^(mn)) and ``mixed`` the uniform mixture of their m-fold Cauchy powers
+    (the self products, summed over m L^(mn)).  Both live on 0..mn.
+    """
+
+    n: int
+    numerators: tuple[int, ...]
+    common_den: int
+    the_sum: LatticeLaw
+    mixed: LatticeLaw
+
+    @property
+    def m(self) -> int:
+        return len(self.numerators)
+
+    def pooled(self) -> LatticeLaw:
+        """binomial(mn, mean of the x_i): numerators over (m L)^(mn)."""
+        return bernstein_numerators(
+            self.m * self.n, sum(self.numerators), self.m * self.common_den
+        )
+
+    def verdicts(self) -> GeneralizedVerdicts:
+        """Oracle verdicts for the relations (a), (b) and (c)."""
+        pooled = self.pooled()
+        return GeneralizedVerdicts(
+            sum_vs_pooled=lattice_oracle(self.the_sum, pooled),
+            pooled_vs_mixture=lattice_oracle(pooled, self.mixed),
+            sum_vs_mixture=lattice_oracle(self.the_sum, self.mixed),
+        )
+
+    def form_coefficients(self) -> LatticeLaw:
+        """The coefficient of f(k / (mn)) in the form, k = 0..mn.
+
+        It is sum_i self_i - m cross over L^(mn): the mixture's numerators
+        minus m times the sum's, the same integers relation (c) compares.
+        This is the bridge identity form = m (E_mixed f - E_sum f).
+        """
+        m = self.m
+        return LatticeLaw(
+            [s - m * c for s, c in zip(self.mixed.nums, self.the_sum.nums)],
+            self.the_sum.den,
+        )
 
 
-@lru_cache(maxsize=None)
-def _self_product(n: int, x: Fraction, m: int) -> tuple[Fraction, ...]:
-    """m-fold Cauchy power of the Bernstein vector of degree n at x."""
-    vec = bernstein_vector(n, x)
-    out = vec
-    for _ in range(m - 1):
-        out = _cauchy_product(out, vec)
-    return out
+def lattice_point(n: int, xs: Sequence[RationalLike]) -> LatticePoint:
+    """Build the lattice laws at (n, x_1..x_m); m >= 2, n >= 1, x_i in [0, 1]."""
+    xs = [as_rational(x) for x in xs]
+    if len(xs) < 2:
+        raise ParameterError("need at least two parameters")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    for x in xs:
+        if not 0 <= x <= 1:
+            raise ParameterError(f"parameters must lie in [0, 1], got {x}")
+    common_den = math.lcm(*(x.denominator for x in xs))
+    numerators = tuple(x.numerator * (common_den // x.denominator) for x in xs)
+    parts = [bernstein_numerators(n, a, common_den) for a in numerators]
+    the_sum = parts[0]
+    for part in parts[1:]:
+        the_sum = cauchy_product(the_sum, part)
+    mixed = uniform_mixture([cauchy_power(part, len(parts)) for part in parts])
+    return LatticePoint(n, numerators, common_den, the_sum, mixed)
+
+
+@lru_cache(maxsize=256)
+def _probe_row(points: int, f: ConvexTestFunction) -> tuple[list[int], int]:
+    # Callers evaluate one form at many points with the same few probes.
+    rows, den = probe_table(points, (f,))
+    return rows[0], den
 
 
 def rasa_form(
     n: int, x: RationalLike, y: RationalLike, f: ConvexTestFunction
 ) -> Fraction:
     """Exact value of the two-variable quadratic Bernstein form at (x, y)."""
-    x = as_rational(x)
-    y = as_rational(y)
-    bx = bernstein_vector(n, x)
-    by = bernstein_vector(n, y)
-    coeff = [Fraction(0)] * (2 * n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            coeff[i + j] += bx[i] * bx[j] + by[i] * by[j] - 2 * bx[i] * by[j]
-    return sum(
-        (c * f(Fraction(k, 2 * n)) for k, c in enumerate(coeff) if c != 0),
-        Fraction(0),
-    )
+    return rasa_form_general(n, (x, y), f)
 
 
 def rasa_form_general(
@@ -136,24 +195,12 @@ def rasa_form_general(
     """Exact value of the m-variable Bernstein form at (x_1, ..., x_m).
 
     The coefficient of f(k / (mn)) collects, over all index tuples summing
-    to k, the m same-parameter products minus m times the cross product; the
-    grouping is computed with Cauchy products of the basis vectors.
+    to k, the m same-parameter products minus m times the cross product;
+    :meth:`LatticePoint.form_coefficients` gives them as integers.
     """
-    xs = [as_rational(x) for x in xs]
-    m = len(xs)
-    if m < 2:
-        raise ParameterError("need at least two parameters")
-    cross: tuple[Fraction, ...] = bernstein_vector(n, xs[0])
-    for x in xs[1:]:
-        cross = _cauchy_product(cross, bernstein_vector(n, x))
-    coeff = [-m * c for c in cross]
-    for x in xs:
-        for k, v in enumerate(_self_product(n, x, m)):
-            coeff[k] += v
-    return sum(
-        (c * f(Fraction(k, m * n)) for k, c in enumerate(coeff) if c != 0),
-        Fraction(0),
-    )
+    coeff = lattice_point(n, xs).form_coefficients()
+    row, den = _probe_row(len(coeff.nums) - 1, f)
+    return Fraction(dot(coeff.nums, row), coeff.den * den)
 
 
 @dataclass(frozen=True)
@@ -173,12 +220,6 @@ class RasaPair:
     parameters: tuple[Fraction, ...]
 
 
-def _binomial_or_dirac(n: int, p: Fraction) -> DiscreteDistribution:
-    # binomial() already degenerates at p in {0, 1}; kept separate for clarity
-    # at call sites that rely on the boundary behaviour.
-    return binomial(n, p)
-
-
 def generalized_pair(n: int, xs: Sequence[RationalLike]) -> RasaPair:
     """Construct the compared pair for parameters (x_1, ..., x_m), m >= 2."""
     xs = tuple(as_rational(x) for x in xs)
@@ -191,7 +232,7 @@ def generalized_pair(n: int, xs: Sequence[RationalLike]) -> RasaPair:
         if not 0 <= x <= 1:
             raise ParameterError(f"parameters must lie in [0, 1], got {x}")
     mn = m * n
-    parts = [_binomial_or_dirac(n, x) for x in xs]
+    parts = [binomial(n, x) for x in xs]
     lhs = scale(convolve_many(parts), mn)
     self_sums = [
         scale(convolve_many([part] * m), mn) for part in parts
@@ -208,15 +249,8 @@ def rasa_pair(n: int, x: RationalLike, y: RationalLike) -> RasaPair:
 
 def verify_theorem_main(n: int, x: RationalLike, y: RationalLike) -> CxVerdict:
     """Oracle verdict for sum-vs-mixture on the unscaled two-parameter pair."""
-    x = as_rational(x)
-    y = as_rational(y)
-    bx = _binomial_or_dirac(n, x)
-    by = _binomial_or_dirac(n, y)
-    lhs = convolve(bx, by)
-    rhs = mixture(
-        [Fraction(1, 2), Fraction(1, 2)], [convolve(bx, bx), convolve(by, by)]
-    )
-    return cx_compare_oracle(lhs, rhs)
+    point = lattice_point(n, (x, y))
+    return lattice_oracle(point.the_sum, point.mixed)
 
 
 def poisson_binomial(ps: Sequence[RationalLike]) -> DiscreteDistribution:
@@ -332,19 +366,4 @@ class GeneralizedVerdicts:
 
 def verify_generalized(n: int, xs: Sequence[RationalLike]) -> GeneralizedVerdicts:
     """Oracle verdicts for the three unscaled relations at (n, x_1..x_m)."""
-    xs = tuple(as_rational(x) for x in xs)
-    m = len(xs)
-    if m < 2:
-        raise ParameterError("need at least two parameters")
-    parts = [_binomial_or_dirac(n, x) for x in xs]
-    the_sum = convolve_many(parts)
-    x_bar = sum(xs, Fraction(0)) / m
-    pooled = _binomial_or_dirac(m * n, x_bar)
-    mixed = mixture(
-        [Fraction(1, m)] * m, [convolve_many([part] * m) for part in parts]
-    )
-    return GeneralizedVerdicts(
-        sum_vs_pooled=cx_compare_oracle(the_sum, pooled),
-        pooled_vs_mixture=cx_compare_oracle(pooled, mixed),
-        sum_vs_mixture=cx_compare_oracle(the_sum, mixed),
-    )
+    return lattice_point(n, xs).verdicts()

@@ -10,30 +10,21 @@ regardless of the parallelism degree.
 
 from __future__ import annotations
 
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Optional
 
-from .convex_functions import (
-    Affine,
-    Angle,
-    ConvexTestFunction,
-    Monomial,
-    random_piecewise_linear,
-)
+from .convex_functions import builtin_family
 from .distributions import ParameterError
-from .rasa import rasa_form_general, verify_generalized
+from .lattice import dot, probe_table
+from .rasa import lattice_point
 
 __all__ = ["RunConfig", "farey_fractions", "run_sweep", "KNOWN_FUNCTION_GROUPS"]
 
 KNOWN_FUNCTION_GROUPS = ("angles", "monomials", "affine", "random-pwl")
-
-_MONOMIAL_DEGREES = (2, 4, 6)
-_RANDOM_PWL_COUNT = 5
 
 
 def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
@@ -48,7 +39,7 @@ def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Configuration of one sweep: ranges, grid bound, functions, output."""
+    """Configuration of one sweep: ranges, grid bound, probe functions."""
 
     n_values: tuple[int, ...]
     m_values: tuple[int, ...]
@@ -57,8 +48,6 @@ class RunConfig:
     jobs: int = 1
     functions: tuple[str, ...] = KNOWN_FUNCTION_GROUPS
     timing: bool = False
-    output_format: str = "json"
-    output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.n_values or not self.m_values:
@@ -76,46 +65,55 @@ class RunConfig:
         unknown = set(self.functions) - set(KNOWN_FUNCTION_GROUPS)
         if unknown:
             raise ParameterError(f"unknown function groups: {sorted(unknown)}")
-        if self.output_format not in ("json", "csv"):
-            raise ParameterError(f"unknown output format {self.output_format!r}")
 
 
-def shared_test_functions(config: RunConfig) -> tuple[ConvexTestFunction, ...]:
-    """Grid-independent part of the probe family (angles are per-point)."""
-    out: list[ConvexTestFunction] = []
-    if "monomials" in config.functions:
-        out.extend(Monomial(k) for k in _MONOMIAL_DEGREES)
-    if "affine" in config.functions:
-        out.append(Affine(Fraction(1), Fraction(-2)))
-    if "random-pwl" in config.functions:
-        rng = random.Random(config.seed)
-        out.extend(random_piecewise_linear(rng) for _ in range(_RANDOM_PWL_COUNT))
-    return tuple(out)
+@lru_cache(maxsize=16)
+def _probe_table(
+    points: int, functions: tuple[str, ...], seed: int
+) -> tuple[list[list[int]], int]:
+    """The selected probe groups' values at k / points, over one denominator.
+
+    Angles sit at every grid point k / points; the other groups do not
+    depend on the grid point.  Built once per (points, groups, seed) in each
+    worker, so tasks carry only the group names and the seed.
+    """
+    options: dict = {"seed": seed}
+    if "monomials" not in functions:
+        options["monomial_degrees"] = ()
+    if "random-pwl" not in functions:
+        options["random_count"] = 0
+    if "affine" not in functions:
+        options["include_affine"] = False
+    family = builtin_family(points, **options)
+    if "angles" not in functions:
+        family = family[points + 1 :]
+    return probe_table(points, family)
 
 
 def grid_tasks(config: RunConfig) -> list[tuple]:
     """All grid points in deterministic lexicographic order."""
     values = farey_fractions(config.denominator)
-    extras = shared_test_functions(config)
-    with_angles = "angles" in config.functions
     tasks = []
     for n in config.n_values:
         for m in config.m_values:
             for xs in combinations_with_replacement(values, m):
-                tasks.append((n, m, xs, extras, with_angles, config.timing))
+                tasks.append((n, m, xs, config.functions, config.seed, config.timing))
     return tasks
 
 
 def evaluate_grid_point(task: tuple) -> dict:
-    """Verdicts and the minimal form value at one grid point (pure)."""
-    n, m, xs, extras, with_angles, timing = task
+    """Verdicts and the minimal form value at one grid point (pure).
+
+    One set of lattice laws decides the three relations and gives the form's
+    integer coefficients; every probe is then one integer dot product.
+    """
+    n, m, xs, functions, seed, timing = task
     started = time.perf_counter()
-    verdicts = verify_generalized(n, xs)
-    family: list[ConvexTestFunction] = []
-    if with_angles:
-        family.extend(Angle(Fraction(k, m * n)) for k in range(m * n + 1))
-    family.extend(extras)
-    min_form = min(rasa_form_general(n, xs, f) for f in family)
+    point = lattice_point(n, xs)
+    verdicts = point.verdicts()
+    coeff = point.form_coefficients()
+    rows, den = _probe_table(m * n, functions, seed)
+    min_form = Fraction(min(dot(coeff.nums, row) for row in rows), coeff.den * den)
     ok = verdicts.all_hold and min_form >= 0
     row = {
         "n": n,

@@ -2,19 +2,23 @@
 
 Each helper deliberately takes a different route than the implementation it
 checks: stop-loss via the survival-function integral instead of the atom
-sum, CDF integrals via midpoint sampling instead of right limits, and the
-convex order via direct expectation sweeps over a large probe family.
+sum, CDF integrals via midpoint sampling instead of right limits, the
+convex order via direct expectation sweeps over a large probe family, and
+the Bernstein form via Fraction Cauchy products of the basis vectors instead
+of the integer lattice kernel.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from convexorder import (
     Angle,
     DiscreteDistribution,
     Monomial,
+    bernstein_vector,
     expectation,
     random_piecewise_linear,
 )
@@ -80,3 +84,57 @@ def convex_order_by_probing(
         expectation(lhs, f) <= expectation(rhs, f)
         for f in probe_family(lhs, rhs, rng, pwl_count)
     )
+
+
+def _cauchy_product(
+    a: Sequence[Fraction], b: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
+def _self_product(n: int, x: Fraction, m: int) -> tuple[Fraction, ...]:
+    """m-fold Cauchy power of the Bernstein vector of degree n at x."""
+    vec = bernstein_vector(n, x)
+    out = vec
+    for _ in range(m - 1):
+        out = _cauchy_product(out, vec)
+    return out
+
+
+def form_coefficients_by_cauchy(
+    n: int, xs: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """Coefficients of f(k / (mn)) in the m-variable form, as Fractions.
+
+    The m same-parameter Cauchy powers of the Bernstein vectors minus m times
+    the Cauchy product of all of them, each reduced as it is built.
+    """
+    m = len(xs)
+    cross = bernstein_vector(n, xs[0])
+    for x in xs[1:]:
+        cross = _cauchy_product(cross, bernstein_vector(n, x))
+    coeff = [-m * c for c in cross]
+    for x in xs:
+        for k, v in enumerate(_self_product(n, x, m)):
+            coeff[k] += v
+    return tuple(coeff)
+
+
+def form_value(coeff: Sequence[Fraction], f) -> Fraction:
+    """sum_k coeff_k f(k / (len(coeff) - 1)), skipping zero coefficients."""
+    points = len(coeff) - 1
+    return sum(
+        (c * f(Fraction(k, points)) for k, c in enumerate(coeff) if c != 0),
+        Fraction(0),
+    )
+
+
+def rasa_form_by_cauchy(n: int, xs: Sequence[Fraction], f) -> Fraction:
+    """The m-variable Bernstein form at (x_1..x_m) by Fraction Cauchy products."""
+    return form_value(form_coefficients_by_cauchy(n, xs), f)
