@@ -32,22 +32,24 @@ Conventions shared by all procedures:
   first segment on which the difference assumes its new sign (the crossing
   itself belongs to neither strict region).
 
+All four procedures read one segment table (``_segments``): a single pass
+over the merged grid gives F_rhs - F_lhs on every segment and its running
+integral from the left end, in ints over common denominators.  Once means
+agree, that running integral at t is the stop-loss gap
+E(rhs - t)_+ - E(lhs - t)_+, and its total is mean(lhs) - mean(rhs).
+
 The randomized corpora used to exercise these procedures are seeded
 explicitly, so parallel batch runs are reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
-from .distributions import (
-    DiscreteDistribution,
-    ParameterError,
-    StepCdf,
-    as_rational,
-)
+from .distributions import DiscreteDistribution, ParameterError, as_rational
 
 __all__ = [
     "CxVerdict",
@@ -63,9 +65,6 @@ __all__ = [
     "szostok_decision",
 ]
 
-CdfLike = Union[DiscreteDistribution, StepCdf]
-
-
 class StandingHypothesisError(ParameterError):
     """The inputs violate a procedure's standing hypotheses.
 
@@ -73,10 +72,6 @@ class StandingHypothesisError(ParameterError):
     hypothesis fail, so that a hypothesis violation is never conflated with a
     negative decision.
     """
-
-
-def _as_distribution(x: CdfLike) -> DiscreteDistribution:
-    return x.distribution if isinstance(x, StepCdf) else x
 
 
 @dataclass(frozen=True)
@@ -188,170 +183,184 @@ class SzostokReport:
         }
 
 
-def sign_changes(values: Sequence[Fraction]) -> int:
-    """Number of sign alternations after discarding zero terms."""
-    previous = 0
-    changes = 0
-    for v in values:
+class _Segments(NamedTuple):
+    """F_rhs - F_lhs on the merged grid g_0 < ... < g_K, and its running integral.
+
+    ``diffs[i]`` is the constant value of the difference on (g_i, g_{i+1}],
+    i < K, times the common mass denominator.  ``running[i] / den`` is its
+    integral from g_0 to g_i, i <= K, so ``running[0] == 0`` and each step
+    adds ``diffs[i]`` times the segment length in units of the grid's common
+    denominator.
+    """
+
+    grid: list[Fraction]
+    diffs: list[int]
+    running: list[int]
+    den: int
+
+    def value(self, num: int) -> Fraction:
+        """A running-integral entry (or a sum of its steps) as a Fraction."""
+        return Fraction(num, self.den)
+
+
+def _segments(
+    dl: DiscreteDistribution,
+    dr: DiscreteDistribution,
+    bounds: Optional[tuple[Fraction, Fraction]] = None,
+) -> _Segments:
+    """The segment table of the pair, on the union of supports or on [a, b].
+
+    With ``bounds`` the grid is a, the support points strictly inside (a, b)
+    and b; both laws must live in [a, b].  Masses come to the common
+    denominator of the two laws' mass denominators and grid points to ints
+    over the least common denominator of all grid points, so the pass itself
+    only adds and multiplies ints.
+    """
+    extra: tuple[Fraction, ...] = ()
+    if bounds is not None:
+        a, b = bounds
+        if a >= b:
+            raise ParameterError("need a < b")
+        for d in (dl, dr):
+            if d.min_support < a or d.max_support > b:
+                raise ParameterError(
+                    f"distribution escapes [{a}, {b}]: "
+                    f"support spans [{d.min_support}, {d.max_support}]"
+                )
+        extra = bounds
+    nums_l, den_l = dl.mass_numerators
+    nums_r, den_r = dr.mass_numerators
+    den = math.lcm(den_l, den_r)
+    scale = math.lcm(
+        *(s.denominator for s in dl.support),
+        *(s.denominator for s in dr.support),
+        *(s.denominator for s in extra),
+    )
+    points: dict[int, Fraction] = {}  # each grid point g, keyed by g * scale
+    jumps: dict[int, int] = {}  # the jump of (F_rhs - F_lhs) * den there
+    for d, nums, factor in ((dl, nums_l, -(den // den_l)), (dr, nums_r, den // den_r)):
+        for s, v in zip(d.support, nums):
+            key = s.numerator * (scale // s.denominator)
+            points[key] = s
+            jumps[key] = jumps.get(key, 0) + v * factor
+    for s in extra:
+        points[s.numerator * (scale // s.denominator)] = s
+    keys = sorted(points)
+    diffs = []
+    running = [0]
+    diff = 0
+    for key, following in zip(keys, keys[1:]):
+        diff += jumps.get(key, 0)
+        diffs.append(diff)
+        running.append(running[-1] + diff * (following - key))
+    return _Segments([points[k] for k in keys], diffs, running, den * scale)
+
+
+def _sign_runs(values: Sequence) -> tuple[int, list[int]]:
+    """The first nonzero sign of values (0 if none) and the indices where it alternates.
+
+    Zero terms are discarded, so an index is the first term of a run of
+    the new sign.
+    """
+    first = previous = 0
+    changes: list[int] = []
+    for i, v in enumerate(values):
         if v == 0:
             continue
         sign = 1 if v > 0 else -1
-        if previous and sign != previous:
-            changes += 1
+        if not previous:
+            first = sign
+        elif sign != previous:
+            changes.append(i)
         previous = sign
-    return changes
+    return first, changes
 
 
-def cx_compare_oracle(lhs: CdfLike, rhs: CdfLike) -> CxVerdict:
+def sign_changes(values: Sequence[Fraction]) -> int:
+    """Number of sign alternations after discarding zero terms."""
+    return len(_sign_runs(values)[1])
+
+
+def cx_compare_oracle(
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution
+) -> CxVerdict:
     """Decide lhs <=_cx rhs exactly via the stop-loss characterisation.
 
-    The witness, when dominance fails with equal means, doubles as a
-    certificate: the angle function at the witness is a convex function whose
-    expectations violate the order.
+    The stop-loss gap E(rhs - t)_+ - E(lhs - t)_+ at each point of the union
+    of supports is read off the segment table's running integral, so the
+    check is one O(K) pass.  The witness, when dominance fails with equal
+    means, doubles as a certificate: the angle function at the witness is a
+    convex function whose expectations violate the order.
     """
-    dl = _as_distribution(lhs)
-    dr = _as_distribution(rhs)
-    gap = dr.mean() - dl.mean()
-    if gap != 0:
-        return CxVerdict(holds=False, means_equal=False, witness=None, mean_gap=gap)
-    grid = sorted(set(dl.support) | set(dr.support))
-    for t in grid:
-        if dl.stop_loss(t) > dr.stop_loss(t):
-            return CxVerdict(holds=False, means_equal=True, witness=t, mean_gap=gap)
-    return CxVerdict(holds=True, means_equal=True, witness=None, mean_gap=gap)
+    table = _segments(lhs, rhs)
+    gap = -table.running[-1]
+    if gap:
+        return CxVerdict(
+            holds=False, means_equal=False, witness=None, mean_gap=table.value(gap)
+        )
+    witness = next((g for g, r in zip(table.grid, table.running) if r < 0), None)
+    return CxVerdict(
+        holds=witness is None, means_equal=True, witness=witness, mean_gap=Fraction(0)
+    )
 
 
-def _segment_values(
-    dl: DiscreteDistribution, dr: DiscreteDistribution
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Merged support grid and the values of F_rhs - F_lhs on the segments.
-
-    Entry i is the constant value of the difference on (grid[i], grid[i+1]];
-    outside the grid hull the difference vanishes.
-    """
-    grid = sorted(set(dl.support) | set(dr.support))
-    values = [dr.cdf_right(g) - dl.cdf_right(g) for g in grid[:-1]]
-    return grid, values
-
-
-def ohlin_check(lhs: CdfLike, rhs: CdfLike) -> OhlinReport:
+def ohlin_check(lhs: DiscreteDistribution, rhs: DiscreteDistribution) -> OhlinReport:
     """Single-crossing sufficient condition for lhs <=_cx rhs.
 
-    Evaluates the CDF difference on the merged support grid together with
-    the midpoints of consecutive grid points and one point beyond each end
-    (a step CDF is constant between support points, so this is exhaustive).
+    A step CDF is constant on each grid segment, so the segment signs of
+    F_rhs - F_lhs are exhaustive: the condition holds when no negative
+    segment precedes a positive one.
     """
-    dl = _as_distribution(lhs)
-    dr = _as_distribution(rhs)
-    if dl == dr:
+    if lhs == rhs:
         return OhlinReport(applies=True, crossing=None, identical=True)
-    if dl.mean() != dr.mean():
+    table = _segments(lhs, rhs)
+    if table.running[-1]:  # unequal means
         return OhlinReport(applies=False, crossing=None, identical=False)
-    grid = sorted(set(dl.support) | set(dr.support))
-    probes: list[Fraction] = [grid[0] - 1]
-    for left, right in zip(grid, grid[1:]):
-        probes.append(left)
-        probes.append((left + right) / 2)
-    probes.append(grid[-1])
-    probes.append(grid[-1] + 1)
-    diffs = [dl.cdf(x) - dr.cdf(x) for x in probes]
-    first_positive = next((i for i, d in enumerate(diffs) if d > 0), None)
-    last_negative = next(
-        (i for i in range(len(diffs) - 1, -1, -1) if diffs[i] < 0), None
-    )
-    if first_positive is not None and last_negative is not None:
-        if first_positive < last_negative:
-            return OhlinReport(applies=False, crossing=None, identical=False)
-    # Crossing: left endpoint of the first segment where the difference
-    # turns nonnegative for good.  With equal, non-identical distributions
-    # both strict signs occur.
-    _, seg = _segment_values(dl, dr)
-    crossing = None
-    for i, v in enumerate(seg):
-        if v < 0:  # F_lhs - F_rhs strictly positive on this segment
-            crossing = grid[i]
-            break
+    first_sign, changes = _sign_runs(table.diffs)
+    if len(changes) > 1 or (changes and first_sign < 0):
+        return OhlinReport(applies=False, crossing=None, identical=False)
+    # Crossing: left endpoint of the first segment where F_lhs - F_rhs is
+    # strictly positive, after which it stays nonnegative.  With equal,
+    # non-identical distributions both strict signs occur.
+    crossing = next((g for g, v in zip(table.grid, table.diffs) if v < 0), None)
     return OhlinReport(applies=True, crossing=crossing, identical=False)
 
 
-def crossing_points(lhs: CdfLike, rhs: CdfLike) -> list[Fraction]:
+def crossing_points(
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution
+) -> list[Fraction]:
     """Points of sign change of F_rhs - F_lhs, left-to-right.
 
     Each reported point is the left endpoint of the first grid segment on
     which the difference assumes its new sign; zero segments between runs of
     equal sign are discarded, matching the sign-change count convention.
     """
-    dl = _as_distribution(lhs)
-    dr = _as_distribution(rhs)
-    grid, values = _segment_values(dl, dr)
-    points: list[Fraction] = []
-    previous = 0
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        sign = 1 if v > 0 else -1
-        if previous and sign != previous:
-            points.append(grid[i])
-        previous = sign
-    return points
-
-
-def _bounded_segments(
-    dl: DiscreteDistribution,
-    dr: DiscreteDistribution,
-    a: Fraction,
-    b: Fraction,
-) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Grid over [a, b] plus per-segment values of F_lhs and F_rhs."""
-    if a >= b:
-        raise ParameterError("need a < b")
-    for d in (dl, dr):
-        if d.min_support < a or d.max_support > b:
-            raise ParameterError(
-                f"distribution escapes [{a}, {b}]: "
-                f"support spans [{d.min_support}, {d.max_support}]"
-            )
-    inner = sorted(s for s in set(dl.support) | set(dr.support) if a < s < b)
-    grid = [a] + inner + [b]
-    left_vals = [dl.cdf_right(g) for g in grid[:-1]]
-    right_vals = [dr.cdf_right(g) for g in grid[:-1]]
-    return grid, left_vals, right_vals
+    table = _segments(lhs, rhs)
+    return [table.grid[i] for i in _sign_runs(table.diffs)[1]]
 
 
 def levin_steckin_check(
-    lhs: CdfLike, rhs: CdfLike, a: Fraction, b: Fraction
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution, a: Fraction, b: Fraction
 ) -> LevinSteckinReport:
     """The three integral conditions for lhs <=_cx rhs on [a, b].
 
     Integrals are exact sums over the segments on which the step CDFs are
-    constant; the partial-integral dominance is checked at every grid point,
-    which suffices because the partial integrals are piecewise linear in the
-    upper limit.
+    constant; the partial-integral dominance is checked at every grid point
+    inside (a, b), which suffices because the partial integrals are
+    piecewise linear in the upper limit.
     """
-    dl = _as_distribution(lhs)
-    dr = _as_distribution(rhs)
     a = as_rational(a)
     b = as_rational(b)
-    grid, left_vals, right_vals = _bounded_segments(dl, dr, a, b)
-    endpoint_match = dl.cdf_right(b) == dr.cdf_right(b)
-    cum_l = Fraction(0)
-    cum_r = Fraction(0)
-    partial = True
-    for i in range(len(grid) - 1):
-        length = grid[i + 1] - grid[i]
-        cum_l += left_vals[i] * length
-        cum_r += right_vals[i] * length
-        if grid[i + 1] < b and cum_l > cum_r:
-            partial = False
+    table = _segments(lhs, rhs, (a, b))
     return LevinSteckinReport(
-        endpoint_match=endpoint_match,
-        integral_match=cum_l == cum_r,
-        partial_dominance=partial,
+        endpoint_match=lhs.cdf_right(b) == rhs.cdf_right(b),
+        integral_match=table.running[-1] == 0,
+        partial_dominance=all(r >= 0 for r in table.running[1:-1]),
     )
 
 
 def szostok_decision(
-    lhs: CdfLike, rhs: CdfLike, a: Fraction, b: Fraction
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution, a: Fraction, b: Fraction
 ) -> SzostokReport:
     """Decide lhs <=_cx rhs from the sign-change structure of the CDF gap.
 
@@ -362,34 +371,18 @@ def szostok_decision(
     the reported decision, not a hard hypothesis: when it fails the order
     fails with it.
     """
-    dl = _as_distribution(lhs)
-    dr = _as_distribution(rhs)
     a = as_rational(a)
     b = as_rational(b)
-    grid, left_vals, right_vals = _bounded_segments(dl, dr, a, b)
-    if dl.cdf(a) != dr.cdf(a) or dl.cdf_right(b) != dr.cdf_right(b):
+    table = _segments(lhs, rhs, (a, b))
+    if lhs.cdf(a) != rhs.cdf(a) or lhs.cdf_right(b) != rhs.cdf_right(b):
         raise StandingHypothesisError("distribution functions differ at an endpoint")
-    diffs = [r - l for l, r in zip(left_vals, right_vals)]
-    lengths = [grid[i + 1] - grid[i] for i in range(len(grid) - 1)]
-    total = sum((d * ln for d, ln in zip(diffs, lengths)), Fraction(0))
-    if total != 0:
+    if table.running[-1]:
         raise StandingHypothesisError(
-            f"total integral of the CDF difference is {total}, not 0"
+            f"total integral of the CDF difference is "
+            f"{table.value(table.running[-1])}, not 0"
         )
 
-    points: list[Fraction] = []
-    previous = 0
-    first_sign = 0
-    for i, v in enumerate(diffs):
-        if v == 0:
-            continue
-        sign = 1 if v > 0 else -1
-        if not previous:
-            first_sign = sign
-        elif sign != previous:
-            points.append(grid[i])
-        previous = sign
-
+    first_sign, changes = _sign_runs(table.diffs)
     if first_sign == 0:
         # F vanishes identically: the comparison is an equality, every
         # convex-function inequality is tight, and the lemma's hypotheses
@@ -403,29 +396,28 @@ def szostok_decision(
             decision=True,
         )
 
-    m = len(points)
-    areas = [Fraction(0)] * (m + 1)
-    segment = 0
-    for i, v in enumerate(diffs):
-        while segment < m and grid[i] >= points[segment]:
-            segment += 1
-        areas[segment] += abs(v) * lengths[i]
+    # A_j sums |F| times length over the segments of the j-th sign run,
+    # which are the steps of the running integral.
+    m = len(changes)
+    areas = [0] * (m + 1)
+    run = 0
+    for i in range(len(table.diffs)):
+        if run < m and i == changes[run]:
+            run += 1
+        areas[run] += abs(table.running[i + 1] - table.running[i])
 
     parity_ok = m % 2 == 1
-    even_sum = Fraction(0)
-    odd_sum = Fraction(0)
+    even_sum = odd_sum = 0
     partial_sums_ok = True
-    i = 0
-    while 2 * i + 1 <= m - 1:
-        even_sum += areas[2 * i]
-        odd_sum += areas[2 * i + 1]
+    for i in range(0, m - 1, 2):
+        even_sum += areas[i]
+        odd_sum += areas[i + 1]
         if even_sum < odd_sum:
             partial_sums_ok = False
-        i += 1
     first_segment_nonneg = first_sign > 0
     return SzostokReport(
-        sign_change_points=tuple(points),
-        areas=tuple(areas),
+        sign_change_points=tuple(table.grid[i] for i in changes),
+        areas=tuple(table.value(area) for area in areas),
         parity_ok=parity_ok,
         partial_sums_ok=partial_sums_ok,
         first_segment_nonneg=first_segment_nonneg,

@@ -31,8 +31,8 @@ __all__ = [
     "Rational",
     "ParameterError",
     "FormatError",
+    "MAX_RATIONAL_DIGITS",
     "DiscreteDistribution",
-    "StepCdf",
     "as_rational",
     "decimal_str",
     "dirac",
@@ -42,9 +42,6 @@ __all__ = [
     "convolve_many",
     "mixture",
     "scale",
-    "mean",
-    "cdf",
-    "stop_loss",
     "parse_distribution",
     "distribution_to_text",
     "distribution_to_json_obj",
@@ -59,11 +56,42 @@ class FormatError(ValueError):
     """Input text or JSON does not encode a valid distribution."""
 
 
+MAX_RATIONAL_DIGITS = 10_000
+"""The most decimal digits a parsed rational string may carry.
+
+The count is every digit written plus the magnitude of a decimal exponent,
+since ``1e-k`` puts k digits into the denominator.  The limit keeps values
+near 33 000 bits, so a hostile string such as ``1e-999999999`` is rejected
+before any big integer is built.
+"""
+
+
+def _decimal_digits(text: str) -> int:
+    """Digits written in text plus its exponent's magnitude, capped above the limit.
+
+    A string whose length alone exceeds what the limit allows (at most one
+    underscore per digit and a few signs and separators) is over it.
+    """
+    over = MAX_RATIONAL_DIGITS + 1
+    if len(text) > 2 * MAX_RATIONAL_DIGITS + 8:
+        return over
+    mantissa, _, exponent = text.lower().partition("e")
+    written = sum(c.isdigit() for c in mantissa)
+    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if not magnitude.isdigit():  # no exponent, a zero one, or one Fraction rejects
+        return written
+    if len(magnitude) > len(str(MAX_RATIONAL_DIGITS)):
+        return over
+    return min(written + int(magnitude), over)
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or `p/q` string to an exact Fraction.
 
     Floats are rejected: they carry rounding error and this library promises
-    exactness end to end.
+    exactness end to end.  A string carrying more than
+    :data:`MAX_RATIONAL_DIGITS` decimal digits is rejected before it is
+    parsed.
     """
     if isinstance(value, Fraction):
         return value
@@ -72,8 +100,15 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if _decimal_digits(text) > MAX_RATIONAL_DIGITS:
+            raise FormatError(
+                f"rational {text[:24]!r}{'...' if len(text) > 24 else ''} exceeds "
+                f"the limit of {MAX_RATIONAL_DIGITS} decimal digits "
+                "(an exponent counts as its magnitude in digits)"
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"cannot parse rational from {value!r}") from exc
     raise FormatError(f"not a rational value: {value!r} (floats are rejected)")
@@ -113,7 +148,6 @@ class DiscreteDistribution:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ParameterError("a distribution needs at least one atom")
-        total = Fraction(0)
         prev = None
         for support, mass in self.atoms:
             if not isinstance(support, Fraction) or not isinstance(mass, Fraction):
@@ -122,10 +156,12 @@ class DiscreteDistribution:
                 raise ParameterError("support points must be strictly increasing")
             if mass <= 0:
                 raise ParameterError(f"mass at {support} must be positive")
-            total += mass
             prev = support
-        if total != 1:
-            raise ParameterError(f"masses must sum to 1 exactly, got {total}")
+        nums, den = self.mass_numerators
+        if sum(nums) != den:
+            raise ParameterError(
+                f"masses must sum to 1 exactly, got {Fraction(sum(nums), den)}"
+            )
 
     @classmethod
     def from_pairs(
@@ -149,6 +185,12 @@ class DiscreteDistribution:
     @cached_property
     def masses(self) -> tuple[Fraction, ...]:
         return tuple(m for _, m in self.atoms)
+
+    @cached_property
+    def mass_numerators(self) -> tuple[tuple[int, ...], int]:
+        """Every mass as an int numerator over the least common denominator."""
+        den = math.lcm(*(m.denominator for _, m in self.atoms))
+        return tuple(m.numerator * (den // m.denominator) for _, m in self.atoms), den
 
     @cached_property
     def _cumulative(self) -> tuple[Fraction, ...]:
@@ -181,12 +223,16 @@ class DiscreteDistribution:
         """P(X < x): the mass strictly below x (left-continuous)."""
         x = as_rational(x)
         i = bisect_left(self.support, x)
+        if i == len(self.atoms):  # past every atom: no Fraction prefix sums needed
+            return Fraction(1)
         return self._cumulative[i - 1] if i else Fraction(0)
 
     def cdf_right(self, x: RationalLike) -> Fraction:
         """P(X <= x): the right limit of the distribution function at x."""
         x = as_rational(x)
         i = bisect_right(self.support, x)
+        if i == len(self.atoms):
+            return Fraction(1)
         return self._cumulative[i - 1] if i else Fraction(0)
 
     def stop_loss(self, t: RationalLike) -> Fraction:
@@ -194,48 +240,9 @@ class DiscreteDistribution:
         t = as_rational(t)
         return sum(((s - t) * m for s, m in self.atoms if s > t), Fraction(0))
 
-    def step_cdf(self) -> "StepCdf":
-        return StepCdf(self)
-
     def __repr__(self) -> str:
         body = ", ".join(f"{s}: {m}" for s, m in self.atoms)
         return f"DiscreteDistribution({body})"
-
-
-@dataclass(frozen=True)
-class StepCdf:
-    """Evaluation view of a distribution as the step function F(x) = P(X < x).
-
-    Left-continuous and nondecreasing, with a jump of the atom mass at each
-    support point.
-    """
-
-    distribution: DiscreteDistribution
-
-    @property
-    def support(self) -> tuple[Fraction, ...]:
-        return self.distribution.support
-
-    def value(self, x: RationalLike) -> Fraction:
-        return self.distribution.cdf(x)
-
-    def right_value(self, x: RationalLike) -> Fraction:
-        return self.distribution.cdf_right(x)
-
-    def jump(self, x: RationalLike) -> Fraction:
-        return self.distribution.mass_at(x)
-
-    def integral(self, a: RationalLike, x: RationalLike) -> Fraction:
-        """Exact integral of F over [a, x], summed over constancy segments."""
-        a = as_rational(a)
-        x = as_rational(x)
-        if x < a:
-            raise ParameterError("upper limit below lower limit")
-        points = [a] + [s for s in self.support if a < s < x] + [x]
-        total = Fraction(0)
-        for left, right in zip(points, points[1:]):
-            total += self.right_value(left) * (right - left)
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +298,36 @@ def convolve(
     a: DiscreteDistribution, b: DiscreteDistribution
 ) -> DiscreteDistribution:
     """Law of the sum of independent draws from a and b."""
-    sums: dict[Fraction, Fraction] = {}
-    for sa, ma in a.atoms:
-        for sb, mb in b.atoms:
-            key = sa + sb
-            sums[key] = sums.get(key, Fraction(0)) + ma * mb
-    return DiscreteDistribution(tuple(sorted(sums.items())))
+    return convolve_many((a, b))
 
 
 def convolve_many(parts: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
-    """Convolution of one or more distributions, left to right."""
+    """Law of the sum of independent draws from one or more distributions.
+
+    Supports are brought to ints over their least common denominator and
+    each part's masses to its :attr:`~DiscreteDistribution.mass_numerators`,
+    so the whole fold multiplies and adds ints; one Fraction is built per
+    output atom at the end.
+    """
     if not parts:
         raise ParameterError("convolve_many needs at least one distribution")
-    out = parts[0]
-    for part in parts[1:]:
-        out = convolve(out, part)
-    return out
+    scale = math.lcm(*(s.denominator for part in parts for s in part.support))
+    sums = {0: 1}
+    den = 1
+    for part in parts:
+        nums, part_den = part.mass_numerators
+        points = [s.numerator * (scale // s.denominator) for s in part.support]
+        out: dict[int, int] = {}
+        for s, v in sums.items():
+            for t, w in zip(points, nums):
+                out[s + t] = out.get(s + t, 0) + v * w
+        sums = out
+        den *= part_den
+    return DiscreteDistribution(
+        tuple(
+            (Fraction(s, scale), Fraction(v, den)) for s, v in sorted(sums.items())
+        )
+    )
 
 
 def mixture(
@@ -337,18 +358,6 @@ def scale(d: DiscreteDistribution, a: RationalLike) -> DiscreteDistribution:
     if a <= 0:
         raise ParameterError(f"scale divisor must be positive, got {a}")
     return DiscreteDistribution(tuple((s / a, m) for s, m in d.atoms))
-
-
-def mean(d: DiscreteDistribution) -> Fraction:
-    return d.mean()
-
-
-def cdf(d: DiscreteDistribution, x: RationalLike) -> Fraction:
-    return d.cdf(x)
-
-
-def stop_loss(d: DiscreteDistribution, t: RationalLike) -> Fraction:
-    return d.stop_loss(t)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +401,7 @@ def _parse_text(text: str) -> DiscreteDistribution:
 def _parse_json(text: str) -> DiscreteDistribution:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an int over Python's digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise FormatError('JSON distribution must be {"atoms": [[s, m], ...]}')

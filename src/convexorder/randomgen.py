@@ -35,6 +35,16 @@ def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
     return [b - a for a, b in zip(bounds, bounds[1:])]
 
 
+def _check_sizes(max_support: int, max_total: int, max_atoms: int) -> None:
+    """Every draw needs two support points, a weight total of 2 and two atoms."""
+    if max_support < 1:
+        raise ParameterError(f"max_support must be >= 1, got {max_support}")
+    if max_total < 2:
+        raise ParameterError(f"max_total must be >= 2, got {max_total}")
+    if max_atoms < 2:
+        raise ParameterError(f"max_atoms must be >= 2, got {max_atoms}")
+
+
 def _random_atoms(
     rng: random.Random, max_support: int, total: int, max_atoms: int
 ) -> tuple[list[int], list[int]]:
@@ -57,6 +67,7 @@ def random_weighted_distribution(
     max_atoms: int = 5,
 ) -> DiscreteDistribution:
     """Random distribution on {0..max_support} with weights over a small total."""
+    _check_sizes(max_support, max_total, max_atoms)
     total = rng.randint(2, max_total)
     supports, weights = _random_atoms(rng, max_support, total, max_atoms)
     return _as_distribution(supports, weights, total)
@@ -75,6 +86,11 @@ def random_equal_mean_pair(
     second is rejection-sampled over the same total until its weighted sum
     matches, which forces mean equality exactly (both means are W / T).
     """
+    _check_sizes(max_support, max_total, max_atoms)
+    if attempts_per_target < 1:
+        raise ParameterError(
+            f"attempts_per_target must be >= 1, got {attempts_per_target}"
+        )
     while True:
         total = rng.randint(2, max_total)
         supports, weights = _random_atoms(rng, max_support, total, max_atoms)

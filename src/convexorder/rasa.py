@@ -182,6 +182,14 @@ def _probe_row(points: int, f: ConvexTestFunction) -> tuple[list[int], int]:
     return rows[0], den
 
 
+@lru_cache(maxsize=64)
+def _form_coefficients(n: int, xs: tuple[tuple[int, int], ...]) -> LatticeLaw:
+    # Callers probe one point with many test functions in turn; the cached
+    # numerator list is only ever read.  The key holds each parameter as its
+    # (numerator, denominator) pair, which hashes faster than a Fraction.
+    return lattice_point(n, [Fraction(p, q) for p, q in xs]).form_coefficients()
+
+
 def rasa_form(
     n: int, x: RationalLike, y: RationalLike, f: ConvexTestFunction
 ) -> Fraction:
@@ -198,7 +206,8 @@ def rasa_form_general(
     to k, the m same-parameter products minus m times the cross product;
     :meth:`LatticePoint.form_coefficients` gives them as integers.
     """
-    coeff = lattice_point(n, xs).form_coefficients()
+    key = tuple((x.numerator, x.denominator) for x in map(as_rational, xs))
+    coeff = _form_coefficients(n, key)
     row, den = _probe_row(len(coeff.nums) - 1, f)
     return Fraction(dot(coeff.nums, row), coeff.den * den)
 

@@ -3,9 +3,11 @@
 Each helper deliberately takes a different route than the implementation it
 checks: stop-loss via the survival-function integral instead of the atom
 sum, CDF integrals via midpoint sampling instead of right limits, the
-convex order via direct expectation sweeps over a large probe family, and
-the Bernstein form via Fraction Cauchy products of the basis vectors instead
-of the integer lattice kernel.
+convex order via direct expectation sweeps over a large probe family, the
+Bernstein form via Fraction Cauchy products of the basis vectors instead
+of the integer lattice kernel, and the four convex-order procedures via
+Fraction CDF values looked up point by point (the stop-loss oracle as an
+O(K^2) scan of ``stop_loss``) instead of the integer segment table.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from typing import Sequence
 
 from convexorder import (
     Angle,
+    CxVerdict,
     DiscreteDistribution,
+    LevinSteckinReport,
     Monomial,
+    OhlinReport,
+    ParameterError,
+    StandingHypothesisError,
+    SzostokReport,
     bernstein_vector,
     expectation,
     random_piecewise_linear,
@@ -47,6 +55,15 @@ def cdf_integral_by_midpoints(
         mid = (left + right) / 2
         total += d.cdf(mid) * (right - left)
     return total
+
+
+def convolve_by_fractions(
+    a: DiscreteDistribution, b: DiscreteDistribution
+) -> DiscreteDistribution:
+    """The law of an independent sum, one Fraction product per atom pair."""
+    return DiscreteDistribution.from_pairs(
+        (sa + sb, ma * mb) for sa, ma in a.atoms for sb, mb in b.atoms
+    )
 
 
 def probe_family(
@@ -138,3 +155,144 @@ def form_value(coeff: Sequence[Fraction], f) -> Fraction:
 def rasa_form_by_cauchy(n: int, xs: Sequence[Fraction], f) -> Fraction:
     """The m-variable Bernstein form at (x_1..x_m) by Fraction Cauchy products."""
     return form_value(form_coefficients_by_cauchy(n, xs), f)
+
+
+def oracle_by_stop_loss_scan(
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution
+) -> CxVerdict:
+    """Equal means, then stop_loss(lhs, t) <= stop_loss(rhs, t) at every
+    point of the union of supports, each recomputed from the atoms."""
+    gap = rhs.mean() - lhs.mean()
+    if gap != 0:
+        return CxVerdict(holds=False, means_equal=False, witness=None, mean_gap=gap)
+    for t in sorted(set(lhs.support) | set(rhs.support)):
+        if lhs.stop_loss(t) > rhs.stop_loss(t):
+            return CxVerdict(holds=False, means_equal=True, witness=t, mean_gap=gap)
+    return CxVerdict(holds=True, means_equal=True, witness=None, mean_gap=gap)
+
+
+def _segment_values(lhs, rhs, grid):
+    """F_rhs(g+) - F_lhs(g+) for every grid point but the last."""
+    return [rhs.cdf_right(g) - lhs.cdf_right(g) for g in grid[:-1]]
+
+
+def _sign_change_indices(values) -> list[int]:
+    indices = []
+    previous = 0
+    for i, v in enumerate(values):
+        if v == 0:
+            continue
+        sign = 1 if v > 0 else -1
+        if previous and sign != previous:
+            indices.append(i)
+        previous = sign
+    return indices
+
+
+def ohlin_by_probes(
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution
+) -> OhlinReport:
+    """The single-crossing test on the CDF difference sampled at every grid
+    point, every midpoint and one point beyond each end."""
+    if lhs == rhs:
+        return OhlinReport(applies=True, crossing=None, identical=True)
+    if lhs.mean() != rhs.mean():
+        return OhlinReport(applies=False, crossing=None, identical=False)
+    grid = sorted(set(lhs.support) | set(rhs.support))
+    probes = [grid[0] - 1]
+    for left, right in zip(grid, grid[1:]):
+        probes.append(left)
+        probes.append((left + right) / 2)
+    probes.extend([grid[-1], grid[-1] + 1])
+    diffs = [lhs.cdf(x) - rhs.cdf(x) for x in probes]
+    first_positive = next((i for i, d in enumerate(diffs) if d > 0), None)
+    last_negative = next(
+        (i for i in range(len(diffs) - 1, -1, -1) if diffs[i] < 0), None
+    )
+    if first_positive is not None and last_negative is not None:
+        if first_positive < last_negative:
+            return OhlinReport(applies=False, crossing=None, identical=False)
+    values = _segment_values(lhs, rhs, grid)
+    crossing = next((grid[i] for i, v in enumerate(values) if v < 0), None)
+    return OhlinReport(applies=True, crossing=crossing, identical=False)
+
+
+def crossing_points_by_cdf(
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution
+) -> list[Fraction]:
+    grid = sorted(set(lhs.support) | set(rhs.support))
+    return [grid[i] for i in _sign_change_indices(_segment_values(lhs, rhs, grid))]
+
+
+def _bounded_grid(lhs, rhs, a, b) -> list[Fraction]:
+    if a >= b:
+        raise ParameterError("need a < b")
+    for d in (lhs, rhs):
+        if d.min_support < a or d.max_support > b:
+            raise ParameterError(
+                f"distribution escapes [{a}, {b}]: "
+                f"support spans [{d.min_support}, {d.max_support}]"
+            )
+    inner = sorted(s for s in set(lhs.support) | set(rhs.support) if a < s < b)
+    return [a] + inner + [b]
+
+
+def levin_steckin_by_cdf_integrals(
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution, a: Fraction, b: Fraction
+) -> LevinSteckinReport:
+    """Both partial integrals of the CDFs accumulated side by side."""
+    grid = _bounded_grid(lhs, rhs, a, b)
+    cum_l = cum_r = Fraction(0)
+    partial = True
+    for left, right in zip(grid, grid[1:]):
+        cum_l += lhs.cdf_right(left) * (right - left)
+        cum_r += rhs.cdf_right(left) * (right - left)
+        if right < b and cum_l > cum_r:
+            partial = False
+    return LevinSteckinReport(
+        endpoint_match=lhs.cdf_right(b) == rhs.cdf_right(b),
+        integral_match=cum_l == cum_r,
+        partial_dominance=partial,
+    )
+
+
+def szostok_by_cdf_segments(
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution, a: Fraction, b: Fraction
+) -> SzostokReport:
+    """The sign-change lemma on Fraction segment values and lengths."""
+    grid = _bounded_grid(lhs, rhs, a, b)
+    if lhs.cdf(a) != rhs.cdf(a) or lhs.cdf_right(b) != rhs.cdf_right(b):
+        raise StandingHypothesisError("distribution functions differ at an endpoint")
+    diffs = _segment_values(lhs, rhs, grid)
+    lengths = [right - left for left, right in zip(grid, grid[1:])]
+    total = sum((d * ln for d, ln in zip(diffs, lengths)), Fraction(0))
+    if total != 0:
+        raise StandingHypothesisError(
+            f"total integral of the CDF difference is {total}, not 0"
+        )
+    first_sign = next((1 if d > 0 else -1 for d in diffs if d != 0), 0)
+    if first_sign == 0:
+        return SzostokReport((), (Fraction(0),), True, True, True, True)
+    points = [grid[i] for i in _sign_change_indices(diffs)]
+    m = len(points)
+    areas = [Fraction(0)] * (m + 1)
+    segment = 0
+    for i, d in enumerate(diffs):
+        while segment < m and grid[i] >= points[segment]:
+            segment += 1
+        areas[segment] += abs(d) * lengths[i]
+    parity_ok = m % 2 == 1
+    even_sum = odd_sum = Fraction(0)
+    partial_sums_ok = True
+    for i in range(0, m - 1, 2):
+        even_sum += areas[i]
+        odd_sum += areas[i + 1]
+        partial_sums_ok = partial_sums_ok and even_sum >= odd_sum
+    return SzostokReport(
+        sign_change_points=tuple(points),
+        areas=tuple(areas),
+        parity_ok=parity_ok,
+        partial_sums_ok=partial_sums_ok,
+        first_segment_nonneg=first_sign > 0,
+        decision=parity_ok and partial_sums_ok and first_sign > 0,
+    )

@@ -246,6 +246,11 @@ class TestHoeffdingCommand:
     def test_no_input_exit_2(self):
         assert runner.invoke(main, ["hoeffding"]).exit_code == 2
 
+    def test_over_limit_rational_exit_2(self):
+        result = runner.invoke(main, ["hoeffding", "1/2", "1e-999999"])
+        assert result.exit_code == 2
+        assert "limit of 10000 decimal digits" in result.output
+
 
 class TestPsiPatternCommand:
     def test_two_parameters(self):

@@ -2,14 +2,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from convexorder import (
     Angle,
+    DiscreteDistribution,
     ParameterError,
     StandingHypothesisError,
     bernoulli,
     binomial,
     build_counterexample,
+    convolve,
     crossing_points,
     cx_compare_oracle,
     dirac,
@@ -17,12 +21,21 @@ from convexorder import (
     levin_steckin_check,
     mixture,
     ohlin_check,
+    poisson_binomial,
     random_equal_mean_pair,
     scale,
     sign_changes,
     szostok_decision,
 )
-from oracles import cdf_integral_by_midpoints, convex_order_by_probing
+from oracles import (
+    cdf_integral_by_midpoints,
+    convex_order_by_probing,
+    crossing_points_by_cdf,
+    levin_steckin_by_cdf_integrals,
+    ohlin_by_probes,
+    oracle_by_stop_loss_scan,
+    szostok_by_cdf_segments,
+)
 
 HALF = F(1, 2)
 
@@ -275,19 +288,18 @@ class TestSzostok:
             assert len(report.areas) == len(report.sign_change_points) + 1
 
 
-def test_procedures_accept_step_cdf_views():
+def test_procedures_on_counterexample_laws():
     lhs, rhs = build_counterexample()
-    fl, fr = lhs.step_cdf(), rhs.step_cdf()
-    assert crossing_points(fl, fr) == [F(1), F(4), F(7)]
-    assert not levin_steckin_check(fl, fr, F(0), F(8)).holds
-    assert szostok_decision(fl, fr, F(0), F(8)).areas == (
+    assert crossing_points(lhs, rhs) == [F(1), F(4), F(7)]
+    assert not levin_steckin_check(lhs, rhs, F(0), F(8)).holds
+    assert szostok_decision(lhs, rhs, F(0), F(8)).areas == (
         F(1, 8),
         F(3, 8),
         F(3, 8),
         F(1, 8),
     )
-    assert not cx_compare_oracle(fl, fr).holds
-    assert not ohlin_check(fl, fr).applies
+    assert not cx_compare_oracle(lhs, rhs).holds
+    assert not ohlin_check(lhs, rhs).applies
 
 
 def test_reports_serialize_with_rational_strings():
@@ -305,3 +317,109 @@ def test_reports_serialize_with_rational_strings():
     assert sz["decision"] is False
     oh = ohlin_check(lhs, rhs).to_json_dict()
     assert oh == {"applies": False, "crossing": None, "identical": False}
+
+
+# ---------------------------------------------------------------------------
+# The segment table against the point-by-point Fraction routes
+# ---------------------------------------------------------------------------
+
+
+def _outcome(procedure, *args):
+    """The report, or the type and message of the ParameterError raised."""
+    try:
+        return procedure(*args)
+    except ParameterError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_reports(lhs, rhs, a, b):
+    """Every procedure returns exactly the reference report on (lhs, rhs)."""
+    assert cx_compare_oracle(lhs, rhs) == oracle_by_stop_loss_scan(lhs, rhs)
+    assert ohlin_check(lhs, rhs) == ohlin_by_probes(lhs, rhs)
+    assert crossing_points(lhs, rhs) == crossing_points_by_cdf(lhs, rhs)
+    assert _outcome(levin_steckin_check, lhs, rhs, a, b) == _outcome(
+        levin_steckin_by_cdf_integrals, lhs, rhs, a, b
+    )
+    assert _outcome(szostok_decision, lhs, rhs, a, b) == _outcome(
+        szostok_by_cdf_segments, lhs, rhs, a, b
+    )
+
+
+def test_reports_match_references_on_criterion_6_corpus():
+    rng = random.Random(161803)
+    for _ in range(1000):
+        lhs, rhs = random_equal_mean_pair(rng)
+        assert_same_reports(lhs, rhs, F(0), F(10))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_reports_match_references_on_poisson_binomial_n60(reverse):
+    ps = [F(1 + i % 6, 7 + i % 5) for i in range(60)]
+    pb = poisson_binomial(ps)
+    bn = binomial(60, sum(ps, F(0)) / 60)
+    lhs, rhs = (bn, pb) if reverse else (pb, bn)
+    assert_same_reports(lhs, rhs, F(0), F(60))
+    verdict = cx_compare_oracle(lhs, rhs)
+    assert verdict.holds is not reverse
+    if reverse:
+        assert lhs.stop_loss(verdict.witness) > rhs.stop_loss(verdict.witness)
+
+
+rational_points = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@st.composite
+def rational_laws(draw, max_atoms=5):
+    k = draw(st.integers(1, max_atoms))
+    supports = draw(st.lists(rational_points, min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    total = sum(weights)
+    return DiscreteDistribution.from_pairs(
+        (s, F(w, total)) for s, w in zip(supports, weights)
+    )
+
+
+def _spread(d, width):
+    """Each atom split evenly to either side: same mean, larger in cx order."""
+    return DiscreteDistribution.from_pairs(
+        (s + sign * width, m / 2) for s, m in d.atoms for sign in (-1, 1)
+    )
+
+
+@st.composite
+def law_pairs(draw):
+    """Rational-support pairs: identical, Dirac against a law, disjoint
+    spreads, mean-shifted unrelated laws and unrelated laws with unequal
+    means, in either orientation."""
+    lhs = draw(rational_laws())
+    kind = draw(st.sampled_from(["identical", "dirac", "spread", "shifted", "free"]))
+    if kind == "identical":
+        rhs = lhs
+    elif kind == "dirac":
+        lhs, rhs = dirac(lhs.mean()), lhs
+    elif kind == "spread":
+        rhs = _spread(lhs, draw(st.fractions(min_value=F(1, 9), max_value=3)))
+        assume(set(lhs.support).isdisjoint(rhs.support))
+    else:
+        rhs = draw(rational_laws())
+        if kind == "shifted":
+            rhs = convolve(rhs, dirac(lhs.mean() - rhs.mean()))
+    if draw(st.booleans()):
+        lhs, rhs = rhs, lhs
+    return lhs, rhs
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(law_pairs(), st.sampled_from([0, F(1, 3), 2]), st.sampled_from([0, F(2, 5), 1]))
+def test_reports_match_references_on_rational_pairs(pair, below, above):
+    lhs, rhs = pair
+    a = min(lhs.min_support, rhs.min_support) - below
+    b = max(lhs.max_support, rhs.max_support) + above
+    assert_same_reports(lhs, rhs, a, b)
+
+
+def test_bounded_procedures_reject_like_references():
+    lhs, rhs = spread_pair()
+    for a, b in ((F(1), F(1)), (F(2), F(0)), (F(1, 2), F(2)), (F(0), F(3, 2))):
+        assert_same_reports(lhs, rhs, a, b)
+    assert_same_reports(dirac(0), bernoulli(HALF), F(0), F(1))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from convexorder import (
     DiscreteDistribution,
+    MAX_RATIONAL_DIGITS,
     FormatError,
     ParameterError,
     as_rational,
@@ -17,13 +19,11 @@ from convexorder import (
     dirac,
     distribution_to_json_obj,
     distribution_to_text,
-    mean,
     mixture,
     parse_distribution,
     scale,
-    stop_loss,
 )
-from oracles import stop_loss_by_survival_integral
+from oracles import convolve_by_fractions, stop_loss_by_survival_integral
 
 HALF = F(1, 2)
 
@@ -170,9 +170,9 @@ class TestAlgebra:
             scale(dirac(1), F(-1, 2))
 
     def test_mean_examples(self):
-        assert mean(binomial(4, F(1, 4))) == 1
+        assert binomial(4, F(1, 4)).mean() == 1
         a, b = binomial(2, F(1, 3)), dirac(2)
-        assert mean(convolve(a, b)) == mean(a) + mean(b) == F(8, 3)
+        assert convolve(a, b).mean() == a.mean() + b.mean() == F(8, 3)
 
 
 class TestCdfAndStopLoss:
@@ -189,16 +189,16 @@ class TestCdfAndStopLoss:
         assert d.cdf_right(1) == F(3, 4)
 
     def test_stop_loss_examples(self):
-        assert stop_loss(binomial(2, HALF), 1) == F(1, 4)
+        assert binomial(2, HALF).stop_loss(1) == F(1, 4)
         d = binomial(2, F(1, 3))
-        assert stop_loss(d, 0) == d.mean() == F(2, 3)
-        assert stop_loss(d, 2) == 0
-        assert stop_loss(d, 5) == 0
+        assert d.stop_loss(0) == d.mean() == F(2, 3)
+        assert d.stop_loss(2) == 0
+        assert d.stop_loss(5) == 0
 
     @settings(max_examples=60, derandomize=True)
     @given(weighted_distributions(), st.fractions(min_value=-1, max_value=11))
     def test_stop_loss_matches_survival_integral(self, d, t):
-        assert stop_loss(d, t) == stop_loss_by_survival_integral(d, t)
+        assert d.stop_loss(t) == stop_loss_by_survival_integral(d, t)
 
     @settings(max_examples=60, derandomize=True)
     @given(weighted_distributions())
@@ -250,27 +250,33 @@ class TestAlgebraicInvariants:
 
 
 class TestStepCdf:
+    """The step function F(x) = P(X < x) through the distribution's methods."""
+
     def test_step_values_and_jumps(self):
-        cdf = binomial(2, HALF).step_cdf()
-        assert cdf.value(0) == 0  # zero at and below min support
-        assert cdf.value(-3) == 0
-        assert cdf.value(1) == F(1, 4)
-        assert cdf.value(F(5, 2)) == 1  # one above max support
-        assert cdf.right_value(1) == F(3, 4)
-        assert cdf.jump(1) == HALF
-        assert cdf.jump(F(1, 2)) == 0
+        d = binomial(2, HALF)
+        assert d.cdf(0) == 0  # zero at and below min support
+        assert d.cdf(-3) == 0
+        assert d.cdf(1) == F(1, 4)
+        assert d.cdf(F(5, 2)) == 1  # one above max support
+        assert d.cdf_right(1) == F(3, 4)
+        assert d.mass_at(1) == HALF
+        assert d.mass_at(F(1, 2)) == 0
 
     def test_nondecreasing_on_probes(self):
-        cdf = binomial(3, F(2, 5)).step_cdf()
+        d = binomial(3, F(2, 5))
         probes = [F(k, 4) for k in range(-2, 16)]
-        values = [cdf.value(x) for x in probes]
+        values = [d.cdf(x) for x in probes]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_exact_integral(self):
-        cdf = binomial(2, HALF).step_cdf()
-        # F is 0 on (.,0], 1/4 on (0,1], 3/4 on (1,2]
-        assert cdf.integral(F(0), F(2)) == 1
-        assert cdf.integral(F(0), F(3, 2)) == F(1, 4) + HALF * F(3, 4)
+        d = binomial(2, HALF)
+        # F is 0 on (.,0], 1/4 on (0,1], 3/4 on (1,2]; the integral of F
+        # over [a, x] is (x - a) + E(X - x)_+ - E(X - a)_+
+        def integral(a, x):
+            return (x - a) + d.stop_loss(x) - d.stop_loss(a)
+
+        assert integral(F(0), F(2)) == 1
+        assert integral(F(0), F(3, 2)) == F(1, 4) + HALF * F(3, 4)
 
 
 class TestFormats:
@@ -318,3 +324,84 @@ class TestFormats:
         assert decimal_str(F(-1, 3), 6) == "-0.333333"
         assert decimal_str(F(2), 4) == "2"
         assert decimal_str(F(2, 3), 3) == "0.667"
+
+
+rational_points = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+@st.composite
+def rational_distributions(draw, max_atoms=4):
+    k = draw(st.integers(1, max_atoms))
+    supports = draw(st.lists(rational_points, min_size=k, max_size=k, unique=True))
+    masses = draw(
+        st.lists(
+            st.fractions(min_value=F(1, 13), max_value=1, max_denominator=13),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    total = sum(masses)
+    return DiscreteDistribution.from_pairs(
+        (s, m / total) for s, m in zip(supports, masses)
+    )
+
+
+class TestIntegerConvolution:
+    @settings(max_examples=80, derandomize=True)
+    @given(rational_distributions(), rational_distributions())
+    def test_convolve_matches_fraction_route(self, a, b):
+        assert convolve(a, b) == convolve_by_fractions(a, b)
+
+    @settings(max_examples=40, derandomize=True)
+    @given(st.lists(rational_distributions(max_atoms=3), min_size=1, max_size=4))
+    def test_convolve_many_matches_pairwise_fraction_route(self, parts):
+        expected = parts[0]
+        for part in parts[1:]:
+            expected = convolve_by_fractions(expected, part)
+        assert convolve_many(parts) == expected
+
+    def test_mass_numerators_over_least_common_denominator(self):
+        d = DiscreteDistribution.from_pairs([(0, F(1, 6)), (1, F(1, 2)), (2, F(1, 3))])
+        assert d.mass_numerators == ((1, 3, 2), 6)
+
+    def test_sum_check_message(self):
+        with pytest.raises(ParameterError, match="masses must sum to 1 exactly, got 5/6"):
+            DiscreteDistribution(((F(0), F(1, 2)), (F(1), F(1, 3))))
+
+
+class TestRationalLimit:
+    def test_huge_exponents_rejected_at_once(self):
+        for text in ("1e-99999999", "1E+99999999999999", "1e-" + "9" * 5000):
+            started = time.perf_counter()
+            with pytest.raises(FormatError, match=str(MAX_RATIONAL_DIGITS)):
+                as_rational(text)
+            assert time.perf_counter() - started < 1.0
+
+    def test_long_digit_strings_rejected(self):
+        with pytest.raises(FormatError, match="decimal digits"):
+            as_rational("1/" + "7" * (MAX_RATIONAL_DIGITS + 1))
+        with pytest.raises(FormatError, match="decimal digits"):
+            as_rational("1" * (3 * MAX_RATIONAL_DIGITS))
+
+    def test_limit_is_inclusive(self):
+        exponent = MAX_RATIONAL_DIGITS - 1
+        assert as_rational(f"1e-{exponent}") == F(1, 10**exponent)
+        assert as_rational(f"1e-{exponent:_}") == F(1, 10**exponent)
+        assert as_rational(f"25e-00{exponent - 1}") == F(25, 10 ** (exponent - 1))
+        with pytest.raises(FormatError, match="decimal digits"):
+            as_rational(f"1e-{exponent + 1}")
+
+    def test_ordinary_strings_still_parse(self):
+        assert as_rational(" 3/4 ") == F(3, 4)
+        assert as_rational("1.5e2") == 150
+        assert as_rational("-2.5E-1") == F(-1, 4)
+        with pytest.raises(FormatError, match="cannot parse"):
+            as_rational("1e")
+
+    def test_distribution_text_over_limit(self):
+        with pytest.raises(FormatError, match="decimal digits"):
+            parse_distribution("0 1e-99999999\n1 1\n")
+
+    def test_json_int_over_python_digit_limit(self):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            parse_distribution('{"atoms": [[1' + "0" * 5000 + ', 1]]}')

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from convexorder import (
+    ParameterError,
     random_equal_mean_pair,
     random_probability,
     random_weighted_distribution,
@@ -42,3 +45,31 @@ def test_seed_determinism():
     c = random_weighted_distribution(random.Random(5))
     d = random_weighted_distribution(random.Random(5))
     assert c == d
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"max_support": 0},
+        {"max_support": -3},
+        {"max_total": 1},
+        {"max_atoms": 1},
+        {"max_atoms": 0},
+    ],
+)
+def test_sizes_validated_up_front(options):
+    for draw in (random_equal_mean_pair, random_weighted_distribution):
+        with pytest.raises(ParameterError):
+            draw(random.Random(0), **options)
+
+
+def test_equal_mean_pair_needs_attempts():
+    with pytest.raises(ParameterError):
+        random_equal_mean_pair(random.Random(0), attempts_per_target=0)
+
+
+def test_smallest_valid_sizes_draw():
+    lhs, rhs = random_equal_mean_pair(
+        random.Random(4), max_support=1, max_total=2, max_atoms=2
+    )
+    assert lhs.support == rhs.support == (0, 1)

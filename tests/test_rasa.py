@@ -93,6 +93,36 @@ class TestRasaForm:
             for f in fam:
                 assert rasa_form(2, x, y, f) >= 0
 
+    def test_parameter_spellings_give_one_value(self):
+        f = Angle(F(1, 3))
+        value = rasa_form(3, F(1, 3), F(1), f)
+        assert rasa_form(3, "1/3", 1, f) == value
+        assert rasa_form(3, F(2, 6), "1", f) == value
+        assert rasa_form_general(3, [F(1, 3), 1], f) == value
+
+    def test_invalid_parameters_raise_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                rasa_form(2, F(3, 2), F(1, 2), Monomial(2))
+
+
+def test_package_caches_are_bounded():
+    import importlib
+    import pkgutil
+
+    import convexorder
+
+    caches = []
+    for info in pkgutil.iter_modules(convexorder.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"convexorder.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                caches.append((info.name, name, value.cache_info().maxsize))
+    assert caches
+    assert all(maxsize is not None for _, _, maxsize in caches), caches
+
 
 class TestRasaPair:
     def test_boundary_dirac_pair(self):
