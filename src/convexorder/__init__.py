@@ -7,140 +7,105 @@ criterion, the Levin-Steckin integral conditions and the sign-change lemma
 the Rasa inequality for Bernstein polynomials, and its m-variable
 generalisation.  Every quantity is a `fractions.Fraction`; there is no
 floating point anywhere in the computational core.
+
+Importing the package loads none of its modules: each exported name is
+imported from its module on first use (PEP 562), so a command pays only for
+the modules it runs.
 """
 
-from .convex_functions import (
-    Affine,
-    Angle,
-    ConvexTestFunction,
-    Monomial,
-    PiecewiseLinear,
-    expectation,
-    random_piecewise_linear,
-    builtin_family,
-)
-from .counterexample import (
-    CounterexampleReport,
-    VerificationError,
-    analyze_counterexample,
-    build_counterexample,
-)
-from .cx_order import (
-    CxVerdict,
-    LevinSteckinReport,
-    OhlinReport,
-    StandingHypothesisError,
-    SzostokReport,
-    crossing_points,
-    cx_compare_oracle,
-    levin_steckin_check,
-    ohlin_check,
-    sign_changes,
-    szostok_decision,
-)
-from .distributions import (
-    DiscreteDistribution,
-    FormatError,
-    MAX_RATIONAL_DIGITS,
-    ParameterError,
-    Rational,
-    as_rational,
-    bernoulli,
-    binomial,
-    convolve,
-    convolve_many,
-    decimal_str,
-    dirac,
-    distribution_to_json_obj,
-    distribution_to_text,
-    mixture,
-    parse_distribution,
-    scale,
-)
-from .randomgen import (
-    random_equal_mean_pair,
-    random_probability,
-    random_weighted_distribution,
-)
-from .rasa import (
-    GeneralizedVerdicts,
-    PsiPattern,
-    RasaPair,
-    bernstein,
-    bernstein_vector,
-    generalized_pair,
-    poisson_binomial,
-    psi_sign_pattern,
-    rasa_form,
-    rasa_form_general,
-    rasa_pair,
-    verify_generalized,
-    verify_hoeffding,
-    verify_theorem_main,
-)
-from .sweep import RunConfig, farey_fractions, run_sweep
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Affine",
-    "Angle",
-    "ConvexTestFunction",
-    "CounterexampleReport",
-    "CxVerdict",
-    "DiscreteDistribution",
-    "FormatError",
-    "MAX_RATIONAL_DIGITS",
-    "GeneralizedVerdicts",
-    "LevinSteckinReport",
-    "Monomial",
-    "OhlinReport",
-    "ParameterError",
-    "PiecewiseLinear",
-    "PsiPattern",
-    "Rational",
-    "RasaPair",
-    "RunConfig",
-    "StandingHypothesisError",
-    "SzostokReport",
-    "VerificationError",
-    "analyze_counterexample",
-    "as_rational",
-    "bernoulli",
-    "bernstein",
-    "bernstein_vector",
-    "binomial",
-    "build_counterexample",
-    "convolve",
-    "convolve_many",
-    "crossing_points",
-    "cx_compare_oracle",
-    "decimal_str",
-    "dirac",
-    "distribution_to_json_obj",
-    "distribution_to_text",
-    "expectation",
-    "farey_fractions",
-    "generalized_pair",
-    "levin_steckin_check",
-    "mixture",
-    "ohlin_check",
-    "parse_distribution",
-    "poisson_binomial",
-    "psi_sign_pattern",
-    "random_equal_mean_pair",
-    "random_piecewise_linear",
-    "random_probability",
-    "random_weighted_distribution",
-    "rasa_form",
-    "rasa_form_general",
-    "rasa_pair",
-    "run_sweep",
-    "scale",
-    "sign_changes",
-    "szostok_decision",
-    "builtin_family",
-    "verify_generalized",
-    "verify_hoeffding",
-    "verify_theorem_main",
-]
+# Every exported name, by the module that defines it.
+_MODULE_EXPORTS = {
+    "convex_functions": (
+        "Affine",
+        "Angle",
+        "ConvexTestFunction",
+        "Monomial",
+        "PiecewiseLinear",
+        "builtin_family",
+        "expectation",
+        "random_piecewise_linear",
+    ),
+    "counterexample": (
+        "CounterexampleReport",
+        "VerificationError",
+        "analyze_counterexample",
+        "build_counterexample",
+    ),
+    "cx_order": (
+        "CxVerdict",
+        "LevinSteckinReport",
+        "OhlinReport",
+        "StandingHypothesisError",
+        "SzostokReport",
+        "crossing_points",
+        "cx_compare_oracle",
+        "levin_steckin_check",
+        "ohlin_check",
+        "sign_changes",
+        "szostok_decision",
+    ),
+    "distributions": (
+        "DiscreteDistribution",
+        "FormatError",
+        "MAX_RATIONAL_DIGITS",
+        "ParameterError",
+        "Rational",
+        "as_rational",
+        "bernoulli",
+        "binomial",
+        "convolve",
+        "convolve_many",
+        "decimal_str",
+        "dirac",
+        "distribution_to_json_obj",
+        "distribution_to_text",
+        "mixture",
+        "parse_distribution",
+        "scale",
+    ),
+    "randomgen": (
+        "random_equal_mean_pair",
+        "random_probability",
+        "random_weighted_distribution",
+    ),
+    "rasa": (
+        "GeneralizedVerdicts",
+        "PsiPattern",
+        "RasaPair",
+        "bernstein",
+        "bernstein_vector",
+        "generalized_pair",
+        "poisson_binomial",
+        "psi_sign_pattern",
+        "rasa_form",
+        "rasa_form_general",
+        "rasa_pair",
+        "verify_generalized",
+        "verify_hoeffding",
+        "verify_theorem_main",
+    ),
+    "sweep": ("RunConfig", "farey_fractions", "run_sweep"),
+}
+
+_EXPORTS = {
+    name: module for module, names in _MODULE_EXPORTS.items() for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -11,6 +11,9 @@ Exit codes: 0 success / order holds; 1 verification or order failure;
 Rationals cross this boundary as `p/q` strings, never as floats.  Reports
 are byte-identical for a fixed configuration and seed; per-row wall times
 are opt-in (`--timing`) because they would break that determinism.
+
+Each subcommand imports the modules it runs inside its own body, so
+`--help` and every command pay at start-up only for what they use.
 """
 
 from __future__ import annotations
@@ -26,23 +29,13 @@ from fractions import Fraction
 
 import click
 
-from .counterexample import VerificationError, analyze_counterexample
-from .cx_order import (
-    StandingHypothesisError,
-    cx_compare_oracle,
-    levin_steckin_check,
-    ohlin_check,
-    szostok_decision,
-)
+from .convex_functions import KNOWN_FUNCTION_GROUPS
 from .distributions import (
     FormatError,
     ParameterError,
     as_rational,
     parse_distribution,
 )
-from .randomgen import random_equal_mean_pair, random_probability
-from .rasa import psi_sign_pattern, verify_hoeffding
-from .sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
 
 OUT_DIR_ENV = "CONVEXORDER_OUT_DIR"
 
@@ -121,6 +114,8 @@ def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out, ti
     Exits 0 only if every order relation holds and every form value is
     nonnegative on the whole grid.
     """
+    from .sweep import RunConfig, run_sweep
+
     try:
         config = RunConfig(
             n_values=_parse_range(n_range, "n"),
@@ -177,6 +172,14 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
     Exits 0 when the chosen method confirms the order, 1 when it does not,
     2 on parse failure, 3 when the method's preconditions are unmet.
     """
+    from .cx_order import (
+        StandingHypothesisError,
+        cx_compare_oracle,
+        levin_steckin_check,
+        ohlin_check,
+        szostok_decision,
+    )
+
     try:
         with open(file_a, encoding="utf-8") as fa:
             lhs = parse_distribution(fa.read())
@@ -233,6 +236,8 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
 @click.option("--seed", default=0, type=int, show_default=True)
 def cmd_counterexample(fmt, force_json, out, scan, seed):
     """Reproduce the four-atom counterexample and certify every exact value."""
+    from .counterexample import VerificationError, analyze_counterexample
+
     if force_json:
         fmt = "json"
     try:
@@ -261,6 +266,9 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
 
 
 def _scan_for_violations(count: int, seed: int) -> dict:
+    from .cx_order import cx_compare_oracle
+    from .randomgen import random_equal_mean_pair
+
     rng = random.Random(seed)
     violations = []
     for _ in range(count):
@@ -294,6 +302,9 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     Pass explicit probabilities (`hoeffding 1/4 3/4`) or `--random N` for a
     seeded batch; exits 0 only if every instance satisfies the order.
     """
+    from .randomgen import random_probability
+    from .rasa import verify_hoeffding
+
     instances: list[list[Fraction]] = []
     try:
         if ps:
@@ -337,6 +348,8 @@ def cmd_psi_pattern(n, xs, out):
     Exits 0 when the pattern has the expected +,-,+ shape with exactly two
     sign changes; 2 on invalid or degenerate input.
     """
+    from .rasa import psi_sign_pattern
+
     try:
         pattern = psi_sign_pattern(n, [as_rational(x) for x in xs])
     except (FormatError, ParameterError) as exc:

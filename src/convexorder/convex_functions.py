@@ -29,6 +29,7 @@ __all__ = [
     "expectation",
     "random_piecewise_linear",
     "builtin_family",
+    "KNOWN_FUNCTION_GROUPS",
 ]
 
 
@@ -161,6 +162,10 @@ def random_piecewise_linear(
         slopes.append(slope)
     anchor = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
     return PiecewiseLinear(anchor, breaks, tuple(slopes))
+
+
+# The groups of :func:`builtin_family`, by the names a sweep selects them with.
+KNOWN_FUNCTION_GROUPS = ("angles", "monomials", "affine", "random-pwl")
 
 
 def builtin_family(

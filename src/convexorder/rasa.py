@@ -182,12 +182,25 @@ def _probe_row(points: int, f: ConvexTestFunction) -> tuple[list[int], int]:
     return rows[0], den
 
 
+def _point_key(xs: Sequence[RationalLike]) -> tuple[tuple[int, int], ...]:
+    # Each parameter as its (numerator, denominator) pair, which hashes
+    # faster than a Fraction; every spelling of one value gives one key.
+    return tuple((x.numerator, x.denominator) for x in map(as_rational, xs))
+
+
+@lru_cache(maxsize=64)
+def _cached_point(n: int, xs: tuple[tuple[int, int], ...]) -> LatticePoint:
+    # Library callers probe one point with many test functions and decide
+    # its relations too, so the forms and the verifiers share one point per
+    # key.  Its laws are only ever read.
+    return lattice_point(n, [Fraction(p, q) for p, q in xs])
+
+
 @lru_cache(maxsize=64)
 def _form_coefficients(n: int, xs: tuple[tuple[int, int], ...]) -> LatticeLaw:
-    # Callers probe one point with many test functions in turn; the cached
-    # numerator list is only ever read.  The key holds each parameter as its
-    # (numerator, denominator) pair, which hashes faster than a Fraction.
-    return lattice_point(n, [Fraction(p, q) for p, q in xs]).form_coefficients()
+    # Recomputing the coefficients on every probe would cost more than
+    # building the point did.
+    return _cached_point(n, xs).form_coefficients()
 
 
 def rasa_form(
@@ -206,8 +219,7 @@ def rasa_form_general(
     to k, the m same-parameter products minus m times the cross product;
     :meth:`LatticePoint.form_coefficients` gives them as integers.
     """
-    key = tuple((x.numerator, x.denominator) for x in map(as_rational, xs))
-    coeff = _form_coefficients(n, key)
+    coeff = _form_coefficients(n, _point_key(xs))
     row, den = _probe_row(len(coeff.nums) - 1, f)
     return Fraction(dot(coeff.nums, row), coeff.den * den)
 
@@ -258,7 +270,7 @@ def rasa_pair(n: int, x: RationalLike, y: RationalLike) -> RasaPair:
 
 def verify_theorem_main(n: int, x: RationalLike, y: RationalLike) -> CxVerdict:
     """Oracle verdict for sum-vs-mixture on the unscaled two-parameter pair."""
-    point = lattice_point(n, (x, y))
+    point = _cached_point(n, _point_key((x, y)))
     return lattice_oracle(point.the_sum, point.mixed)
 
 
@@ -375,4 +387,4 @@ class GeneralizedVerdicts:
 
 def verify_generalized(n: int, xs: Sequence[RationalLike]) -> GeneralizedVerdicts:
     """Oracle verdicts for the three unscaled relations at (n, x_1..x_m)."""
-    return lattice_point(n, xs).verdicts()
+    return _cached_point(n, _point_key(xs)).verdicts()

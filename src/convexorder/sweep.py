@@ -11,20 +11,17 @@ regardless of the parallelism degree.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .convex_functions import builtin_family
+from .convex_functions import KNOWN_FUNCTION_GROUPS, builtin_family
 from .distributions import ParameterError
 from .lattice import dot, probe_table
 from .rasa import lattice_point
 
 __all__ = ["RunConfig", "farey_fractions", "run_sweep", "KNOWN_FUNCTION_GROUPS"]
-
-KNOWN_FUNCTION_GROUPS = ("angles", "monomials", "affine", "random-pwl")
 
 
 def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
@@ -131,14 +128,22 @@ def evaluate_grid_point(task: tuple) -> dict:
 
 
 def run_sweep(config: RunConfig) -> tuple[list[dict], bool]:
-    """Evaluate the whole grid; rows come back in grid order."""
+    """Evaluate the whole grid; rows come back in grid order.
+
+    The pool runs only for ``jobs > 1`` and more than one task, and is
+    imported only then: ``concurrent.futures.process`` pulls in
+    ``multiprocessing``, which would otherwise cost every serial run.  A pool
+    that cannot start or whose workers die falls back to the serial path.
+    """
     tasks = grid_tasks(config)
     if config.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 chunk = max(1, len(tasks) // (config.jobs * 4))
                 rows = list(pool.map(evaluate_grid_point, tasks, chunksize=chunk))
-        except (OSError, PermissionError):
+        except (OSError, BrokenExecutor):
             rows = [evaluate_grid_point(t) for t in tasks]
     else:
         rows = [evaluate_grid_point(t) for t in tasks]

@@ -1,10 +1,14 @@
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from convexorder import (
@@ -15,6 +19,7 @@ from convexorder import (
     mixture,
 )
 from convexorder.cli import main
+from convexorder.sweep import RunConfig, run_sweep
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -86,6 +91,36 @@ class TestVerifyRasa:
         parallel = runner.invoke(main, args + ["--jobs", "3"])
         assert serial.exit_code == parallel.exit_code == 0
         assert serial.output == parallel.output
+
+    @pytest.mark.parametrize(
+        "error", [BrokenProcessPool("a worker died"), OSError("no semaphores")]
+    )
+    def test_failing_pool_falls_back_to_serial(self, monkeypatch, error):
+        config = RunConfig(n_values=(1, 2), m_values=(2,), denominator=3, seed=1, jobs=2)
+        serial_rows, serial_ok = run_sweep(replace(config, jobs=1))
+        args = ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "3", "--seed", "1"]
+        serial = runner.invoke(main, args)
+        started = []
+
+        class FailingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                raise error
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
+        assert run_sweep(config) == (serial_rows, serial_ok)
+        result = runner.invoke(main, args + ["--jobs", "2"])
+        assert started == [2, 2]
+        assert result.exit_code == serial.exit_code == 0, result.output
+        assert result.output == serial.output
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONVEXORDER_OUT_DIR", str(tmp_path))

@@ -1,0 +1,144 @@
+"""Start-up cost: what importing the package and starting a command load.
+
+Every case runs in a fresh interpreter, because this test session has long
+since imported every module.  The probe prints the loaded module names at
+exit, after the command itself has run (or exited through click).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+KERNELS = ("sweep", "rasa", "lattice", "cx_order", "counterexample", "randomgen")
+
+_PROBE = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: sys.stderr.write("
+    "'\\nMODULES ' + json.dumps(sorted(sys.modules)) + '\\n'))\n"
+)
+
+
+def _run(code: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    marker = proc.stderr.rindex("MODULES ")
+    modules = set(json.loads(proc.stderr[marker + len("MODULES "):]))
+    return proc, modules
+
+
+def _run_cli(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """`python -m convexorder ARGS`, as the console script starts it."""
+    return _run(
+        "import runpy\n"
+        f"sys.argv = ['convexorder', *{list(args)!r}]\n"
+        "runpy.run_module('convexorder', run_name='__main__')\n"
+    )
+
+
+def _submodules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.startswith("convexorder.")}
+
+
+def test_import_loads_no_submodule_and_no_multiprocessing():
+    proc, modules = _run("import convexorder\nassert convexorder.__version__\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "convexorder" in modules
+    assert _submodules(modules) == set()
+    assert "multiprocessing" not in modules
+
+
+def test_named_import_loads_only_its_modules():
+    proc, modules = _run("from convexorder import bernoulli, cx_compare_oracle\n")
+    assert proc.returncode == 0, proc.stderr
+    assert _submodules(modules) == {"convexorder.distributions", "convexorder.cx_order"}
+
+
+def test_every_export_is_its_modules_object():
+    proc, _ = _run(
+        "import importlib\n"
+        "import convexorder\n"
+        "wrong = [\n"
+        "    name for name, module in convexorder._EXPORTS.items()\n"
+        "    if getattr(convexorder, name) is not getattr(\n"
+        "        importlib.import_module('convexorder.' + module), name)\n"
+        "]\n"
+        "assert not wrong, wrong\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dir_and_star_import_cover_all():
+    proc, _ = _run(
+        "import convexorder\n"
+        "listed = dir(convexorder)\n"
+        "missing = [n for n in convexorder.__all__ if n not in listed]\n"
+        "assert not missing, missing\n"
+        "namespace = {}\n"
+        "exec('from convexorder import *', namespace)\n"
+        "unbound = [n for n in convexorder.__all__ if n not in namespace]\n"
+        "assert not unbound, unbound\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_attribute_raises_attribute_error():
+    proc, modules = _run(
+        "import convexorder\n"
+        "try:\n"
+        "    convexorder.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "assert not hasattr(convexorder, 'KNOWN_FUNCTION_GROUPS')\n"
+        "try:\n"
+        "    from convexorder import no_such_name\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no ImportError')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _submodules(modules) == set()
+
+
+@pytest.mark.parametrize("jobs, pooled", [("1", False), ("2", True)])
+def test_pool_is_imported_only_when_a_pool_runs(jobs, pooled):
+    proc, modules = _run_cli(
+        "verify-rasa", "--n", "1", "--m", "2", "--denom", "3", "--jobs", jobs
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    assert ("multiprocessing" in modules) is pooled
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--help"],
+        ["verify-rasa", "--help"],
+        ["cx-compare", "--help"],
+        ["counterexample", "--help"],
+        ["hoeffding", "--help"],
+        ["psi-pattern", "--help"],
+    ],
+)
+def test_help_imports_no_kernel(args):
+    proc, modules = _run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert "Usage:" in proc.stdout
+    loaded = {m.split(".")[1] for m in _submodules(modules)}
+    assert loaded.isdisjoint(KERNELS), sorted(loaded)
+    assert "multiprocessing" not in modules
