@@ -5,8 +5,9 @@ with four exact procedures -- a stop-loss oracle, the single-crossing
 criterion, the Levin-Steckin integral conditions and the sign-change lemma
 -- and applies them to verify the binomial convex-concentration inequality,
 the Rasa inequality for Bernstein polynomials, and its m-variable
-generalisation.  Every quantity is a `fractions.Fraction`; there is no
-floating point anywhere in the computational core.
+generalisation.  Every quantity it hands out is a `fractions.Fraction`, and
+laws are held as Python-int numerators over common denominators; there is
+no floating point anywhere in the computational core.
 
 Importing the package loads none of its modules: each exported name is
 imported from its module on first use (PEP 562), so a command pays only for

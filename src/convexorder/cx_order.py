@@ -186,17 +186,22 @@ class SzostokReport:
 class _Segments(NamedTuple):
     """F_rhs - F_lhs on the merged grid g_0 < ... < g_K, and its running integral.
 
+    ``grid[i]`` is g_i times ``scale``, the grid's common denominator.
     ``diffs[i]`` is the constant value of the difference on (g_i, g_{i+1}],
     i < K, times the common mass denominator.  ``running[i] / den`` is its
     integral from g_0 to g_i, i <= K, so ``running[0] == 0`` and each step
-    adds ``diffs[i]`` times the segment length in units of the grid's common
-    denominator.
+    adds ``diffs[i]`` times the segment length in units of ``1 / scale``.
     """
 
-    grid: list[Fraction]
+    grid: list[int]
     diffs: list[int]
     running: list[int]
     den: int
+    scale: int
+
+    def point(self, i: int) -> Fraction:
+        """The grid point g_i as a Fraction."""
+        return Fraction(self.grid[i], self.scale)
 
     def value(self, num: int) -> Fraction:
         """A running-integral entry (or a sum of its steps) as a Fraction."""
@@ -211,10 +216,10 @@ def _segments(
     """The segment table of the pair, on the union of supports or on [a, b].
 
     With ``bounds`` the grid is a, the support points strictly inside (a, b)
-    and b; both laws must live in [a, b].  Masses come to the common
-    denominator of the two laws' mass denominators and grid points to ints
-    over the least common denominator of all grid points, so the pass itself
-    only adds and multiplies ints.
+    and b; both laws must live in [a, b].  The laws' int numerators come to
+    the common denominator of their mass denominators and grid points to
+    ints over the least common denominator of all grid points, so the pass
+    itself only adds and multiplies ints.
     """
     extra: tuple[Fraction, ...] = ()
     if bounds is not None:
@@ -228,32 +233,30 @@ def _segments(
                     f"support spans [{d.min_support}, {d.max_support}]"
                 )
         extra = bounds
-    nums_l, den_l = dl.mass_numerators
-    nums_r, den_r = dr.mass_numerators
+    (points_l, unit_l), (nums_l, den_l) = dl.support_numerators, dl.mass_numerators
+    (points_r, unit_r), (nums_r, den_r) = dr.support_numerators, dr.mass_numerators
     den = math.lcm(den_l, den_r)
-    scale = math.lcm(
-        *(s.denominator for s in dl.support),
-        *(s.denominator for s in dr.support),
-        *(s.denominator for s in extra),
-    )
-    points: dict[int, Fraction] = {}  # each grid point g, keyed by g * scale
-    jumps: dict[int, int] = {}  # the jump of (F_rhs - F_lhs) * den there
-    for d, nums, factor in ((dl, nums_l, -(den // den_l)), (dr, nums_r, den // den_r)):
-        for s, v in zip(d.support, nums):
-            key = s.numerator * (scale // s.denominator)
-            points[key] = s
+    scale = math.lcm(unit_l, unit_r, *(s.denominator for s in extra))
+    jumps: dict[int, int] = {}  # grid point * scale -> jump of (F_rhs - F_lhs) * den
+    for points, unit, nums, factor in (
+        (points_l, unit_l, nums_l, -(den // den_l)),
+        (points_r, unit_r, nums_r, den // den_r),
+    ):
+        stretch = scale // unit
+        for p, v in zip(points, nums):
+            key = p * stretch
             jumps[key] = jumps.get(key, 0) + v * factor
     for s in extra:
-        points[s.numerator * (scale // s.denominator)] = s
-    keys = sorted(points)
+        jumps.setdefault(s.numerator * (scale // s.denominator), 0)
+    grid = sorted(jumps)
     diffs = []
     running = [0]
     diff = 0
-    for key, following in zip(keys, keys[1:]):
-        diff += jumps.get(key, 0)
+    for key, following in zip(grid, grid[1:]):
+        diff += jumps[key]
         diffs.append(diff)
         running.append(running[-1] + diff * (following - key))
-    return _Segments([points[k] for k in keys], diffs, running, den * scale)
+    return _Segments(grid, diffs, running, den * scale, scale)
 
 
 def _sign_runs(values: Sequence) -> tuple[int, list[int]]:
@@ -298,7 +301,7 @@ def cx_compare_oracle(
         return CxVerdict(
             holds=False, means_equal=False, witness=None, mean_gap=table.value(gap)
         )
-    witness = next((g for g, r in zip(table.grid, table.running) if r < 0), None)
+    witness = next((table.point(i) for i, r in enumerate(table.running) if r < 0), None)
     return CxVerdict(
         holds=witness is None, means_equal=True, witness=witness, mean_gap=Fraction(0)
     )
@@ -322,7 +325,7 @@ def ohlin_check(lhs: DiscreteDistribution, rhs: DiscreteDistribution) -> OhlinRe
     # Crossing: left endpoint of the first segment where F_lhs - F_rhs is
     # strictly positive, after which it stays nonnegative.  With equal,
     # non-identical distributions both strict signs occur.
-    crossing = next((g for g, v in zip(table.grid, table.diffs) if v < 0), None)
+    crossing = next((table.point(i) for i, v in enumerate(table.diffs) if v < 0), None)
     return OhlinReport(applies=True, crossing=crossing, identical=False)
 
 
@@ -336,7 +339,7 @@ def crossing_points(
     equal sign are discarded, matching the sign-change count convention.
     """
     table = _segments(lhs, rhs)
-    return [table.grid[i] for i in _sign_runs(table.diffs)[1]]
+    return [table.point(i) for i in _sign_runs(table.diffs)[1]]
 
 
 def levin_steckin_check(
@@ -416,7 +419,7 @@ def szostok_decision(
             partial_sums_ok = False
     first_segment_nonneg = first_sign > 0
     return SzostokReport(
-        sign_change_points=tuple(table.grid[i] for i in changes),
+        sign_change_points=tuple(table.point(i) for i in changes),
         areas=tuple(table.value(area) for area in areas),
         parity_ok=parity_ok,
         partial_sums_ok=partial_sums_ok,

@@ -1,8 +1,10 @@
 """Finitely supported probability distributions with exact rational arithmetic.
 
-Every support point, mass, mean, integral and stop-loss value in this package
-is a :class:`fractions.Fraction`; nothing is ever rounded.  The distribution
-function convention is left-continuous throughout:
+Every support point, mass, mean, integral and stop-loss value this package
+hands out is a :class:`fractions.Fraction`; nothing is ever rounded.  A law
+itself is held as int numerators over common denominators, and Fractions
+are built only for the values read from it.  The distribution function
+convention is left-continuous throughout:
 
     F(x) = P(X < x)
 
@@ -22,6 +24,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -133,45 +137,92 @@ def decimal_str(value: Fraction, digits: int = 12) -> str:
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class DiscreteDistribution:
     """A finitely supported probability measure on the rationals.
 
-    Atoms are stored as a tuple of (support, mass) pairs with strictly
-    increasing support, strictly positive masses, and masses summing to
-    exactly 1.  Equality is structural: two distributions are equal iff
-    their atom tuples are identical.
+    The law is held as ints: ``support_numerators`` is (points, scale), the
+    support points as int numerators over their least common denominator,
+    and ``mass_numerators`` is (nums, den), the masses as int numerators
+    over theirs.  The support is strictly increasing, every mass is positive
+    and the masses sum to exactly 1, so ``sum(nums) == den``.  Neither pair
+    keeps a common factor, so equality and hashing are exact and
+    structural: two distributions are equal iff they put the same masses on
+    the same points.  ``atoms``, ``support`` and ``masses`` are the same law
+    as Fractions, built on first read; every other method reads the ints and
+    builds one Fraction per value it returns.
     """
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    support_numerators: tuple[tuple[int, ...], int]
+    mass_numerators: tuple[tuple[int, ...], int]
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ParameterError("a distribution needs at least one atom")
-        prev = None
-        for support, mass in self.atoms:
+    def __init__(self, atoms: Iterable[tuple[Fraction, Fraction]]) -> None:
+        """The law of the (support, mass) Fraction pairs, support increasing."""
+        atoms = tuple(atoms)
+        for support, mass in atoms:
             if not isinstance(support, Fraction) or not isinstance(mass, Fraction):
                 raise ParameterError("atoms must hold Fraction values")
-            if prev is not None and support <= prev:
+        scale = math.lcm(*(s.denominator for s, _ in atoms))
+        den = math.lcm(*(m.denominator for _, m in atoms))
+        self._hold(
+            [s.numerator * (scale // s.denominator) for s, _ in atoms],
+            scale,
+            [m.numerator * (den // m.denominator) for _, m in atoms],
+            den,
+        )
+
+    @classmethod
+    def _from_ints(
+        cls, points: Sequence[int], scale: int, nums: Sequence[int], den: int
+    ) -> "DiscreteDistribution":
+        """The law with mass nums[i] / den at points[i] / scale; scale, den > 0."""
+        law = cls.__new__(cls)
+        law._hold(points, scale, nums, den)
+        return law
+
+    def _hold(
+        self, points: Sequence[int], scale: int, nums: Sequence[int], den: int
+    ) -> None:
+        """Check the law on its ints, as the Fraction constructor promises, and
+        store both pairs with their common factors divided out."""
+        if not points:
+            raise ParameterError("a distribution needs at least one atom")
+        previous = None
+        for p, v in zip(points, nums):
+            if previous is not None and p <= previous:
                 raise ParameterError("support points must be strictly increasing")
-            if mass <= 0:
-                raise ParameterError(f"mass at {support} must be positive")
-            prev = support
-        nums, den = self.mass_numerators
-        if sum(nums) != den:
+            if v <= 0:
+                raise ParameterError(f"mass at {Fraction(p, scale)} must be positive")
+            previous = p
+        total = sum(nums)
+        if total != den:
             raise ParameterError(
-                f"masses must sum to 1 exactly, got {Fraction(sum(nums), den)}"
+                f"masses must sum to 1 exactly, got {Fraction(total, den)}"
             )
+        g = math.gcd(scale, *points)
+        h = math.gcd(*nums)  # it divides den, their sum
+        object.__setattr__(
+            self, "support_numerators", (tuple(p // g for p in points), scale // g)
+        )
+        object.__setattr__(
+            self, "mass_numerators", (tuple(v // h for v in nums), den // h)
+        )
 
     @classmethod
     def from_pairs(
         cls, pairs: Iterable[tuple[RationalLike, RationalLike]]
     ) -> "DiscreteDistribution":
-        """Build a distribution from unsorted pairs, merging equal supports."""
+        """Build a distribution from unsorted pairs, merging equal supports.
+
+        A negative mass is rejected rather than netted against the others at
+        its point; a zero one adds no atom.
+        """
         merged: dict[Fraction, Fraction] = {}
         for support, mass in pairs:
             s = as_rational(support)
             m = as_rational(mass)
+            if m < 0:
+                raise ParameterError(f"mass {m} at {s} is negative")
             merged[s] = merged.get(s, Fraction(0)) + m
         atoms = tuple(
             (s, m) for s, m in sorted(merged.items()) if m != 0
@@ -180,69 +231,98 @@ class DiscreteDistribution:
 
     @cached_property
     def support(self) -> tuple[Fraction, ...]:
-        return tuple(s for s, _ in self.atoms)
+        points, scale = self.support_numerators
+        return tuple(Fraction(p, scale) for p in points)
 
     @cached_property
     def masses(self) -> tuple[Fraction, ...]:
-        return tuple(m for _, m in self.atoms)
+        nums, den = self.mass_numerators
+        return tuple(Fraction(v, den) for v in nums)
 
     @cached_property
-    def mass_numerators(self) -> tuple[tuple[int, ...], int]:
-        """Every mass as an int numerator over the least common denominator."""
-        den = math.lcm(*(m.denominator for _, m in self.atoms))
-        return tuple(m.numerator * (den // m.denominator) for _, m in self.atoms), den
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(self.support, self.masses))
 
     @cached_property
-    def _cumulative(self) -> tuple[Fraction, ...]:
-        out = []
-        acc = Fraction(0)
-        for m in self.masses:
-            acc += m
-            out.append(acc)
-        return tuple(out)
+    def _cumulative(self) -> tuple[int, ...]:
+        """Running sums of the mass numerators."""
+        return tuple(accumulate(self.mass_numerators[0]))
 
     @property
     def min_support(self) -> Fraction:
-        return self.atoms[0][0]
+        points, scale = self.support_numerators
+        return Fraction(points[0], scale)
 
     @property
     def max_support(self) -> Fraction:
-        return self.atoms[-1][0]
+        points, scale = self.support_numerators
+        return Fraction(points[-1], scale)
+
+    def _mass_before(self, i: int) -> Fraction:
+        """The mass of the first i atoms; the ends need no running sums."""
+        nums, den = self.mass_numerators
+        if i == len(nums):
+            return Fraction(1)
+        return Fraction(self._cumulative[i - 1], den) if i else Fraction(0)
 
     def mass_at(self, x: RationalLike) -> Fraction:
         x = as_rational(x)
-        i = bisect_left(self.support, x)
-        if i < len(self.atoms) and self.support[i] == x:
-            return self.masses[i]
-        return Fraction(0)
+        points, scale = self.support_numerators
+        key, rest = divmod(x.numerator * scale, x.denominator)
+        i = bisect_left(points, key)
+        if rest or i == len(points) or points[i] != key:
+            return Fraction(0)
+        nums, den = self.mass_numerators
+        return Fraction(nums[i], den)
 
     def mean(self) -> Fraction:
-        return sum((s * m for s, m in self.atoms), Fraction(0))
+        (points, scale), (nums, den) = self.support_numerators, self.mass_numerators
+        return Fraction(sum(map(mul, points, nums)), scale * den)
 
     def cdf(self, x: RationalLike) -> Fraction:
         """P(X < x): the mass strictly below x (left-continuous)."""
         x = as_rational(x)
-        i = bisect_left(self.support, x)
-        if i == len(self.atoms):  # past every atom: no Fraction prefix sums needed
-            return Fraction(1)
-        return self._cumulative[i - 1] if i else Fraction(0)
+        points, scale = self.support_numerators
+        # p / scale < x exactly when p < ceil(x * scale)
+        return self._mass_before(
+            bisect_left(points, -(-x.numerator * scale // x.denominator))
+        )
 
     def cdf_right(self, x: RationalLike) -> Fraction:
         """P(X <= x): the right limit of the distribution function at x."""
         x = as_rational(x)
-        i = bisect_right(self.support, x)
-        if i == len(self.atoms):
-            return Fraction(1)
-        return self._cumulative[i - 1] if i else Fraction(0)
+        points, scale = self.support_numerators
+        # p / scale <= x exactly when p <= floor(x * scale)
+        return self._mass_before(
+            bisect_right(points, x.numerator * scale // x.denominator)
+        )
 
     def stop_loss(self, t: RationalLike) -> Fraction:
         """E(X - t)_+, the stop-loss transform at threshold t."""
         t = as_rational(t)
-        return sum(((s - t) * m for s, m in self.atoms if s > t), Fraction(0))
+        (points, scale), (nums, den) = self.support_numerators, self.mass_numerators
+        i = bisect_right(points, t.numerator * scale // t.denominator)
+        # sum over the points above t of (p / scale - t) * v / den
+        first = sum(map(mul, points[i:], nums[i:]))
+        above = sum(nums[i:])
+        return Fraction(
+            first * t.denominator - t.numerator * scale * above,
+            scale * den * t.denominator,
+        )
 
     def __repr__(self) -> str:
         body = ", ".join(f"{s}: {m}" for s, m in self.atoms)
         return f"DiscreteDistribution({body})"
+
+
+def binomial_numerators(n: int, a: int, q: int) -> list[int]:
+    """C(n, k) a^k (q - a)^(n - k), k = 0 .. n: the binomial(n, a/q) masses times q^n.
+
+    The one place the binomial numerators are computed, for :func:`binomial`
+    here and for ``lattice.bernstein_numerators``.
+    """
+    b = q - a
+    return [math.comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +332,8 @@ class DiscreteDistribution:
 
 def dirac(c: RationalLike) -> DiscreteDistribution:
     """Unit point mass at c."""
-    return DiscreteDistribution(((as_rational(c), Fraction(1)),))
+    c = as_rational(c)
+    return DiscreteDistribution._from_ints((c.numerator,), c.denominator, (1,), 1)
 
 
 def bernoulli(p: RationalLike) -> DiscreteDistribution:
@@ -264,14 +345,16 @@ def bernoulli(p: RationalLike) -> DiscreteDistribution:
         return dirac(0)
     if p == 1:
         return dirac(1)
-    return DiscreteDistribution(((Fraction(0), 1 - p), (Fraction(1), p)))
+    a, q = p.numerator, p.denominator
+    return DiscreteDistribution._from_ints((0, 1), 1, (q - a, a), q)
 
 
 def binomial(n: int, p: RationalLike) -> DiscreteDistribution:
     """Binomial law with n trials and success probability p, exactly.
 
-    Masses are C(n, k) p^k (1-p)^(n-k) with arbitrary-precision integer
-    binomial coefficients.  p = 0 or 1 degenerates to a point mass at 0 or n.
+    For p = a/q the masses are C(n, k) a^k (q-a)^(n-k) over q^n, in ints
+    with arbitrary-precision binomial coefficients.  p = 0 or 1 degenerates
+    to a point mass at 0 or n.
     """
     if n < 1:
         raise ParameterError(f"binomial needs n >= 1, got {n}")
@@ -282,11 +365,10 @@ def binomial(n: int, p: RationalLike) -> DiscreteDistribution:
         return dirac(0)
     if p == 1:
         return dirac(n)
-    q = 1 - p
-    atoms = []
-    for k in range(n + 1):
-        atoms.append((Fraction(k), math.comb(n, k) * p**k * q ** (n - k)))
-    return DiscreteDistribution(tuple(atoms))
+    a, q = p.numerator, p.denominator
+    return DiscreteDistribution._from_ints(
+        range(n + 1), 1, binomial_numerators(n, a, q), q**n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,30 +386,67 @@ def convolve(
 def convolve_many(parts: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
     """Law of the sum of independent draws from one or more distributions.
 
-    Supports are brought to ints over their least common denominator and
-    each part's masses to its :attr:`~DiscreteDistribution.mass_numerators`,
-    so the whole fold multiplies and adds ints; one Fraction is built per
-    output atom at the end.
+    Supports are brought to ints over their least common denominator, and
+    the parts' int mass numerators are multiplied out in one of two ways;
+    no Fraction is built.  When the sum's support fits in a span below
+    twice the parts' atom count (sums of Bernoulli or binomial laws), the
+    parts are multiplied as polynomials packed into single ints (see
+    :func:`_lattice_product`); otherwise a dict of partial sums is folded
+    part by part.
     """
     if not parts:
         raise ParameterError("convolve_many needs at least one distribution")
-    scale = math.lcm(*(s.denominator for part in parts for s in part.support))
-    sums = {0: 1}
-    den = 1
+    unit = math.lcm(*(part.support_numerators[1] for part in parts))
+    den = math.prod(part.mass_numerators[1] for part in parts)
+    terms = []
     for part in parts:
-        nums, part_den = part.mass_numerators
-        points = [s.numerator * (scale // s.denominator) for s in part.support]
-        out: dict[int, int] = {}
-        for s, v in sums.items():
-            for t, w in zip(points, nums):
-                out[s + t] = out.get(s + t, 0) + v * w
-        sums = out
-        den *= part_den
-    return DiscreteDistribution(
-        tuple(
-            (Fraction(s, scale), Fraction(v, den)) for s, v in sorted(sums.items())
-        )
-    )
+        points, part_unit = part.support_numerators
+        stretch = unit // part_unit
+        terms.append(([t * stretch for t in points], part.mass_numerators[0]))
+    span = sum(points[-1] - points[0] for points, _ in terms)
+    if span < 2 * sum(len(points) for points, _ in terms):
+        sums = _lattice_product(terms, span, den)
+    else:
+        sums = {0: 1}
+        for points, nums in terms:
+            out: dict[int, int] = {}
+            for s, v in sums.items():
+                for t, w in zip(points, nums):
+                    out[s + t] = out.get(s + t, 0) + v * w
+            sums = out
+    keys = sorted(sums)
+    return DiscreteDistribution._from_ints(keys, unit, [sums[k] for k in keys], den)
+
+
+def _lattice_product(
+    terms: Sequence[tuple[list[int], Sequence[int]]], span: int, den: int
+) -> dict[int, int]:
+    """The nonzero mass numerators of an independent sum, by support point.
+
+    Each part, its support shifted to start at 0, becomes the int
+    sum_t w_t 2^(bits t): a polynomial in 2^bits with one mass per slot.
+    Every partial product's masses are nonnegative and at most ``den``, the
+    product of the parts' denominators, so a slot of ``bits`` bits never
+    carries into the next, and the product of the ints, taken as a
+    balanced tree of big-int multiplications, is the sum's polynomial.
+    """
+    width = den.bit_length() // 8 + 1  # bytes per slot
+    bits = 8 * width
+    polys = [
+        sum(w << bits * (t - points[0]) for t, w in zip(points, nums))
+        for points, nums in terms
+    ]
+    while len(polys) > 1:
+        odd = polys[len(polys) & ~1 :]  # the last one, when their count is odd
+        polys = [a * b for a, b in zip(polys[::2], polys[1::2])] + odd
+    raw = polys[0].to_bytes((span + 1) * width, "little")
+    low = sum(points[0] for points, _ in terms)
+    sums = {}
+    for k in range(span + 1):
+        v = int.from_bytes(raw[k * width : (k + 1) * width], "little")
+        if v:
+            sums[low + k] = v
+    return sums
 
 
 def mixture(
@@ -336,7 +455,8 @@ def mixture(
     """The measure sum_i w_i * mu_i.
 
     Weights must be positive and sum to exactly 1; its step CDF is the
-    pointwise weighted sum of the parts' CDFs.
+    pointwise weighted sum of the parts' CDFs.  The weighted masses are
+    summed as ints over one common denominator.
     """
     if len(weights) != len(parts) or not parts:
         raise ParameterError("weights and parts must have equal nonzero length")
@@ -345,11 +465,20 @@ def mixture(
         raise ParameterError("mixture weights must be positive")
     if sum(ws) != 1:
         raise ParameterError(f"mixture weights must sum to 1, got {sum(ws)}")
-    mix: dict[Fraction, Fraction] = {}
+    unit = math.lcm(*(part.support_numerators[1] for part in parts))
+    den = math.lcm(
+        *(w.denominator * part.mass_numerators[1] for w, part in zip(ws, parts))
+    )
+    mix: dict[int, int] = {}
     for w, part in zip(ws, parts):
-        for s, m in part.atoms:
-            mix[s] = mix.get(s, Fraction(0)) + w * m
-    return DiscreteDistribution(tuple(sorted(mix.items())))
+        points, part_unit = part.support_numerators
+        nums, part_den = part.mass_numerators
+        stretch = unit // part_unit
+        factor = w.numerator * (den // (w.denominator * part_den))
+        for t, v in zip(points, nums):
+            mix[t * stretch] = mix.get(t * stretch, 0) + v * factor
+    keys = sorted(mix)
+    return DiscreteDistribution._from_ints(keys, unit, [mix[k] for k in keys], den)
 
 
 def scale(d: DiscreteDistribution, a: RationalLike) -> DiscreteDistribution:
@@ -357,7 +486,10 @@ def scale(d: DiscreteDistribution, a: RationalLike) -> DiscreteDistribution:
     a = as_rational(a)
     if a <= 0:
         raise ParameterError(f"scale divisor must be positive, got {a}")
-    return DiscreteDistribution(tuple((s / a, m) for s, m in d.atoms))
+    points, unit = d.support_numerators
+    return DiscreteDistribution._from_ints(
+        [t * a.denominator for t in points], unit * a.numerator, *d.mass_numerators
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +499,8 @@ def scale(d: DiscreteDistribution, a: RationalLike) -> DiscreteDistribution:
 # Text format, one atom per line:   <support> <mass>
 # with rationals written p/q or as plain integers; '#' starts a comment and
 # atoms need not be sorted.  JSON form: {"atoms": [[s, m], ...]} with
-# rationals as strings (integers also accepted).
+# rationals as strings (integers also accepted).  Atoms at equal supports
+# merge; a negative mass on any line or entry is rejected, not netted.
 
 
 def parse_distribution(text: str) -> DiscreteDistribution:
@@ -389,7 +522,10 @@ def _parse_text(text: str) -> DiscreteDistribution:
             raise FormatError(
                 f"line {lineno}: expected '<support> <mass>', got {raw!r}"
             )
-        pairs.append((as_rational(tokens[0]), as_rational(tokens[1])))
+        support, mass = as_rational(tokens[0]), as_rational(tokens[1])
+        if mass < 0:
+            raise FormatError(f"line {lineno}: negative mass in {raw!r}")
+        pairs.append((support, mass))
     if not pairs:
         raise FormatError("no atoms found in distribution text")
     try:
@@ -412,7 +548,10 @@ def _parse_json(text: str) -> DiscreteDistribution:
     for entry in entries:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise FormatError(f"bad atom entry: {entry!r}")
-        pairs.append((as_rational(entry[0]), as_rational(entry[1])))
+        support, mass = as_rational(entry[0]), as_rational(entry[1])
+        if mass < 0:
+            raise FormatError(f"negative mass in atom entry {entry!r}")
+        pairs.append((support, mass))
     try:
         return DiscreteDistribution.from_pairs(pairs)
     except ParameterError as exc:

@@ -20,6 +20,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .cx_order import CxVerdict
+from .distributions import binomial_numerators
 
 __all__ = [
     "LatticeLaw",
@@ -42,10 +43,7 @@ class LatticeLaw(NamedTuple):
 
 def bernstein_numerators(n: int, a: int, q: int) -> LatticeLaw:
     """The binomial(n, a/q) law: C(n, k) a^k (q-a)^(n-k) over q^n, 0 <= a <= q."""
-    b = q - a
-    return LatticeLaw(
-        [math.comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)], q**n
-    )
+    return LatticeLaw(binomial_numerators(n, a, q), q**n)
 
 
 def cauchy_product(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:

@@ -10,6 +10,7 @@ regardless of the parallelism degree.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,21 +128,32 @@ def evaluate_grid_point(task: tuple) -> dict:
     return row
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: RunConfig) -> tuple[list[dict], bool]:
     """Evaluate the whole grid; rows come back in grid order.
 
-    The pool runs only for ``jobs > 1`` and more than one task, and is
-    imported only then: ``concurrent.futures.process`` pulls in
+    ``config.jobs`` is clamped to the CPUs this process may use and to the
+    task count, and the pool runs only when that leaves more than one
+    worker.  It is imported only then: ``concurrent.futures.process`` pulls in
     ``multiprocessing``, which would otherwise cost every serial run.  A pool
     that cannot start or whose workers die falls back to the serial path.
     """
     tasks = grid_tasks(config)
-    if config.jobs > 1 and len(tasks) > 1:
+    jobs = min(config.jobs, _available_cpus(), len(tasks))
+    if jobs > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         try:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                chunk = max(1, len(tasks) // (config.jobs * 4))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                chunk = max(1, len(tasks) // (jobs * 4))
                 rows = list(pool.map(evaluate_grid_point, tasks, chunksize=chunk))
         except (OSError, BrokenExecutor):
             rows = [evaluate_grid_point(t) for t in tasks]

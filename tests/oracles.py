@@ -1,17 +1,21 @@
 """Independent reference computations used to cross-check the library.
 
 Each helper deliberately takes a different route than the implementation it
-checks: stop-loss via the survival-function integral instead of the atom
-sum, CDF integrals via midpoint sampling instead of right limits, the
-convex order via direct expectation sweeps over a large probe family, the
-Bernstein form via Fraction Cauchy products of the basis vectors instead
-of the integer lattice kernel, and the four convex-order procedures via
-Fraction CDF values looked up point by point (the stop-loss oracle as an
-O(K^2) scan of ``stop_loss``) instead of the integer segment table.
+checks: stop-loss via the survival-function integral or as a Fraction sum
+over the atoms, and CDF values, mean, point masses, binomial laws, mixtures
+and scalings as Fraction sums and products over the atoms, instead of the
+int numerators the law is held as; CDF integrals via midpoint sampling
+instead of right limits, the convex order via direct expectation sweeps over
+a large probe family, the Bernstein form via Fraction Cauchy products of the
+basis vectors instead of the integer lattice kernel, and the four
+convex-order procedures via Fraction CDF values looked up point by point
+(the stop-loss oracle as an O(K^2) scan of ``stop_loss``) instead of the
+integer segment table.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -55,6 +59,48 @@ def cdf_integral_by_midpoints(
         mid = (left + right) / 2
         total += d.cdf(mid) * (right - left)
     return total
+
+
+def stop_loss_by_atoms(d: DiscreteDistribution, t: Fraction) -> Fraction:
+    """E(X - t)_+ as a Fraction sum over the atoms above t."""
+    return sum(((s - t) * m for s, m in d.atoms if s > t), Fraction(0))
+
+
+def cdf_by_atoms(d: DiscreteDistribution, x: Fraction) -> Fraction:
+    """P(X < x) as a Fraction sum over the atoms below x."""
+    return sum((m for s, m in d.atoms if s < x), Fraction(0))
+
+
+def cdf_right_by_atoms(d: DiscreteDistribution, x: Fraction) -> Fraction:
+    """P(X <= x) as a Fraction sum over the atoms at or below x."""
+    return sum((m for s, m in d.atoms if s <= x), Fraction(0))
+
+
+def mean_by_atoms(d: DiscreteDistribution) -> Fraction:
+    return sum((s * m for s, m in d.atoms), Fraction(0))
+
+
+def mass_at_by_atoms(d: DiscreteDistribution, x: Fraction) -> Fraction:
+    return next((m for s, m in d.atoms if s == x), Fraction(0))
+
+
+def binomial_by_fractions(n: int, p: Fraction) -> DiscreteDistribution:
+    """C(n, k) p^k (1-p)^(n-k) as Fraction products; zero masses dropped."""
+    return DiscreteDistribution.from_pairs(
+        (k, math.comb(n, k) * p**k * (1 - p) ** (n - k)) for k in range(n + 1)
+    )
+
+
+def mixture_by_fractions(
+    weights: Sequence[Fraction], parts: Sequence[DiscreteDistribution]
+) -> DiscreteDistribution:
+    return DiscreteDistribution.from_pairs(
+        (s, w * m) for w, part in zip(weights, parts) for s, m in part.atoms
+    )
+
+
+def scale_by_fractions(d: DiscreteDistribution, a: Fraction) -> DiscreteDistribution:
+    return DiscreteDistribution(tuple((s / a, m) for s, m in d.atoms))
 
 
 def convolve_by_fractions(

@@ -18,6 +18,7 @@ from convexorder import (
     distribution_to_text,
     mixture,
 )
+from convexorder import sweep
 from convexorder.cli import main
 from convexorder.sweep import RunConfig, run_sweep
 
@@ -116,11 +117,43 @@ class TestVerifyRasa:
                 raise error
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
         assert run_sweep(config) == (serial_rows, serial_ok)
         result = runner.invoke(main, args + ["--jobs", "2"])
         assert started == [2, 2]
         assert result.exit_code == serial.exit_code == 0, result.output
         assert result.output == serial.output
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(8, 3, 3), (8, 64, 6), (2, 64, 2), (4, 1, None), (1, 64, None)],
+    )
+    def test_jobs_clamped_to_cpus_and_tasks(self, monkeypatch, jobs, cpus, workers):
+        config = RunConfig(
+            n_values=(1,), m_values=(2,), denominator=2, seed=1, jobs=jobs
+        )
+        assert len(sweep.grid_tasks(config)) == 6
+        started = []
+
+        class RecordingPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: cpus)
+        assert run_sweep(config) == run_sweep(replace(config, jobs=1))
+        assert started == ([] if workers is None else [workers])
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONVEXORDER_OUT_DIR", str(tmp_path))
@@ -212,6 +245,26 @@ class TestCxCompare:
         b.write_text("0 1\n")
         result = runner.invoke(main, ["cx-compare", str(a), str(b)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n0 -1/2\n1 1/2\n", "line 2: negative mass"),
+            (
+                '{"atoms": [["0", "1"], ["0", "-1/2"], ["1", "1/2"]]}',
+                "negative mass in atom entry",
+            ),
+        ],
+    )
+    def test_negative_mass_exit_2(self, tmp_path, text, message):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text(text)
+        b.write_text("0 1/2\n1 1/2\n")
+        for args in ([str(a), str(b)], [str(b), str(a)]):
+            result = runner.invoke(main, ["cx-compare", *args])
+            assert result.exit_code == 2
+            assert message in result.output
 
     def test_json_input_accepted(self, tmp_path):
         a = tmp_path / "a.json"

@@ -14,6 +14,7 @@ from convexorder import (
     binomial,
     build_counterexample,
     convolve,
+    convolve_many,
     crossing_points,
     cx_compare_oracle,
     dirac,
@@ -363,6 +364,26 @@ def test_reports_match_references_on_poisson_binomial_n60(reverse):
     assert verdict.holds is not reverse
     if reverse:
         assert lhs.stop_loss(verdict.witness) > rhs.stop_loss(verdict.witness)
+
+
+def test_poisson_binomial_n150_builds_no_fraction_atoms():
+    """The compare-large shape: every procedure both ways, and the witness's
+    certificate, read the laws' ints only."""
+    rng = random.Random(150)
+    ps = [F(rng.randint(1, q - 1), q) for q in (2 + i % 19 for i in range(150))]
+    pb = convolve_many([bernoulli(p) for p in ps])
+    bn = binomial(150, sum(ps, F(0)) / 150)
+    for lhs, rhs in ((pb, bn), (bn, pb)):
+        verdict = cx_compare_oracle(lhs, rhs)
+        assert verdict.holds is (lhs is pb)
+        assert levin_steckin_check(lhs, rhs, F(0), F(150)).holds is verdict.holds
+        assert szostok_decision(lhs, rhs, F(0), F(150)).decision is verdict.holds
+        ohlin_check(lhs, rhs)
+        crossing_points(lhs, rhs)
+        if verdict.witness is not None:
+            assert lhs.stop_loss(verdict.witness) > rhs.stop_loss(verdict.witness)
+    for law in (pb, bn):
+        assert not {"atoms", "masses", "support"} & set(vars(law))
 
 
 rational_points = st.fractions(min_value=-4, max_value=4, max_denominator=7)

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction as F
 
@@ -23,7 +24,18 @@ from convexorder import (
     parse_distribution,
     scale,
 )
-from oracles import convolve_by_fractions, stop_loss_by_survival_integral
+from oracles import (
+    binomial_by_fractions,
+    cdf_by_atoms,
+    cdf_right_by_atoms,
+    convolve_by_fractions,
+    mass_at_by_atoms,
+    mean_by_atoms,
+    mixture_by_fractions,
+    scale_by_fractions,
+    stop_loss_by_atoms,
+    stop_loss_by_survival_integral,
+)
 
 HALF = F(1, 2)
 
@@ -305,6 +317,19 @@ class TestFormats:
         with pytest.raises(FormatError):
             as_rational(0.5)  # type: ignore[arg-type]
 
+    def test_negative_mass_rejected_not_netted(self):
+        with pytest.raises(FormatError, match=r"line 2: negative mass in '0 -1/2'"):
+            parse_distribution("0 1\n0 -1/2\n1 1/2\n")
+        entry = r"negative mass in atom entry \['0', '-1/2'\]"
+        with pytest.raises(FormatError, match=entry):
+            parse_distribution('{"atoms": [["0", "1"], ["0", "-1/2"], ["1", "1/2"]]}')
+        with pytest.raises(ParameterError, match="mass -1/2 at 0 is negative"):
+            DiscreteDistribution.from_pairs([(0, 1), (0, F(-1, 2)), (1, HALF)])
+
+    def test_equal_supports_merge_and_zero_masses_add_nothing(self):
+        d = parse_distribution("0 1/4\n1 0\n0 1/4\n2 1/2\n")
+        assert d.atoms == ((F(0), HALF), (F(2), HALF))
+
     def test_rejects_bad_text(self):
         with pytest.raises(FormatError):
             parse_distribution("0 1/2 extra\n1 1/2\n")
@@ -367,6 +392,121 @@ class TestIntegerConvolution:
     def test_sum_check_message(self):
         with pytest.raises(ParameterError, match="masses must sum to 1 exactly, got 5/6"):
             DiscreteDistribution(((F(0), F(1, 2)), (F(1), F(1, 3))))
+
+
+def _thresholds(d, extra):
+    """Points below, at, between and above the atoms, and one drawn point."""
+    points = d.support
+    return [
+        points[0] - 1,
+        math.floor(points[0]) - 2,
+        *points,
+        *((left + right) / 2 for left, right in zip(points, points[1:])),
+        points[-1] + F(1, 3),
+        extra,
+    ]
+
+
+@st.composite
+def lattice_distributions(draw, max_atoms=4):
+    """Laws on a few integers, so that their sums take the packed route."""
+    k = draw(st.integers(1, max_atoms))
+    supports = draw(st.lists(st.integers(-1, 2), min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.integers(1, 30), min_size=k, max_size=k))
+    return DiscreteDistribution.from_pairs(
+        (s, F(w, sum(weights))) for s, w in zip(supports, weights)
+    )
+
+
+class TestIntHeldLaw:
+    """The law held as ints against the Fraction routes in ``oracles``."""
+
+    @settings(max_examples=150, derandomize=True)
+    @given(rational_distributions(max_atoms=6), rational_points)
+    def test_reads_match_fraction_routes(self, d, extra):
+        assert d.mean() == mean_by_atoms(d)
+        assert d.min_support == d.atoms[0][0]
+        assert d.max_support == d.atoms[-1][0]
+        for x in _thresholds(d, extra):
+            assert d.stop_loss(x) == stop_loss_by_atoms(d, x)
+            assert d.cdf(x) == cdf_by_atoms(d, x)
+            assert d.cdf_right(x) == cdf_right_by_atoms(d, x)
+            assert d.mass_at(x) == mass_at_by_atoms(d, x)
+
+    @settings(max_examples=100, derandomize=True)
+    @given(rational_distributions(max_atoms=6), st.integers(1, 12), st.integers(1, 12))
+    def test_atoms_and_ints_build_equal_laws(self, d, k, j):
+        (points, unit), (nums, den) = d.support_numerators, d.mass_numerators
+        assert unit == math.lcm(*(s.denominator for s in d.support))
+        assert den == math.lcm(*(m.denominator for m in d.masses))
+        from_atoms = DiscreteDistribution(d.atoms)
+        from_ints = DiscreteDistribution._from_ints(
+            [p * k for p in points], unit * k, [v * j for v in nums], den * j
+        )
+        for law in (from_atoms, from_ints):
+            assert law == d
+            assert hash(law) == hash(d)
+            assert law.support_numerators == d.support_numerators
+            assert law.mass_numerators == d.mass_numerators
+            assert law.atoms == d.atoms
+
+    def test_int_constructor_checks(self):
+        build = DiscreteDistribution._from_ints
+        with pytest.raises(ParameterError, match="at least one atom"):
+            build((), 1, (), 1)
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            build((1, 1), 1, (1, 1), 2)
+        with pytest.raises(ParameterError, match="mass at 1/2 must be positive"):
+            build((1, 2), 2, (0, 1), 1)
+        with pytest.raises(ParameterError, match="must sum to 1 exactly, got 5/6"):
+            build((0, 1), 1, (3, 2), 6)
+        with pytest.raises(ParameterError, match="atoms must hold Fraction values"):
+            DiscreteDistribution(((0, F(1)),))
+        with pytest.raises(ParameterError, match="at least one atom"):
+            DiscreteDistribution(())
+
+    @settings(max_examples=60, derandomize=True)
+    @given(
+        st.integers(1, 25),
+        st.fractions(min_value=0, max_value=1, max_denominator=40),
+    )
+    def test_binomial_matches_fraction_route(self, n, p):
+        d = binomial(n, p)
+        expected = binomial_by_fractions(n, p)
+        assert d == expected
+        assert d.atoms == expected.atoms
+
+    @settings(max_examples=60, derandomize=True)
+    @given(
+        rational_distributions(),
+        st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+    )
+    def test_scale_matches_fraction_route(self, d, a):
+        assert scale(d, a) == scale_by_fractions(d, a)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(
+        st.lists(rational_distributions(max_atoms=3), min_size=1, max_size=4),
+        st.lists(st.integers(1, 9), min_size=4, max_size=4),
+    )
+    def test_mixture_matches_fraction_route(self, parts, raw):
+        weights = [F(w, sum(raw[: len(parts)])) for w in raw[: len(parts)]]
+        assert mixture(weights, parts) == mixture_by_fractions(weights, parts)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.lists(lattice_distributions(), min_size=1, max_size=6))
+    def test_packed_convolution_matches_fraction_route(self, parts):
+        expected = parts[0]
+        for part in parts[1:]:
+            expected = convolve_by_fractions(expected, part)
+        assert convolve_many(parts) == expected
+
+    def test_poisson_binomial_matches_fraction_route(self):
+        ps = [F(k % 7 + 1, k % 11 + 8) for k in range(40)]
+        expected = bernoulli(ps[0])
+        for p in ps[1:]:
+            expected = convolve_by_fractions(expected, bernoulli(p))
+        assert convolve_many([bernoulli(p) for p in ps]) == expected
 
 
 class TestRationalLimit:

@@ -44,7 +44,12 @@ from convexorder.lattice import (
 from convexorder.rasa import lattice_point
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
 
-from oracles import form_coefficients_by_cauchy, form_value, rasa_form_by_cauchy
+from oracles import (
+    binomial_by_fractions,
+    form_coefficients_by_cauchy,
+    form_value,
+    rasa_form_by_cauchy,
+)
 
 
 def as_distribution(law: LatticeLaw) -> DiscreteDistribution:
@@ -93,6 +98,7 @@ def test_bernstein_numerators_are_binomial_masses():
             for a in range(q + 1):
                 law = bernstein_numerators(n, a, q)
                 assert as_distribution(law) == binomial(n, F(a, q))
+                assert as_distribution(law) == binomial_by_fractions(n, F(a, q))
                 assert law.den == q**n and sum(law.nums) == law.den
 
 

@@ -38,10 +38,12 @@ def _run(code: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     return proc, modules
 
 
-def _run_cli(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
-    """`python -m convexorder ARGS`, as the console script starts it."""
+def _run_cli(
+    *args: str, prelude: str = ""
+) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """`python -m convexorder ARGS`, as the console script starts it, after prelude."""
     return _run(
-        "import runpy\n"
+        prelude + "import runpy\n"
         f"sys.argv = ['convexorder', *{list(args)!r}]\n"
         "runpy.run_module('convexorder', run_name='__main__')\n"
     )
@@ -116,8 +118,13 @@ def test_unknown_attribute_raises_attribute_error():
 
 @pytest.mark.parametrize("jobs, pooled", [("1", False), ("2", True)])
 def test_pool_is_imported_only_when_a_pool_runs(jobs, pooled):
+    # Two CPUs whatever the host has, so that --jobs 2 is not clamped to one.
     proc, modules = _run_cli(
-        "verify-rasa", "--n", "1", "--m", "2", "--denom", "3", "--jobs", jobs
+        "verify-rasa", "--n", "1", "--m", "2", "--denom", "3", "--jobs", jobs,
+        prelude=(
+            "import convexorder.sweep\n"
+            "convexorder.sweep._available_cpus = lambda: 2\n"
+        ),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
