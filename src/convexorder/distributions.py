@@ -386,67 +386,26 @@ def convolve(
 def convolve_many(parts: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
     """Law of the sum of independent draws from one or more distributions.
 
-    Supports are brought to ints over their least common denominator, and
-    the parts' int mass numerators are multiplied out in one of two ways;
-    no Fraction is built.  When the sum's support fits in a span below
-    twice the parts' atom count (sums of Bernoulli or binomial laws), the
-    parts are multiplied as polynomials packed into single ints (see
-    :func:`_lattice_product`); otherwise a dict of partial sums is folded
-    part by part.
+    Supports are brought to ints over their least common denominator, and a
+    dict of partial sums of the parts' int mass numerators is folded part by
+    part; no Fraction is built.
     """
     if not parts:
         raise ParameterError("convolve_many needs at least one distribution")
     unit = math.lcm(*(part.support_numerators[1] for part in parts))
     den = math.prod(part.mass_numerators[1] for part in parts)
-    terms = []
+    sums = {0: 1}
     for part in parts:
         points, part_unit = part.support_numerators
         stretch = unit // part_unit
-        terms.append(([t * stretch for t in points], part.mass_numerators[0]))
-    span = sum(points[-1] - points[0] for points, _ in terms)
-    if span < 2 * sum(len(points) for points, _ in terms):
-        sums = _lattice_product(terms, span, den)
-    else:
-        sums = {0: 1}
-        for points, nums in terms:
-            out: dict[int, int] = {}
-            for s, v in sums.items():
-                for t, w in zip(points, nums):
-                    out[s + t] = out.get(s + t, 0) + v * w
-            sums = out
+        atoms = list(zip([t * stretch for t in points], part.mass_numerators[0]))
+        out: dict[int, int] = {}
+        for s, v in sums.items():
+            for t, w in atoms:
+                out[s + t] = out.get(s + t, 0) + v * w
+        sums = out
     keys = sorted(sums)
     return DiscreteDistribution._from_ints(keys, unit, [sums[k] for k in keys], den)
-
-
-def _lattice_product(
-    terms: Sequence[tuple[list[int], Sequence[int]]], span: int, den: int
-) -> dict[int, int]:
-    """The nonzero mass numerators of an independent sum, by support point.
-
-    Each part, its support shifted to start at 0, becomes the int
-    sum_t w_t 2^(bits t): a polynomial in 2^bits with one mass per slot.
-    Every partial product's masses are nonnegative and at most ``den``, the
-    product of the parts' denominators, so a slot of ``bits`` bits never
-    carries into the next, and the product of the ints, taken as a
-    balanced tree of big-int multiplications, is the sum's polynomial.
-    """
-    width = den.bit_length() // 8 + 1  # bytes per slot
-    bits = 8 * width
-    polys = [
-        sum(w << bits * (t - points[0]) for t, w in zip(points, nums))
-        for points, nums in terms
-    ]
-    while len(polys) > 1:
-        odd = polys[len(polys) & ~1 :]  # the last one, when their count is odd
-        polys = [a * b for a, b in zip(polys[::2], polys[1::2])] + odd
-    raw = polys[0].to_bytes((span + 1) * width, "little")
-    low = sum(points[0] for points, _ in terms)
-    sums = {}
-    for k in range(span + 1):
-        v = int.from_bytes(raw[k * width : (k + 1) * width], "little")
-        if v:
-            sums[low + k] = v
-    return sums
 
 
 def mixture(

@@ -130,8 +130,6 @@ def evaluate_grid_point(task: tuple) -> dict:
 
 def _available_cpus() -> int:
     """The CPUs this process may run on."""
-    if hasattr(os, "process_cpu_count"):  # Python 3.13+
-        return os.process_cpu_count() or 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

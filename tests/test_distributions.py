@@ -409,7 +409,7 @@ def _thresholds(d, extra):
 
 @st.composite
 def lattice_distributions(draw, max_atoms=4):
-    """Laws on a few integers, so that their sums take the packed route."""
+    """Laws on a few integers, so that many of their sums coincide."""
     k = draw(st.integers(1, max_atoms))
     supports = draw(st.lists(st.integers(-1, 2), min_size=k, max_size=k, unique=True))
     weights = draw(st.lists(st.integers(1, 30), min_size=k, max_size=k))
@@ -495,7 +495,7 @@ class TestIntHeldLaw:
 
     @settings(max_examples=60, derandomize=True)
     @given(st.lists(lattice_distributions(), min_size=1, max_size=6))
-    def test_packed_convolution_matches_fraction_route(self, parts):
+    def test_lattice_convolution_matches_fraction_route(self, parts):
         expected = parts[0]
         for part in parts[1:]:
             expected = convolve_by_fractions(expected, part)
