@@ -232,7 +232,9 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--json", "force_json", is_flag=True, help="Alias for --format json.")
 @click.option("--out", default=None)
-@click.option("--scan", default=0, type=int, help="Also scan N random equal-mean pairs.")
+@click.option(
+    "--scan", default=0, type=click.IntRange(min=0), help="Also scan N random equal-mean pairs."
+)
 @click.option("--seed", default=0, type=int, show_default=True)
 def cmd_counterexample(fmt, force_json, out, scan, seed):
     """Reproduce the four-atom counterexample and certify every exact value."""
@@ -291,7 +293,10 @@ def _scan_for_violations(count: int, seed: int) -> dict:
 
 @main.command("hoeffding")
 @click.argument("ps", nargs=-1)
-@click.option("--random", "random_count", default=0, type=int, help="Check N random instances.")
+@click.option(
+    "--random", "random_count", default=0, type=click.IntRange(min=0),
+    help="Check N random instances.",
+)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--n-max", default=8, type=int, show_default=True)
 @click.option("--denom", default=20, type=int, show_default=True)

@@ -32,11 +32,12 @@ Conventions shared by all procedures:
   first segment on which the difference assumes its new sign (the crossing
   itself belongs to neither strict region).
 
-All four procedures read one segment table (``_segments``): a single pass
-over the merged grid gives F_rhs - F_lhs on every segment and its running
+All four procedures read one segment table: a single pass (``_scan``) over
+the merged grid gives F_rhs - F_lhs on every segment and its running
 integral from the left end, in ints over common denominators.  Once means
 agree, that running integral at t is the stop-loss gap
 E(rhs - t)_+ - E(lhs - t)_+, and its total is mean(lhs) - mean(rhs).
+``lattice.lattice_oracle`` feeds lattice pairs to the same scan.
 
 The randomized corpora used to exercise these procedures are seeded
 explicitly, so parallel batch runs are reproducible.
@@ -249,14 +250,33 @@ def _segments(
     for s in extra:
         jumps.setdefault(s.numerator * (scale // s.denominator), 0)
     grid = sorted(jumps)
+    return _scan(grid, [jumps[key] for key in grid], den, scale)
+
+
+def _scan(grid: list[int], jumps: Sequence[int], den: int, scale: int) -> _Segments:
+    """The segment table of F_rhs - F_lhs from its jumps times ``den`` at
+    increasing grid points times ``scale``; every table is built here."""
     diffs = []
     running = [0]
     diff = 0
-    for key, following in zip(grid, grid[1:]):
-        diff += jumps[key]
+    for key, jump, following in zip(grid, jumps, grid[1:]):
+        diff += jump
         diffs.append(diff)
         running.append(running[-1] + diff * (following - key))
     return _Segments(grid, diffs, running, den * scale, scale)
+
+
+def _oracle_verdict(table: _Segments) -> CxVerdict:
+    """Equal means, then the first grid point with a negative stop-loss gap."""
+    gap = -table.running[-1]
+    if gap:
+        return CxVerdict(
+            holds=False, means_equal=False, witness=None, mean_gap=table.value(gap)
+        )
+    witness = next((table.point(i) for i, r in enumerate(table.running) if r < 0), None)
+    return CxVerdict(
+        holds=witness is None, means_equal=True, witness=witness, mean_gap=Fraction(0)
+    )
 
 
 def _sign_runs(values: Sequence) -> tuple[int, list[int]]:
@@ -295,16 +315,7 @@ def cx_compare_oracle(
     means, doubles as a certificate: the angle function at the witness is a
     convex function whose expectations violate the order.
     """
-    table = _segments(lhs, rhs)
-    gap = -table.running[-1]
-    if gap:
-        return CxVerdict(
-            holds=False, means_equal=False, witness=None, mean_gap=table.value(gap)
-        )
-    witness = next((table.point(i) for i, r in enumerate(table.running) if r < 0), None)
-    return CxVerdict(
-        holds=witness is None, means_equal=True, witness=witness, mean_gap=Fraction(0)
-    )
+    return _oracle_verdict(_segments(lhs, rhs))
 
 
 def ohlin_check(lhs: DiscreteDistribution, rhs: DiscreteDistribution) -> OhlinReport:

@@ -4,9 +4,10 @@ A lattice law puts mass ``nums[k] / den`` on the integer k, for k = 0 ..
 len(nums) - 1, with Python-int numerators and one positive int denominator.
 The binomial law with parameter a/q has the numerators C(n, k) a^k (q-a)^(n-k)
 over q^n, and independent sums and uniform mixtures of such laws stay on the
-lattice, so building and comparing them needs no Fraction per step.  The
-stop-loss oracle here returns the same verdict as ``cx_compare_oracle`` on
-the corresponding :class:`DiscreteDistribution`, witness included.
+lattice, so building and comparing them needs no Fraction per step.
+``lattice_oracle`` feeds a pair's int jumps to the stop-loss scan shared with
+``cx_order``, so its verdict, witness included, is the one
+``cx_compare_oracle`` gives on the corresponding :class:`DiscreteDistribution`.
 
 Nothing here normalises: a numerator vector is never reduced by a common
 factor, and a Fraction is built only for the values handed back to callers.
@@ -19,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .cx_order import CxVerdict
+from .cx_order import CxVerdict, _oracle_verdict, _scan
 from .distributions import binomial_numerators
 
 __all__ = [
@@ -83,40 +84,17 @@ def uniform_mixture(laws: Sequence[LatticeLaw]) -> LatticeLaw:
 def lattice_oracle(lhs: LatticeLaw, rhs: LatticeLaw) -> CxVerdict:
     """Decide lhs <=_cx rhs exactly, as ``cx_compare_oracle`` does.
 
-    With d_k = r_k D_l - l_k D_r, the mass gap rhs - lhs times D_l D_r > 0,
-    the stop-loss gap at t = k is G_k = sum_{j>k} (j - k) d_j.  One pass from
-    right to left builds it as a double suffix sum, G_k = G_{k+1} + S_{k+1}
-    with S_k = d_k + S_{k+1}, so the check is O(K) integer work.  The
-    witness is the smallest k with G_k < 0 among the points where lhs or rhs
-    has mass: a lattice point empty on both sides is not in the union of
-    supports, so it is never a witness.
+    The grid is the lattice points where lhs or rhs has mass, the union of
+    supports, and the jump of F_rhs - F_lhs at k is r_k D_l - l_k D_r over
+    D_l D_r; the shared stop-loss scan of ``cx_order`` reads the verdict.
     """
     size = max(len(lhs.nums), len(rhs.nums))
     ls = lhs.nums + [0] * (size - len(lhs.nums))
     rs = rhs.nums + [0] * (size - len(rhs.nums))
     dl, dr = lhs.den, rhs.den
-    gaps = [r * dl - l * dr for l, r in zip(ls, rs)]
-    mean_gap = sum(k * d for k, d in enumerate(gaps))
-    if mean_gap:
-        return CxVerdict(
-            holds=False,
-            means_equal=False,
-            witness=None,
-            mean_gap=Fraction(mean_gap, dl * dr),
-        )
-    witness = None
-    stop_gap = tail = 0
-    for k in range(size - 1, -1, -1):
-        stop_gap += tail
-        if stop_gap < 0 and (ls[k] or rs[k]):
-            witness = k
-        tail += gaps[k]
-    return CxVerdict(
-        holds=witness is None,
-        means_equal=True,
-        witness=None if witness is None else Fraction(witness),
-        mean_gap=Fraction(0),
-    )
+    grid = [k for k in range(size) if ls[k] or rs[k]]
+    jumps = [rs[k] * dl - ls[k] * dr for k in grid]
+    return _oracle_verdict(_scan(grid, jumps, dl * dr, 1))
 
 
 def probe_table(

@@ -22,7 +22,22 @@ from .distributions import ParameterError
 from .lattice import dot, probe_table
 from .rasa import lattice_point
 
-__all__ = ["RunConfig", "farey_fractions", "run_sweep", "KNOWN_FUNCTION_GROUPS"]
+__all__ = [
+    "RunConfig",
+    "MAX_GRID_POINTS",
+    "farey_fractions",
+    "grid_size",
+    "run_sweep",
+    "KNOWN_FUNCTION_GROUPS",
+]
+
+MAX_GRID_POINTS = 100_000
+"""The most grid points one sweep accepts.
+
+Every row is held until the report is written: 73,696 points
+(``--n 1..4 --m 3 --denom 12``) take about 150 MB and 8 s serially on one
+2-core x86-64 host, so this bounds a sweep at roughly 200 MB.
+"""
 
 
 def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
@@ -63,6 +78,55 @@ class RunConfig:
         unknown = set(self.functions) - set(KNOWN_FUNCTION_GROUPS)
         if unknown:
             raise ParameterError(f"unknown function groups: {sorted(unknown)}")
+        points = grid_size(self)
+        if points > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"the grid has at least {points} points, "
+                f"above the limit of {MAX_GRID_POINTS}"
+            )
+
+
+def _farey_size(max_den: int) -> int:
+    """len(farey_fractions(max_den)): 1 plus Euler's phi(q) summed over q."""
+    phi = list(range(max_den + 1))
+    for p in range(2, max_den + 1):
+        if phi[p] == p:
+            for k in range(p, max_den + 1, p):
+                phi[k] -= phi[k] // p
+    return 1 + sum(phi[1:])
+
+
+def _count_points(config: RunConfig, values: int) -> int:
+    """Grid points over ``values`` parameters, or a lower bound once above the limit.
+
+    Each (n, m) has C(values + m - 1, m) sorted parameter tuples, built up
+    one factor at a time so that the count stops as soon as it passes
+    ``MAX_GRID_POINTS``.
+    """
+    total = 0
+    for m in config.m_values:
+        tuples = 1
+        for i in range(1, m + 1):
+            tuples = tuples * (values + i - 1) // i
+            if tuples > MAX_GRID_POINTS:
+                break
+        total += len(config.n_values) * tuples
+        if total > MAX_GRID_POINTS:
+            break
+    return total
+
+
+def grid_size(config: RunConfig) -> int:
+    """The number of grid points, counted without building the grid.
+
+    Exact up to ``MAX_GRID_POINTS``; above it, a lower bound that is still
+    above the limit.  The Farey set has at least ``denominator + 1``
+    members, so a huge bound is rejected before its exact size is sieved.
+    """
+    points = _count_points(config, config.denominator + 1)
+    if points > MAX_GRID_POINTS:
+        return points
+    return _count_points(config, _farey_size(config.denominator))
 
 
 @lru_cache(maxsize=16)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction as F
@@ -65,6 +66,34 @@ class TestVerifyRasa:
             main, ["verify-rasa", "--n", "1", "--m", "2", "--denom", "1"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--n", "1", "--m", "4", "--denom", "30"],
+            ["--n", "1", "--m", "2", "--denom", "1000000000"],
+        ],
+    )
+    def test_oversized_grid_exits_2_before_building(self, grid):
+        started = time.perf_counter()
+        result = runner.invoke(main, ["verify-rasa", *grid])
+        assert time.perf_counter() - started < 1
+        assert result.exit_code == 2
+        assert "the grid has at least " in result.output
+        assert f"points, above the limit of {sweep.MAX_GRID_POINTS}" in result.output
+
+    @pytest.mark.parametrize(
+        "n_values, m_values, denominator",
+        [
+            ((1, 2, 3, 4), (2,), 7),
+            ((1, 2, 3), (3,), 5),
+            ((1, 2), (2, 3, 4), 6),
+            ((10, 11, 12), (2,), 16),
+        ],
+    )
+    def test_grid_size_counts_the_built_grid(self, n_values, m_values, denominator):
+        config = RunConfig(n_values=n_values, m_values=m_values, denominator=denominator)
+        assert sweep.grid_size(config) == len(sweep.grid_tasks(config))
 
     def test_bad_range_syntax_exits_2(self):
         result = runner.invoke(
@@ -305,6 +334,11 @@ class TestCounterexampleCommand:
         payload = json.loads(result.output)
         assert payload["scan"]["pairs"] == 25
 
+    def test_negative_scan_exits_2(self):
+        result = runner.invoke(main, ["counterexample", "--scan", "-3"])
+        assert result.exit_code == 2
+        assert "--scan" in result.output
+
 
 class TestHoeffdingCommand:
     def test_explicit_parameters(self):
@@ -333,6 +367,11 @@ class TestHoeffdingCommand:
 
     def test_no_input_exit_2(self):
         assert runner.invoke(main, ["hoeffding"]).exit_code == 2
+
+    def test_negative_random_exits_2(self):
+        result = runner.invoke(main, ["hoeffding", "1/2", "1/3", "--random", "-2"])
+        assert result.exit_code == 2
+        assert "--random" in result.output
 
     def test_over_limit_rational_exit_2(self):
         result = runner.invoke(main, ["hoeffding", "1/2", "1e-999999"])

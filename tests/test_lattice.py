@@ -3,7 +3,10 @@
 Every lattice result is compared for exact equality with an independent
 route: Bernstein form values with the Fraction Cauchy products in
 ``oracles.py``, and whole ``CxVerdict``s, witnesses included, with
-``cx_compare_oracle`` on the ``DiscreteDistribution`` laws.
+``oracles.oracle_by_stop_loss_scan`` on the ``DiscreteDistribution`` laws.
+``lattice_oracle`` and ``cx_compare_oracle`` share one stop-loss scan, so
+agreeing with each other cannot catch a fault in it; the Fraction scan,
+which recomputes every stop-loss value from the atoms, can.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from oracles import (
     binomial_by_fractions,
     form_coefficients_by_cauchy,
     form_value,
+    oracle_by_stop_loss_scan,
     rasa_form_by_cauchy,
 )
 
@@ -75,16 +79,15 @@ def assert_point_matches(n, xs, family) -> int:
     failing directions were exercised.
     """
     point = lattice_point(n, xs)
-    the_sum, pooled, mixed = distribution_laws(n, xs)
+    laws = distribution_laws(n, xs)
     lattice = (point.the_sum, point.pooled(), point.mixed)
-    assert tuple(map(as_distribution, lattice)) == (the_sum, pooled, mixed)
+    assert tuple(map(as_distribution, lattice)) == laws
     witnesses = 0
     for i, j in ((0, 1), (1, 2), (0, 2)):
         for a, b in ((i, j), (j, i)):
             verdict = lattice_oracle(lattice[a], lattice[b])
-            assert verdict == cx_compare_oracle(
-                (the_sum, pooled, mixed)[a], (the_sum, pooled, mixed)[b]
-            ), (n, xs, a, b)
+            assert verdict == cx_compare_oracle(laws[a], laws[b]), (n, xs, a, b)
+            assert verdict == oracle_by_stop_loss_scan(laws[a], laws[b]), (n, xs, a, b)
             witnesses += verdict.witness is not None
     coeff = form_coefficients_by_cauchy(n, xs)
     for f in family:
@@ -124,7 +127,11 @@ def test_witness_skips_points_empty_on_both_sides():
     verdict = lattice_oracle(spread, point)
     assert verdict.witness == 2
     assert verdict == cx_compare_oracle(as_distribution(spread), as_distribution(point))
+    assert verdict == oracle_by_stop_loss_scan(as_distribution(spread), as_distribution(point))
     assert lattice_oracle(point, spread).holds
+    assert lattice_oracle(point, spread) == oracle_by_stop_loss_scan(
+        as_distribution(point), as_distribution(spread)
+    )
 
 
 def test_unequal_means_report_the_gap():
@@ -133,6 +140,7 @@ def test_unequal_means_report_the_gap():
     verdict = lattice_oracle(lhs, rhs)
     assert not verdict.holds and not verdict.means_equal
     assert verdict == cx_compare_oracle(as_distribution(lhs), as_distribution(rhs))
+    assert verdict == oracle_by_stop_loss_scan(as_distribution(lhs), as_distribution(rhs))
     assert verdict.mean_gap == F(5, 3) - F(1, 2)
 
 
@@ -171,6 +179,7 @@ def test_criterion_2_grid():
                 assert verify_theorem_main(n, x, y) == cx_compare_oracle(the_sum, mixed), (n, x, y)
                 reverse = lattice_oracle(point.mixed, point.the_sum)
                 assert reverse == cx_compare_oracle(mixed, the_sum), (n, x, y)
+                assert reverse == oracle_by_stop_loss_scan(mixed, the_sum), (n, x, y)
                 witnesses += reverse.witness is not None
     assert witnesses > 0
 
@@ -244,7 +253,9 @@ def lattice_pairs(draw):
 def test_oracle_matches_distribution_oracle(pair):
     lhs, rhs = pair
     for a, b in ((lhs, rhs), (rhs, lhs)):
-        assert lattice_oracle(a, b) == cx_compare_oracle(as_distribution(a), as_distribution(b))
+        verdict = lattice_oracle(a, b)
+        assert verdict == cx_compare_oracle(as_distribution(a), as_distribution(b))
+        assert verdict == oracle_by_stop_loss_scan(as_distribution(a), as_distribution(b))
 
 
 def sweep_probes(points, functions, seed):
