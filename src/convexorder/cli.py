@@ -40,20 +40,27 @@ from .distributions import (
 OUT_DIR_ENV = "CONVEXORDER_OUT_DIR"
 
 _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
+_RANGE_DIGITS = 18  # keeps the length of a range within a C ssize_t
 
 
-def _parse_range(text: str, name: str) -> tuple[int, ...]:
+def _parse_range(text: str, name: str) -> range:
+    """The values of N or A..B as a range, never built: the sweep counts its
+    grid from the range's length before anything iterates it."""
     match = _RANGE_RE.match(text.strip())
     if not match:
         raise click.UsageError(f"--{name} expects N or A..B, got {text!r}")
+    if any(len(bound) > _RANGE_DIGITS for bound in match.groups() if bound):
+        raise click.UsageError(
+            f"--{name} bounds have at most {_RANGE_DIGITS} digits, got {text!r}"
+        )
     lo = int(match.group(1))
     hi = int(match.group(2)) if match.group(2) else lo
     if hi < lo:
         raise click.UsageError(f"--{name} range is empty: {text!r}")
-    return tuple(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
-def _range_echo(values: tuple[int, ...]) -> str:
+def _range_echo(values: range) -> str:
     return str(values[0]) if len(values) == 1 else f"{values[0]}..{values[-1]}"
 
 
@@ -329,10 +336,7 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
             verdict = verify_hoeffding(inst)
             all_hold = all_hold and verdict.holds
             rows.append({"ps": ";".join(str(p) for p in inst), "holds": verdict.holds})
-    except FormatError as exc:
-        click.echo(f"invalid probability: {exc}", err=True)
-        sys.exit(2)
-    except ParameterError as exc:
+    except (FormatError, ParameterError) as exc:
         click.echo(f"invalid probability: {exc}", err=True)
         sys.exit(2)
     _emit(

@@ -101,34 +101,11 @@ class PiecewiseLinear:
             raise ParameterError("slopes must be nondecreasing (convexity)")
 
     def __call__(self, t: Fraction) -> Fraction:
-        value = self.value_at_zero
-        zero = Fraction(0)
-        if t >= zero:
-            lo = zero
-            for b, s in zip(self.breakpoints, self.slopes):
-                if b <= lo:
-                    continue
-                hi = min(b, t)
-                if hi > lo:
-                    value += s * (hi - lo)
-                    lo = hi
-                if lo == t:
-                    break
-            if lo < t:
-                value += self.slopes[-1] * (t - lo)
-        else:
-            hi = zero
-            for b, s in zip(reversed(self.breakpoints), reversed(self.slopes[1:])):
-                if b >= hi:
-                    continue
-                lo = max(b, t)
-                if lo < hi:
-                    value -= s * (hi - lo)
-                    hi = lo
-                if hi == t:
-                    break
-            if hi > t:
-                value -= self.slopes[0] * (hi - t)
+        """f(0) + s_0 t plus one angle per breakpoint, each anchored at 0:
+        sum_i (s_{i+1} - s_i) (max(t - b_i, 0) - max(-b_i, 0))."""
+        value = self.value_at_zero + self.slopes[0] * t
+        for b, s, s_next in zip(self.breakpoints, self.slopes, self.slopes[1:]):
+            value += (s_next - s) * (max(t - b, 0) - max(-b, 0))
         return value
 
     def describe(self) -> str:

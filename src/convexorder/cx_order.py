@@ -32,12 +32,15 @@ Conventions shared by all procedures:
   first segment on which the difference assumes its new sign (the crossing
   itself belongs to neither strict region).
 
-All four procedures read one segment table: a single pass (``_scan``) over
-the merged grid gives F_rhs - F_lhs on every segment and its running
-integral from the left end, in ints over common denominators.  Once means
-agree, that running integral at t is the stop-loss gap
-E(rhs - t)_+ - E(lhs - t)_+, and its total is mean(lhs) - mean(rhs).
-``lattice.lattice_oracle`` feeds lattice pairs to the same scan.
+All four procedures and ``crossing_points`` read one segment table per
+ordered pair, built on the union of supports: a single pass (``_scan``) over
+that grid gives F_rhs - F_lhs on every segment and its running integral from
+the left end, in ints over common denominators.  Once means agree, that
+running integral at t is the stop-loss gap E(rhs - t)_+ - E(lhs - t)_+, and
+its total is mean(lhs) - mean(rhs).  The interval procedures first check
+that both laws live in [a, b]; the running integral from a is then zero left
+of the supports' hull and constant right of it, so a and b add nothing to
+the table.  ``lattice.lattice_oracle`` feeds lattice pairs to the same scan.
 
 The randomized corpora used to exercise these procedures are seeded
 explicitly, so parallel batch runs are reproducible.
@@ -69,9 +72,9 @@ __all__ = [
 class StandingHypothesisError(ParameterError):
     """The inputs violate a procedure's standing hypotheses.
 
-    Raised by ``szostok_decision`` when endpoint values or the zero-integral
-    hypothesis fail, so that a hypothesis violation is never conflated with a
-    negative decision.
+    Raised by ``szostok_decision`` when the total integral of the CDF
+    difference over [a, b] is not zero (unequal means), so that a hypothesis
+    violation is never conflated with a negative decision.
     """
 
 
@@ -125,13 +128,12 @@ class OhlinReport:
 class LevinSteckinReport:
     """The three integral conditions, each reported separately.
 
-    ``endpoint_match`` compares the total mass accumulated through b (the
-    right limits F(b+), so an atom sitting exactly at b is counted),
-    ``integral_match`` compares the exact integrals of the two distribution
-    functions over [a, b] (equivalent to equal means), and
-    ``partial_dominance`` asserts integral_a^x F_lhs <= integral_a^x F_rhs at
-    every point of (a, b).  The conjunction is necessary and sufficient for
-    lhs <=_cx rhs.
+    ``endpoint_match`` compares the right limits F(b+), which agree once both
+    laws live in [a, b], so it is true in every report.  ``integral_match``
+    compares the exact integrals of the two distribution functions over
+    [a, b] (equivalent to equal means), and ``partial_dominance`` asserts
+    integral_a^x F_lhs <= integral_a^x F_rhs at every x in (a, b].  The
+    conjunction is necessary and sufficient for lhs <=_cx rhs.
     """
 
     endpoint_match: bool
@@ -209,35 +211,17 @@ class _Segments(NamedTuple):
         return Fraction(num, self.den)
 
 
-def _segments(
-    dl: DiscreteDistribution,
-    dr: DiscreteDistribution,
-    bounds: Optional[tuple[Fraction, Fraction]] = None,
-) -> _Segments:
-    """The segment table of the pair, on the union of supports or on [a, b].
+def _segments(dl: DiscreteDistribution, dr: DiscreteDistribution) -> _Segments:
+    """The segment table of the pair on the union of supports.
 
-    With ``bounds`` the grid is a, the support points strictly inside (a, b)
-    and b; both laws must live in [a, b].  The laws' int numerators come to
-    the common denominator of their mass denominators and grid points to
-    ints over the least common denominator of all grid points, so the pass
-    itself only adds and multiplies ints.
+    The laws' int numerators come to the common denominator of their mass
+    denominators and grid points to ints over the least common denominator
+    of all support points, so the pass itself only adds and multiplies ints.
     """
-    extra: tuple[Fraction, ...] = ()
-    if bounds is not None:
-        a, b = bounds
-        if a >= b:
-            raise ParameterError("need a < b")
-        for d in (dl, dr):
-            if d.min_support < a or d.max_support > b:
-                raise ParameterError(
-                    f"distribution escapes [{a}, {b}]: "
-                    f"support spans [{d.min_support}, {d.max_support}]"
-                )
-        extra = bounds
     (points_l, unit_l), (nums_l, den_l) = dl.support_numerators, dl.mass_numerators
     (points_r, unit_r), (nums_r, den_r) = dr.support_numerators, dr.mass_numerators
     den = math.lcm(den_l, den_r)
-    scale = math.lcm(unit_l, unit_r, *(s.denominator for s in extra))
+    scale = math.lcm(unit_l, unit_r)
     jumps: dict[int, int] = {}  # grid point * scale -> jump of (F_rhs - F_lhs) * den
     for points, unit, nums, factor in (
         (points_l, unit_l, nums_l, -(den // den_l)),
@@ -247,8 +231,6 @@ def _segments(
         for p, v in zip(points, nums):
             key = p * stretch
             jumps[key] = jumps.get(key, 0) + v * factor
-    for s in extra:
-        jumps.setdefault(s.numerator * (scale // s.denominator), 0)
     grid = sorted(jumps)
     return _scan(grid, [jumps[key] for key in grid], den, scale)
 
@@ -353,23 +335,38 @@ def crossing_points(
     return [table.point(i) for i in _sign_runs(table.diffs)[1]]
 
 
+def _require_interval(
+    lhs: DiscreteDistribution, rhs: DiscreteDistribution, a: Fraction, b: Fraction
+) -> None:
+    """Raise ParameterError unless a < b and both laws live in [a, b]."""
+    a = as_rational(a)
+    b = as_rational(b)
+    if a >= b:
+        raise ParameterError("need a < b")
+    for d in (lhs, rhs):
+        if d.min_support < a or d.max_support > b:
+            raise ParameterError(
+                f"distribution escapes [{a}, {b}]: "
+                f"support spans [{d.min_support}, {d.max_support}]"
+            )
+
+
 def levin_steckin_check(
     lhs: DiscreteDistribution, rhs: DiscreteDistribution, a: Fraction, b: Fraction
 ) -> LevinSteckinReport:
     """The three integral conditions for lhs <=_cx rhs on [a, b].
 
     Integrals are exact sums over the segments on which the step CDFs are
-    constant; the partial-integral dominance is checked at every grid point
-    inside (a, b), which suffices because the partial integrals are
-    piecewise linear in the upper limit.
+    constant; the partial-integral dominance is checked at every grid point,
+    which suffices because the partial integrals are piecewise linear in the
+    upper limit and constant outside the supports' hull.
     """
-    a = as_rational(a)
-    b = as_rational(b)
-    table = _segments(lhs, rhs, (a, b))
+    _require_interval(lhs, rhs, a, b)
+    table = _segments(lhs, rhs)
     return LevinSteckinReport(
-        endpoint_match=lhs.cdf_right(b) == rhs.cdf_right(b),
+        endpoint_match=True,
         integral_match=table.running[-1] == 0,
-        partial_dominance=all(r >= 0 for r in table.running[1:-1]),
+        partial_dominance=all(r >= 0 for r in table.running),
     )
 
 
@@ -378,18 +375,16 @@ def szostok_decision(
 ) -> SzostokReport:
     """Decide lhs <=_cx rhs from the sign-change structure of the CDF gap.
 
-    Standing hypotheses (equal endpoint values and zero total integral of
-    F = F_rhs - F_lhs over [a, b], i.e. equal means) are enforced and their
+    Both laws must live in [a, b], which makes the endpoint values equal.
+    The remaining standing hypothesis (zero total integral of
+    F = F_rhs - F_lhs over [a, b], i.e. equal means) is enforced and its
     violation raises :class:`StandingHypothesisError` rather than returning
     a negative decision.  Nonnegativity of F on the first segment is part of
     the reported decision, not a hard hypothesis: when it fails the order
     fails with it.
     """
-    a = as_rational(a)
-    b = as_rational(b)
-    table = _segments(lhs, rhs, (a, b))
-    if lhs.cdf(a) != rhs.cdf(a) or lhs.cdf_right(b) != rhs.cdf_right(b):
-        raise StandingHypothesisError("distribution functions differ at an endpoint")
+    _require_interval(lhs, rhs, a, b)
+    table = _segments(lhs, rhs)
     if table.running[-1]:
         raise StandingHypothesisError(
             f"total integral of the CDF difference is "

@@ -376,14 +376,6 @@ class GeneralizedVerdicts:
             and self.sum_vs_mixture.holds
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sum_vs_pooled": self.sum_vs_pooled.to_json_dict(),
-            "pooled_vs_mixture": self.pooled_vs_mixture.to_json_dict(),
-            "sum_vs_mixture": self.sum_vs_mixture.to_json_dict(),
-            "all_hold": self.all_hold,
-        }
-
 
 def verify_generalized(n: int, xs: Sequence[RationalLike]) -> GeneralizedVerdicts:
     """Oracle verdicts for the three unscaled relations at (n, x_1..x_m)."""

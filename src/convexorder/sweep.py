@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, builtin_family
 from .distributions import ParameterError
@@ -52,10 +53,15 @@ def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Configuration of one sweep: ranges, grid bound, probe functions."""
+    """Configuration of one sweep: ranges, grid bound, probe functions.
 
-    n_values: tuple[int, ...]
-    m_values: tuple[int, ...]
+    ``n_values`` and ``m_values`` may be ``range`` objects: the grid is
+    counted from their lengths before any check iterates them, so a huge
+    range is rejected without being built.
+    """
+
+    n_values: Sequence[int]
+    m_values: Sequence[int]
     denominator: int
     seed: int = 0
     jobs: int = 1
@@ -65,12 +71,21 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.n_values or not self.m_values:
             raise ParameterError("n and m ranges must be nonempty")
+        if self.denominator < 2:
+            raise ParameterError("denominator bound must be >= 2")
+        # Counted before the checks below iterate the values, and after the
+        # denominator check: with 3 or more parameter values the count of a
+        # huge m passes the limit within a few hundred factors.
+        points = grid_size(self)
+        if points > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"the grid has at least {points} points, "
+                f"above the limit of {MAX_GRID_POINTS}"
+            )
         if any(n < 1 for n in self.n_values):
             raise ParameterError("n values must be >= 1")
         if any(m < 2 for m in self.m_values):
             raise ParameterError("m values must be >= 2")
-        if self.denominator < 2:
-            raise ParameterError("denominator bound must be >= 2")
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
         if not self.functions:
@@ -78,12 +93,6 @@ class RunConfig:
         unknown = set(self.functions) - set(KNOWN_FUNCTION_GROUPS)
         if unknown:
             raise ParameterError(f"unknown function groups: {sorted(unknown)}")
-        points = grid_size(self)
-        if points > MAX_GRID_POINTS:
-            raise ParameterError(
-                f"the grid has at least {points} points, "
-                f"above the limit of {MAX_GRID_POINTS}"
-            )
 
 
 def _farey_size(max_den: int) -> int:

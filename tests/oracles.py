@@ -293,7 +293,7 @@ def levin_steckin_by_cdf_integrals(
     for left, right in zip(grid, grid[1:]):
         cum_l += lhs.cdf_right(left) * (right - left)
         cum_r += rhs.cdf_right(left) * (right - left)
-        if right < b and cum_l > cum_r:
+        if cum_l > cum_r:
             partial = False
     return LevinSteckinReport(
         endpoint_match=lhs.cdf_right(b) == rhs.cdf_right(b),

@@ -72,6 +72,8 @@ class TestVerifyRasa:
         [
             ["--n", "1", "--m", "4", "--denom", "30"],
             ["--n", "1", "--m", "2", "--denom", "1000000000"],
+            ["--n", "1..10000000000", "--m", "2", "--denom", "2"],
+            ["--n", "1", "--m", "2..10000000000", "--denom", "2"],
         ],
     )
     def test_oversized_grid_exits_2_before_building(self, grid):
@@ -100,6 +102,13 @@ class TestVerifyRasa:
             main, ["verify-rasa", "--n", "1--3", "--m", "2", "--denom", "5"]
         )
         assert result.exit_code == 2
+
+    def test_range_bound_over_18_digits_exits_2(self):
+        result = runner.invoke(
+            main, ["verify-rasa", "--n", "1..1" + "0" * 18, "--m", "2", "--denom", "2"]
+        )
+        assert result.exit_code == 2
+        assert "--n bounds have at most 18 digits" in result.output
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -58,6 +58,31 @@ def test_piecewise_linear_multiple_breaks():
     assert f(F(1)) == 1 + F(1, 3) + 3 * F(1, 3)
 
 
+@st.composite
+def convex_piecewise_linear(draw):
+    """Breakpoints on both sides of 0 and nondecreasing slopes."""
+    points = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    breaks = sorted(draw(st.lists(points, min_size=1, max_size=4, unique=True)))
+    slopes = [draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))]
+    steps = st.fractions(min_value=0, max_value=4, max_denominator=5)
+    for _ in breaks:
+        slopes.append(slopes[-1] + draw(steps))
+    return PiecewiseLinear(draw(points), tuple(breaks), tuple(slopes))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(convex_piecewise_linear(), st.data())
+def test_piecewise_linear_anchor_and_piece_slopes(f, data):
+    """f(0) is the anchor and every piece's difference quotient is its slope."""
+    assert f(F(0)) == f.value_at_zero
+    edges = [f.breakpoints[0] - 2, *f.breakpoints, f.breakpoints[-1] + 2]
+    share = st.fractions(min_value=0, max_value=1, max_denominator=11)
+    for left, right, slope in zip(edges, edges[1:], f.slopes):
+        x, y = (left + data.draw(share) * (right - left) for _ in range(2))
+        if x != y:
+            assert (f(y) - f(x)) / (y - x) == slope
+
+
 def test_piecewise_linear_validation():
     with pytest.raises(ParameterError):
         PiecewiseLinear(F(0), (F(1, 2),), (F(2), F(1)))  # slopes decrease

@@ -226,6 +226,16 @@ class TestLevinSteckin:
         with pytest.raises(ParameterError):
             levin_steckin_check(binomial(2, HALF), dirac(1), F(0), F(1))
 
+    @pytest.mark.parametrize("b", [F(1), F(2)])
+    def test_dirac_pair_fails_partial_dominance(self, b):
+        # integral_0^x F_delta0 = x > 0 = integral_0^x F_delta1 on (0, 1), so
+        # the failure must not depend on whether b is the last support point
+        report = levin_steckin_check(dirac(0), dirac(1), F(0), b)
+        assert report.endpoint_match and not report.integral_match
+        assert not report.partial_dominance
+        assert cdf_integral_by_midpoints(dirac(0), F(0), HALF) == HALF
+        assert cdf_integral_by_midpoints(dirac(1), F(0), HALF) == 0
+
     def test_matches_oracle_on_corpus(self):
         rng = random.Random(777)
         for _ in range(300):
@@ -437,6 +447,24 @@ def test_reports_match_references_on_rational_pairs(pair, below, above):
     a = min(lhs.min_support, rhs.min_support) - below
     b = max(lhs.max_support, rhs.max_support) + above
     assert_same_reports(lhs, rhs, a, b)
+
+
+widenings = st.sampled_from([0, F(1, 3), 2])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(law_pairs(), widenings, widenings)
+def test_interval_does_not_change_bounded_reports(pair, s, t):
+    """On the supports' hull [a, b] and on every wider [a - s, b + t],
+    Levin-Stečkin and Szostok give the same report or the same error."""
+    lhs, rhs = pair
+    a = min(lhs.min_support, rhs.min_support)
+    b = max(lhs.max_support, rhs.max_support)
+    assume(a < b and (s or t))
+    for procedure in (levin_steckin_check, szostok_decision):
+        assert _outcome(procedure, lhs, rhs, a, b) == _outcome(
+            procedure, lhs, rhs, a - s, b + t
+        )
 
 
 def test_bounded_procedures_reject_like_references():
