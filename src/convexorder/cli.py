@@ -9,8 +9,11 @@ sign pattern separating mixture and pooled binomial masses).
 Exit codes: 0 success / order holds; 1 verification or order failure;
 2 invalid configuration or unparsable input; 3 method preconditions unmet.
 Rationals cross this boundary as `p/q` strings, never as floats.  Reports
-are byte-identical for a fixed configuration and seed; per-row wall times
-are opt-in (`--timing`) because they would break that determinism.
+are byte-identical for a fixed configuration and seed.
+
+This module alone turns reports into JSON: the compute modules return
+dataclasses of Fractions, laws and test functions, and ``report_data``
+encodes any of them, so no compute module knows the report format.
 
 Each subcommand imports the modules it runs inside its own body, so
 `--help` and every command pay at start-up only for what they use.
@@ -19,6 +22,7 @@ Each subcommand imports the modules it runs inside its own body, so
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -29,11 +33,13 @@ from fractions import Fraction
 
 import click
 
-from .convex_functions import KNOWN_FUNCTION_GROUPS
+from .convex_functions import KNOWN_FUNCTION_GROUPS, ConvexTestFunction
 from .distributions import (
+    DiscreteDistribution,
     FormatError,
     ParameterError,
     as_rational,
+    distribution_to_json_obj,
     parse_distribution,
 )
 
@@ -81,6 +87,26 @@ def _emit(payload: str, out_path: str | None) -> None:
             handle.write(payload)
 
 
+def report_data(obj):
+    """JSON data for a report: a Fraction becomes its `p/q` string, a law its
+    atom list, a test function its description, a dataclass a dict of its
+    fields in field order, and a tuple or list a list; dicts are encoded
+    value by value, and anything else is returned as it is."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, DiscreteDistribution):
+        return distribution_to_json_obj(obj)["atoms"]
+    if isinstance(obj, ConvexTestFunction):
+        return obj.describe()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: report_data(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [report_data(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: report_data(value) for key, value in obj.items()}
+    return obj
+
+
 def _json_payload(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -114,8 +140,7 @@ def main() -> None:
 @click.option("--functions", default=",".join(KNOWN_FUNCTION_GROUPS), show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", default=None, help="Report path (stdout when omitted).")
-@click.option("--timing", is_flag=True, help="Add per-row wall times (breaks byte determinism).")
-def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out, timing):
+def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out):
     """Sweep the inequality verifiers over a rational parameter grid.
 
     Exits 0 only if every order relation holds and every form value is
@@ -131,15 +156,12 @@ def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out, ti
             seed=seed,
             jobs=jobs,
             functions=tuple(f.strip() for f in functions.split(",") if f.strip()),
-            timing=timing,
         )
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc
     rows, ok = run_sweep(config)
-    columns = ["n", "m", "xs", "verdict_a", "verdict_b", "verdict_c", "min_form", "ok"]
-    if timing:
-        columns.append("wall_ms")
     if fmt == "csv":
+        columns = ["n", "m", "xs", "verdict_a", "verdict_b", "verdict_c", "min_form", "ok"]
         payload = _csv_payload(rows, columns)
     else:
         payload = _json_payload(
@@ -176,8 +198,10 @@ def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out, ti
 def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
     """Decide `lhs <=_cx rhs` for two distribution files.
 
-    Exits 0 when the chosen method confirms the order, 1 when it does not,
-    2 on parse failure, 3 when the method's preconditions are unmet.
+    The interval methods default to the supports' hull, widened to [c, c + 1]
+    when it is the single point c.  Exits 0 when the chosen method confirms
+    the order, 1 when it does not, 2 on parse failure, 3 when the method's
+    preconditions are unmet.
     """
     from .cx_order import (
         StandingHypothesisError,
@@ -202,27 +226,29 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
     except FormatError as exc:
         click.echo(f"invalid endpoint: {exc}", err=True)
         sys.exit(2)
+    if lower is None and upper is None and a == b:
+        b = a + 1  # a wider interval changes no bounded report
 
     holds: bool
     try:
         if method == "oracle":
             verdict = cx_compare_oracle(lhs, rhs)
-            report = verdict.to_json_dict()
+            report = report_data(verdict)
             holds = verdict.holds
         elif method == "ohlin":
             if lhs.mean() != rhs.mean():
                 click.echo("ohlin requires equal means", err=True)
                 sys.exit(3)
             ohlin = ohlin_check(lhs, rhs)
-            report = ohlin.to_json_dict()
+            report = report_data(ohlin)
             holds = ohlin.applies
         elif method == "levin-steckin":
             ls = levin_steckin_check(lhs, rhs, a, b)
-            report = ls.to_json_dict()
+            report = {"holds": ls.holds, **report_data(ls)}
             holds = ls.holds
         else:
             sz = szostok_decision(lhs, rhs, a, b)
-            report = sz.to_json_dict()
+            report = report_data(sz)
             holds = sz.decision
     except StandingHypothesisError as exc:
         click.echo(f"standing hypotheses unmet: {exc}", err=True)
@@ -254,23 +280,23 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
     except VerificationError as exc:
         click.echo(f"counterexample verification failed: {exc}", err=True)
         sys.exit(1)
-    payload_obj = report.to_json_dict()
-    payload_obj["holds"] = report.oracle_verdict.holds
-    if scan > 0:
-        payload_obj["scan"] = _scan_for_violations(scan, seed)
+    data = report_data(report)
+    data["holds"] = report.oracle_verdict.holds
     if fmt == "csv":
         flat = {
-            "lhs": " ".join(f"{s}:{m}" for s, m in report.lhs.atoms),
-            "rhs": " ".join(f"{s}:{m}" for s, m in report.rhs.atoms),
-            "sign_change_points": ";".join(str(x) for x in report.sign_change_points),
-            "areas": ";".join(str(a) for a in report.areas),
-            "szostok_decision": report.szostok_decision,
-            "holds": report.oracle_verdict.holds,
-            "witness_function": report.witness_function.describe(),
+            "lhs": " ".join(f"{s}:{m}" for s, m in data["lhs"]),
+            "rhs": " ".join(f"{s}:{m}" for s, m in data["rhs"]),
+            "sign_change_points": ";".join(data["sign_change_points"]),
+            "areas": ";".join(data["areas"]),
+            "szostok_decision": data["szostok_decision"],
+            "holds": data["holds"],
+            "witness_function": data["witness_function"],
         }
         payload = _csv_payload([flat], list(flat.keys()))
     else:
-        payload = _json_payload(payload_obj)
+        if scan > 0:
+            data["scan"] = report_data(_scan_for_violations(scan, seed))
+        payload = _json_payload(data)
     _emit(payload, _resolve_out(out))
 
 
@@ -284,13 +310,7 @@ def _scan_for_violations(count: int, seed: int) -> dict:
         lhs, rhs = random_equal_mean_pair(rng, max_atoms=4)
         verdict = cx_compare_oracle(lhs, rhs)
         if not verdict.holds:
-            violations.append(
-                {
-                    "lhs": [[str(s), str(m)] for s, m in lhs.atoms],
-                    "rhs": [[str(s), str(m)] for s, m in rhs.atoms],
-                    "witness": str(verdict.witness),
-                }
-            )
+            violations.append({"lhs": lhs, "rhs": rhs, "witness": verdict.witness})
     return {
         "pairs": count,
         "violations": len(violations),
@@ -370,7 +390,7 @@ def cmd_psi_pattern(n, xs, out):
         and pattern.values[-1] > 0
     )
     _emit(
-        _json_payload({"command": "psi-pattern", "n": n, **pattern.to_json_dict()}),
+        _json_payload({"command": "psi-pattern", "n": n, **report_data(pattern)}),
         _resolve_out(out),
     )
     if not shape_ok:

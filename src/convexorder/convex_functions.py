@@ -148,26 +148,30 @@ KNOWN_FUNCTION_GROUPS = ("angles", "monomials", "affine", "random-pwl")
 def builtin_family(
     angle_denominator: int,
     *,
-    monomial_degrees: Sequence[int] = (2, 4, 6),
+    groups: Sequence[str] = KNOWN_FUNCTION_GROUPS,
     random_count: int = 5,
     seed: int = 0,
-    include_affine: bool = True,
 ) -> tuple[ConvexTestFunction, ...]:
     """The built-in probe family for distributions supported on [0, 1].
 
-    Angles are placed at every grid point k / angle_denominator (these span
-    the extreme rays needed for supports on that grid), followed by even
-    monomials, one affine function and `random_count` seeded random convex
-    piecewise-linear functions.
+    Of the named groups, in this order: angles at every grid point
+    k / angle_denominator (these span the extreme rays needed for supports
+    on that grid), the even monomials of degree 2, 4 and 6, one affine
+    function, and `random_count` seeded random convex piecewise-linear
+    functions.
     """
     if angle_denominator < 1:
         raise ParameterError("angle denominator must be >= 1")
-    family: list[ConvexTestFunction] = [
-        Angle(Fraction(k, angle_denominator)) for k in range(angle_denominator + 1)
-    ]
-    family.extend(Monomial(k) for k in monomial_degrees)
-    if include_affine:
+    family: list[ConvexTestFunction] = []
+    if "angles" in groups:
+        family.extend(
+            Angle(Fraction(k, angle_denominator)) for k in range(angle_denominator + 1)
+        )
+    if "monomials" in groups:
+        family.extend(Monomial(k) for k in (2, 4, 6))
+    if "affine" in groups:
         family.append(Affine(Fraction(1), Fraction(-2)))
-    rng = random.Random(seed)
-    family.extend(random_piecewise_linear(rng) for _ in range(random_count))
+    if "random-pwl" in groups:
+        rng = random.Random(seed)
+        family.extend(random_piecewise_linear(rng) for _ in range(random_count))
     return tuple(family)

@@ -46,17 +46,6 @@ class CounterexampleReport:
     oracle_verdict: CxVerdict
     witness_function: ConvexTestFunction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": [[str(s), str(m)] for s, m in self.lhs.atoms],
-            "rhs": [[str(s), str(m)] for s, m in self.rhs.atoms],
-            "sign_change_points": [str(x) for x in self.sign_change_points],
-            "areas": [str(a) for a in self.areas],
-            "szostok_decision": self.szostok_decision,
-            "oracle_verdict": self.oracle_verdict.to_json_dict(),
-            "witness_function": self.witness_function.describe(),
-        }
-
 
 def build_counterexample() -> tuple[DiscreteDistribution, DiscreteDistribution]:
     """The pair (law of X + Y, mixture of the i.i.d. sums), built from scratch."""

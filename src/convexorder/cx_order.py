@@ -93,14 +93,6 @@ class CxVerdict:
     witness: Optional[Fraction]
     mean_gap: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "means_equal": self.means_equal,
-            "witness": None if self.witness is None else str(self.witness),
-            "mean_gap": str(self.mean_gap),
-        }
-
 
 @dataclass(frozen=True)
 class OhlinReport:
@@ -115,13 +107,6 @@ class OhlinReport:
     applies: bool
     crossing: Optional[Fraction]
     identical: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "applies": self.applies,
-            "crossing": None if self.crossing is None else str(self.crossing),
-            "identical": self.identical,
-        }
 
 
 @dataclass(frozen=True)
@@ -147,14 +132,6 @@ class LevinSteckinReport:
     def __bool__(self) -> bool:
         return self.holds
 
-    def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "endpoint_match": self.endpoint_match,
-            "integral_match": self.integral_match,
-            "partial_dominance": self.partial_dominance,
-        }
-
 
 @dataclass(frozen=True)
 class SzostokReport:
@@ -174,16 +151,6 @@ class SzostokReport:
     partial_sums_ok: bool
     first_segment_nonneg: bool
     decision: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sign_change_points": [str(x) for x in self.sign_change_points],
-            "areas": [str(a) for a in self.areas],
-            "parity_ok": self.parity_ok,
-            "partial_sums_ok": self.partial_sums_ok,
-            "first_segment_nonneg": self.first_segment_nonneg,
-            "decision": self.decision,
-        }
 
 
 class _Segments(NamedTuple):

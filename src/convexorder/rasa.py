@@ -57,6 +57,7 @@ from .lattice import (
 )
 
 __all__ = [
+    "MAX_LATTICE_LENGTH",
     "RasaPair",
     "PsiPattern",
     "GeneralizedVerdicts",
@@ -75,6 +76,17 @@ __all__ = [
     "psi_sign_pattern",
     "builtin_family",
 ]
+
+MAX_LATTICE_LENGTH = 1000
+"""The largest m * n a sweep or a psi pattern accepts.
+
+The lattice 0..m*n carries every law, form and psi sequence, and its cost
+grows fast with it: one ``verify-rasa`` grid point with all probe groups
+took 1.7 s at m * n = 500, 8.9 s at 1000 and 56 s at 2000 on one 2-core
+x86-64 host.  A psi pattern at m * n = 1000 took 0.09 s there with two
+parameters, but 19 s with 100 and 46 s with 200 (parameters k / (m + 1)),
+as its Fraction sums also grow with m.
+"""
 
 
 def bernstein(n: int, i: int, x: RationalLike) -> Fraction:
@@ -313,13 +325,6 @@ class PsiPattern:
     pattern: str
     change_count: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "values": [str(v) for v in self.values],
-            "pattern": self.pattern,
-            "change_count": self.change_count,
-        }
-
 
 def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
     """Compute psi_0..psi_mn and its sign-change structure.
@@ -339,6 +344,8 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
     if all(x == xs[0] for x in xs):
         raise ParameterError("degenerate input: all parameters equal, psi == 0")
     mn = m * n
+    if mn > MAX_LATTICE_LENGTH:
+        raise ParameterError(f"m * n is {mn}, above the limit of {MAX_LATTICE_LENGTH}")
     x_bar = sum(xs, Fraction(0)) / m
     values = []
     for k in range(mn + 1):

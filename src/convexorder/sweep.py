@@ -11,7 +11,6 @@ regardless of the parallelism degree.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +20,7 @@ from typing import Sequence
 from .convex_functions import KNOWN_FUNCTION_GROUPS, builtin_family
 from .distributions import ParameterError
 from .lattice import dot, probe_table
-from .rasa import lattice_point
+from .rasa import MAX_LATTICE_LENGTH, lattice_point
 
 __all__ = [
     "RunConfig",
@@ -55,9 +54,10 @@ def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
 class RunConfig:
     """Configuration of one sweep: ranges, grid bound, probe functions.
 
-    ``n_values`` and ``m_values`` may be ``range`` objects: the grid is
-    counted from their lengths before any check iterates them, so a huge
-    range is rejected without being built.
+    ``n_values`` and ``m_values`` ascend and may be ``range`` objects: the
+    grid is counted from their lengths before any check iterates them, so a
+    huge range is rejected without being built, and the largest m * n is read
+    from their ends.
     """
 
     n_values: Sequence[int]
@@ -66,7 +66,6 @@ class RunConfig:
     seed: int = 0
     jobs: int = 1
     functions: tuple[str, ...] = KNOWN_FUNCTION_GROUPS
-    timing: bool = False
 
     def __post_init__(self) -> None:
         if not self.n_values or not self.m_values:
@@ -86,6 +85,11 @@ class RunConfig:
             raise ParameterError("n values must be >= 1")
         if any(m < 2 for m in self.m_values):
             raise ParameterError("m values must be >= 2")
+        length = self.m_values[-1] * self.n_values[-1]
+        if length > MAX_LATTICE_LENGTH:
+            raise ParameterError(
+                f"m * n reaches {length}, above the limit of {MAX_LATTICE_LENGTH}"
+            )
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
         if not self.functions:
@@ -148,17 +152,7 @@ def _probe_table(
     depend on the grid point.  Built once per (points, groups, seed) in each
     worker, so tasks carry only the group names and the seed.
     """
-    options: dict = {"seed": seed}
-    if "monomials" not in functions:
-        options["monomial_degrees"] = ()
-    if "random-pwl" not in functions:
-        options["random_count"] = 0
-    if "affine" not in functions:
-        options["include_affine"] = False
-    family = builtin_family(points, **options)
-    if "angles" not in functions:
-        family = family[points + 1 :]
-    return probe_table(points, family)
+    return probe_table(points, builtin_family(points, groups=functions, seed=seed))
 
 
 def grid_tasks(config: RunConfig) -> list[tuple]:
@@ -168,7 +162,7 @@ def grid_tasks(config: RunConfig) -> list[tuple]:
     for n in config.n_values:
         for m in config.m_values:
             for xs in combinations_with_replacement(values, m):
-                tasks.append((n, m, xs, config.functions, config.seed, config.timing))
+                tasks.append((n, m, xs, config.functions, config.seed))
     return tasks
 
 
@@ -178,15 +172,14 @@ def evaluate_grid_point(task: tuple) -> dict:
     One set of lattice laws decides the three relations and gives the form's
     integer coefficients; every probe is then one integer dot product.
     """
-    n, m, xs, functions, seed, timing = task
-    started = time.perf_counter()
+    n, m, xs, functions, seed = task
     point = lattice_point(n, xs)
     verdicts = point.verdicts()
     coeff = point.form_coefficients()
     rows, den = _probe_table(m * n, functions, seed)
     min_form = Fraction(min(dot(coeff.nums, row) for row in rows), coeff.den * den)
     ok = verdicts.all_hold and min_form >= 0
-    row = {
+    return {
         "n": n,
         "m": m,
         "xs": ";".join(str(x) for x in xs),
@@ -196,9 +189,6 @@ def evaluate_grid_point(task: tuple) -> dict:
         "min_form": str(min_form),
         "ok": ok,
     }
-    if timing:
-        row["wall_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    return row
 
 
 def _available_cpus() -> int:

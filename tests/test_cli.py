@@ -21,6 +21,7 @@ from convexorder import (
 )
 from convexorder import sweep
 from convexorder.cli import main
+from convexorder.rasa import MAX_LATTICE_LENGTH
 from convexorder.sweep import RunConfig, run_sweep
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -109,6 +110,28 @@ class TestVerifyRasa:
         )
         assert result.exit_code == 2
         assert "--n bounds have at most 18 digits" in result.output
+
+    @pytest.mark.parametrize(
+        "n_range, m_range, length",
+        [
+            ("999999999999999999", "2", 1999999999999999998),
+            ("1..334", "3", 1002),
+            ("1..51", "2..20", 1020),
+        ],
+    )
+    def test_lattice_length_over_limit_exits_2_at_once(self, n_range, m_range, length):
+        started = time.perf_counter()
+        result = runner.invoke(
+            main, ["verify-rasa", "--n", n_range, "--m", m_range, "--denom", "2"]
+        )
+        assert time.perf_counter() - started < 1
+        assert result.exit_code == 2
+        message = f"m * n reaches {length}, above the limit of {MAX_LATTICE_LENGTH}\n"
+        assert message in result.output
+
+    def test_lattice_length_at_limit_accepted(self):
+        config = RunConfig(n_values=range(1, 501), m_values=range(2, 3), denominator=2)
+        assert config.m_values[-1] * config.n_values[-1] == MAX_LATTICE_LENGTH
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -304,6 +327,22 @@ class TestCxCompare:
             assert result.exit_code == 2
             assert message in result.output
 
+    @pytest.mark.parametrize(
+        "method, key", [("levin-steckin", "holds"), ("szostok", "decision")]
+    )
+    def test_one_shared_atom_defaults_to_unit_interval(self, tmp_path, method, key):
+        path = tmp_path / "d0.txt"
+        path.write_text("0 1\n")
+        result = runner.invoke(main, ["cx-compare", str(path), str(path), "--method", method])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)[key] is True
+        result = runner.invoke(
+            main,
+            ["cx-compare", str(path), str(path), "--method", method, "--a", "0", "--b", "0"],
+        )
+        assert result.exit_code == 3
+        assert "need a < b" in result.output
+
     def test_json_input_accepted(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.txt"
@@ -403,3 +442,12 @@ class TestPsiPatternCommand:
     def test_boundary_exit_2(self):
         result = runner.invoke(main, ["psi-pattern", "--n", "1", "0", "1/2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("n", ["999999999999999999", "501"])
+    def test_lattice_length_over_limit_exits_2_at_once(self, n):
+        started = time.perf_counter()
+        result = runner.invoke(main, ["psi-pattern", "--n", n, "1/3", "2/3"])
+        assert time.perf_counter() - started < 1
+        assert result.exit_code == 2
+        message = f"m * n is {2 * int(n)}, above the limit of {MAX_LATTICE_LENGTH}\n"
+        assert message in result.output

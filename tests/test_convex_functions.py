@@ -125,3 +125,11 @@ def test_family_composition():
     assert sum(isinstance(f, PiecewiseLinear) for f in fam) == 3
     assert fam == builtin_family(4, random_count=3, seed=11)
     assert fam != builtin_family(4, random_count=3, seed=12)
+
+
+def test_family_groups_select_in_family_order():
+    fam = builtin_family(4, random_count=3, seed=11)
+    assert builtin_family(4, groups=("angles",)) == fam[:5]
+    assert builtin_family(4, groups=("affine", "monomials")) == fam[5:9]
+    assert builtin_family(4, groups=("random-pwl",), random_count=3, seed=11) == fam[9:]
+    assert builtin_family(4, groups=()) == ()

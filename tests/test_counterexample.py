@@ -10,6 +10,7 @@ from convexorder import (
     levin_steckin_check,
     szostok_decision,
 )
+from convexorder.cli import report_data
 from oracles import cdf_integral_by_midpoints
 
 
@@ -62,7 +63,7 @@ def test_three_procedures_agree_on_failure():
 
 
 def test_report_serializes():
-    obj = analyze_counterexample().to_json_dict()
+    obj = report_data(analyze_counterexample())
     assert obj["areas"] == ["1/8", "3/8", "3/8", "1/8"]
     assert obj["sign_change_points"] == ["1", "4", "7"]
     assert obj["szostok_decision"] is False

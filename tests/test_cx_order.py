@@ -28,6 +28,7 @@ from convexorder import (
     sign_changes,
     szostok_decision,
 )
+from convexorder.cli import report_data
 from oracles import (
     cdf_integral_by_midpoints,
     convex_order_by_probing,
@@ -315,18 +316,18 @@ def test_procedures_on_counterexample_laws():
 
 def test_reports_serialize_with_rational_strings():
     lhs, rhs = build_counterexample()
-    verdict = cx_compare_oracle(lhs, rhs).to_json_dict()
+    verdict = report_data(cx_compare_oracle(lhs, rhs))
     assert verdict == {
         "holds": False,
         "means_equal": True,
         "witness": "4",
         "mean_gap": "0",
     }
-    sz = szostok_decision(lhs, rhs, F(0), F(8)).to_json_dict()
+    sz = report_data(szostok_decision(lhs, rhs, F(0), F(8)))
     assert sz["sign_change_points"] == ["1", "4", "7"]
     assert sz["areas"] == ["1/8", "3/8", "3/8", "1/8"]
     assert sz["decision"] is False
-    oh = ohlin_check(lhs, rhs).to_json_dict()
+    oh = report_data(ohlin_check(lhs, rhs))
     assert oh == {"applies": False, "crossing": None, "identical": False}
 
 
