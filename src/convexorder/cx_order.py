@@ -41,6 +41,8 @@ its total is mean(lhs) - mean(rhs).  The interval procedures first check
 that both laws live in [a, b]; the running integral from a is then zero left
 of the supports' hull and constant right of it, so a and b add nothing to
 the table.  ``lattice.lattice_oracle`` feeds lattice pairs to the same scan.
+A pair's table is built once and reused by consecutive calls on the same
+ordered pair, so running every procedure on one pair builds one table.
 
 The randomized corpora used to exercise these procedures are seeded
 explicitly, so parallel batch runs are reproducible.
@@ -51,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .distributions import DiscreteDistribution, ParameterError, as_rational
@@ -178,12 +181,17 @@ class _Segments(NamedTuple):
         return Fraction(num, self.den)
 
 
+@lru_cache(maxsize=1)
 def _segments(dl: DiscreteDistribution, dr: DiscreteDistribution) -> _Segments:
     """The segment table of the pair on the union of supports.
 
     The laws' int numerators come to the common denominator of their mass
     denominators and grid points to ints over the least common denominator
     of all support points, so the pass itself only adds and multiplies ints.
+
+    Callers run several procedures on one ordered pair in turn, so the last
+    table is kept and reused.  Laws are immutable and compare structurally,
+    so an equal key means an equal table; its lists are only ever read.
     """
     (points_l, unit_l), (nums_l, den_l) = dl.support_numerators, dl.mass_numerators
     (points_r, unit_r), (nums_r, den_r) = dr.support_numerators, dr.mass_numerators

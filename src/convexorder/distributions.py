@@ -200,7 +200,9 @@ class DiscreteDistribution:
                 f"masses must sum to 1 exactly, got {Fraction(total, den)}"
             )
         g = math.gcd(scale, *points)
-        h = math.gcd(*nums)  # it divides den, their sum
+        # gcd(*nums) divides den, their sum, so it equals gcd(den, *nums); a
+        # reduced binomial's den and first numerator are already coprime.
+        h = math.gcd(den, *nums)
         object.__setattr__(
             self, "support_numerators", (tuple(p // g for p in points), scale // g)
         )
@@ -242,6 +244,15 @@ class DiscreteDistribution:
     @cached_property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(zip(self.support, self.masses))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.support_numerators, self.mass_numerators))
+
+    def __hash__(self) -> int:
+        # Laws key the segment-table cache on every procedure call, and their
+        # numerators can run to thousands of bits, so the hash is kept.
+        return self._hash
 
     @cached_property
     def _cumulative(self) -> tuple[int, ...]:
@@ -388,7 +399,8 @@ def convolve_many(parts: Sequence[DiscreteDistribution]) -> DiscreteDistribution
 
     Supports are brought to ints over their least common denominator, and a
     dict of partial sums of the parts' int mass numerators is folded part by
-    part; no Fraction is built.
+    part: the first atom of a part fills the next dict in one comprehension,
+    and only the others look their sums up.  No Fraction is built.
     """
     if not parts:
         raise ParameterError("convolve_many needs at least one distribution")
@@ -398,10 +410,10 @@ def convolve_many(parts: Sequence[DiscreteDistribution]) -> DiscreteDistribution
     for part in parts:
         points, part_unit = part.support_numerators
         stretch = unit // part_unit
-        atoms = list(zip([t * stretch for t in points], part.mass_numerators[0]))
-        out: dict[int, int] = {}
-        for s, v in sums.items():
-            for t, w in atoms:
+        (t, w), *rest = zip([p * stretch for p in points], part.mass_numerators[0])
+        out = {s + t: v * w for s, v in sums.items()}
+        for t, w in rest:
+            for s, v in sums.items():
                 out[s + t] = out.get(s + t, 0) + v * w
         sums = out
     keys = sorted(sums)

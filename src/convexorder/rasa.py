@@ -83,9 +83,9 @@ MAX_LATTICE_LENGTH = 1000
 The lattice 0..m*n carries every law, form and psi sequence, and its cost
 grows fast with it: one ``verify-rasa`` grid point with all probe groups
 took 1.7 s at m * n = 500, 8.9 s at 1000 and 56 s at 2000 on one 2-core
-x86-64 host.  A psi pattern at m * n = 1000 took 0.09 s there with two
-parameters, but 19 s with 100 and 46 s with 200 (parameters k / (m + 1)),
-as its Fraction sums also grow with m.
+x86-64 host.  A psi pattern at m * n = 1000 took 0.02 s there with two
+parameters, 0.4 s with 100, 0.7 s with 200 and 2.9 s with 1000 (parameters
+k / (m + 1)), as its sums of int power products also grow with m.
 """
 
 
@@ -331,6 +331,8 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
 
     Parameters must be strictly inside (0, 1) and not all equal; the all
     equal input makes psi identically zero and is rejected as degenerate.
+    The sequence is summed in ints over one common denominator, and one
+    Fraction is built per value.
     """
     xs = [as_rational(x) for x in xs]
     m = len(xs)
@@ -346,19 +348,41 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
     mn = m * n
     if mn > MAX_LATTICE_LENGTH:
         raise ParameterError(f"m * n is {mn}, above the limit of {MAX_LATTICE_LENGTH}")
-    x_bar = sum(xs, Fraction(0)) / m
-    values = []
-    for k in range(mn + 1):
-        avg = sum(
-            (x**k * (1 - x) ** (mn - k) for x in xs), Fraction(0)
-        ) / m
-        values.append(avg - x_bar**k * (1 - x_bar) ** (mn - k))
-    pattern = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in values)
+    # With x_i = a_i / q over the least common denominator q and A = sum a_i,
+    # psi_k = (m^(mn-1) sum_i a_i^k (q - a_i)^(mn-k) - A^k (mq - A)^(mn-k))
+    # over (mq)^mn; the ints below are those numerators.
+    q = math.lcm(*(x.denominator for x in xs))
+    numerators = [x.numerator * (q // x.denominator) for x in xs]
+    own = [0] * (mn + 1)
+    for a in numerators:
+        for k, term in enumerate(_power_products(a, q - a, mn)):
+            own[k] += term
+    total = sum(numerators)
+    pooled = _power_products(total, m * q - total, mn)
+    m_power = m ** (mn - 1)
+    nums = [m_power * v - w for v, w in zip(own, pooled)]
+    den = (m * q) ** mn
+    pattern = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in nums)
     return PsiPattern(
-        values=tuple(values),
+        values=tuple(Fraction(v, den) for v in nums),
         pattern=pattern,
-        change_count=sign_changes(values),
+        change_count=sign_changes(nums),
     )
+
+
+def _power_products(a: int, b: int, n: int) -> list[int]:
+    """a^k b^(n-k) for k = 0..n, b > 0, as one running product.
+
+    Each step trades a factor b for a factor a by an exact division, which
+    costs time linear in the term's size where a product of two powers
+    would cost a full big-int multiplication.
+    """
+    term = b**n
+    out = [term]
+    for _ in range(n):
+        term = term // b * a
+        out.append(term)
+    return out
 
 
 @dataclass(frozen=True)

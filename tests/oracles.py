@@ -7,7 +7,8 @@ and scalings as Fraction sums and products over the atoms, instead of the
 int numerators the law is held as; CDF integrals via midpoint sampling
 instead of right limits, the convex order via direct expectation sweeps over
 a large probe family, the Bernstein form via Fraction Cauchy products of the
-basis vectors instead of the integer lattice kernel, and the four
+basis vectors instead of the integer lattice kernel, the psi sequence by
+Fraction powers instead of int power products, and the four
 convex-order procedures via Fraction CDF values looked up point by point
 (the stop-loss oracle as an O(K^2) scan of ``stop_loss``) instead of the
 integer segment table.
@@ -201,6 +202,19 @@ def form_value(coeff: Sequence[Fraction], f) -> Fraction:
 def rasa_form_by_cauchy(n: int, xs: Sequence[Fraction], f) -> Fraction:
     """The m-variable Bernstein form at (x_1..x_m) by Fraction Cauchy products."""
     return form_value(form_coefficients_by_cauchy(n, xs), f)
+
+
+def psi_values_by_fractions(n: int, xs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """psi_k = (1/m) sum_i x_i^k (1-x_i)^(mn-k) - xbar^k (1-xbar)^(mn-k),
+    k = 0..mn, as Fraction powers and sums."""
+    m = len(xs)
+    mn = m * n
+    x_bar = sum(xs, Fraction(0)) / m
+    return tuple(
+        sum((x**k * (1 - x) ** (mn - k) for x in xs), Fraction(0)) / m
+        - x_bar**k * (1 - x_bar) ** (mn - k)
+        for k in range(mn + 1)
+    )
 
 
 def oracle_by_stop_loss_scan(

@@ -19,7 +19,7 @@ from convexorder import (
     distribution_to_text,
     mixture,
 )
-from convexorder import sweep
+from convexorder import cli, sweep
 from convexorder.cli import main
 from convexorder.rasa import MAX_LATTICE_LENGTH
 from convexorder.sweep import RunConfig, run_sweep
@@ -386,6 +386,48 @@ class TestCounterexampleCommand:
         result = runner.invoke(main, ["counterexample", "--scan", "-3"])
         assert result.exit_code == 2
         assert "--scan" in result.output
+
+    def test_csv_with_scan_exits_2(self):
+        result = runner.invoke(main, ["counterexample", "--format", "csv", "--scan", "3"])
+        assert result.exit_code == 2
+        assert "--scan is reported only in JSON" in result.output
+        zero = runner.invoke(main, ["counterexample", "--format", "csv", "--scan", "0"])
+        assert zero.exit_code == 0
+        assert zero.output == runner.invoke(main, ["counterexample", "--format", "csv"]).output
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["counterexample", "--scan", str(cli.MAX_SCAN_PAIRS + 1)],
+            f"0<=x<={cli.MAX_SCAN_PAIRS}",
+        ),
+        (
+            ["hoeffding", "--random", str(cli.MAX_RANDOM_INSTANCES + 1)],
+            f"0<=x<={cli.MAX_RANDOM_INSTANCES}",
+        ),
+        (
+            ["hoeffding", "--random", "1", "--n-max", "1000000000"],
+            f"--n-max is 1000000000, above the limit of {MAX_LATTICE_LENGTH}",
+        ),
+        (
+            ["hoeffding", "--random", "1", "--n-max", str(MAX_LATTICE_LENGTH + 1)],
+            f"--n-max is {MAX_LATTICE_LENGTH + 1}, above the limit of {MAX_LATTICE_LENGTH}",
+        ),
+        (
+            ["hoeffding", "1/2", "--random", "1", "--denom", str(cli.MAX_HOEFFDING_DENOM + 1)],
+            f"--denom is {cli.MAX_HOEFFDING_DENOM + 1}, above the limit of "
+            f"{cli.MAX_HOEFFDING_DENOM}",
+        ),
+    ],
+)
+def test_size_argument_over_limit_exits_2_at_once(argv, message):
+    started = time.perf_counter()
+    result = runner.invoke(main, argv)
+    assert time.perf_counter() - started < 1
+    assert result.exit_code == 2
+    assert message in result.output
 
 
 class TestHoeffdingCommand:

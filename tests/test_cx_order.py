@@ -29,6 +29,7 @@ from convexorder import (
     szostok_decision,
 )
 from convexorder.cli import report_data
+from convexorder.cx_order import _segments
 from oracles import (
     cdf_integral_by_midpoints,
     convex_order_by_probing,
@@ -473,3 +474,66 @@ def test_bounded_procedures_reject_like_references():
     for a, b in ((F(1), F(1)), (F(2), F(0)), (F(1, 2), F(2)), (F(0), F(3, 2))):
         assert_same_reports(lhs, rhs, a, b)
     assert_same_reports(dirac(0), bernoulli(HALF), F(0), F(1))
+
+
+# ---------------------------------------------------------------------------
+# One segment table per ordered pair, reused by consecutive calls
+# ---------------------------------------------------------------------------
+
+
+def _copy(law):
+    """An equal law held by a distinct object."""
+    return DiscreteDistribution._from_ints(*law.support_numerators, *law.mass_numerators)
+
+
+PROCEDURES = {
+    "oracle": (cx_compare_oracle, oracle_by_stop_loss_scan, False),
+    "ohlin": (ohlin_check, ohlin_by_probes, False),
+    "crossing": (crossing_points, crossing_points_by_cdf, False),
+    "levin_steckin": (levin_steckin_check, levin_steckin_by_cdf_integrals, True),
+    "szostok": (szostok_decision, szostok_by_cdf_segments, True),
+}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    law_pairs(),
+    st.lists(
+        st.tuples(st.sampled_from(sorted(PROCEDURES)), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_reused_tables_give_fresh_reports(pair, calls):
+    """Procedures in any order, both orientations interleaved and equal but
+    distinct law objects: each report equals the one from an empty table
+    cache and the reference report."""
+    lhs, rhs = pair
+    a = min(lhs.min_support, rhs.min_support)
+    b = max(lhs.max_support, rhs.max_support) + 1
+    for name, reverse, copied in calls:
+        procedure, reference, bounded = PROCEDURES[name]
+        x, y = (rhs, lhs) if reverse else (lhs, rhs)
+        if copied:
+            x, y = _copy(x), _copy(y)
+            assert x is not lhs and x is not rhs and x in (lhs, rhs)
+        args = (x, y, a, b) if bounded else (x, y)
+        warm = _outcome(procedure, *args)
+        _segments.cache_clear()
+        assert warm == _outcome(procedure, *args) == _outcome(reference, *args)
+
+
+def test_compare_large_calls_build_two_tables():
+    """The four procedures on both orientations of one Poisson-binomial and
+    binomial pair, in the benchmark's order, build one table per orientation."""
+    ps = [F(1 + i % 6, 7 + i % 5) for i in range(60)]
+    pb = poisson_binomial(ps)
+    bn = binomial(60, sum(ps, F(0)) / 60)
+    _segments.cache_clear()
+    for lhs, rhs in ((pb, bn), (bn, pb)):
+        cx_compare_oracle(lhs, rhs)
+        levin_steckin_check(lhs, rhs, F(0), F(60))
+        szostok_decision(lhs, rhs, F(0), F(60))
+        ohlin_check(lhs, rhs)
+    info = _segments.cache_info()
+    assert (info.misses, info.hits) == (2, 6)

@@ -385,6 +385,44 @@ class TestIntegerConvolution:
             expected = convolve_by_fractions(expected, part)
         assert convolve_many(parts) == expected
 
+    @pytest.mark.parametrize(
+        "sizes", [(1,), (2,), (3,), (1, 2), (2, 3), (3, 1, 2), (3, 3, 3), (1, 1, 2, 3)]
+    )
+    def test_convolve_many_parts_of_one_to_three_atoms(self, sizes):
+        """Parts of 1, 2 and 3 atoms on supports over different denominators,
+        so each part is stretched to the common scale before the fold."""
+        shapes = {
+            1: [(F(2, 3), F(1))],
+            2: [(F(-1, 2), F(2, 5)), (F(5, 4), F(3, 5))],
+            3: [(F(0), F(1, 6)), (F(1, 6), F(1, 2)), (F(7, 5), F(1, 3))],
+        }
+        parts = [
+            DiscreteDistribution.from_pairs((s + i, m) for s, m in shapes[k])
+            for i, k in enumerate(sizes)
+        ]
+        expected = parts[0]
+        for part in parts[1:]:
+            expected = convolve_by_fractions(expected, part)
+        law = convolve_many(parts)
+        assert law == expected
+        assert law.atoms == expected.atoms
+
+    @pytest.mark.parametrize(
+        "nums, den, reduced",
+        [
+            ((2, 4), 6, ((1, 2), 3)),
+            ((6, 9), 15, ((2, 3), 5)),
+            ((4, 6, 2), 12, ((2, 3, 1), 6)),
+            ((3, 5), 8, ((3, 5), 8)),
+        ],
+    )
+    def test_mass_numerators_reduced_from_reducible_ints(self, nums, den, reduced):
+        law = DiscreteDistribution._from_ints(range(len(nums)), 1, nums, den)
+        assert law.mass_numerators == reduced
+        assert law == DiscreteDistribution.from_pairs(
+            (k, F(v, den)) for k, v in enumerate(nums)
+        )
+
     def test_mass_numerators_over_least_common_denominator(self):
         d = DiscreteDistribution.from_pairs([(0, F(1, 6)), (1, F(1, 2)), (2, F(1, 3))])
         assert d.mass_numerators == ((1, 3, 2), 6)

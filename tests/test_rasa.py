@@ -28,10 +28,12 @@ from convexorder import (
     rasa_form_general,
     rasa_pair,
     builtin_family,
+    sign_changes,
     verify_generalized,
     verify_hoeffding,
     verify_theorem_main,
 )
+from oracles import psi_values_by_fractions
 
 HALF = F(1, 2)
 
@@ -212,6 +214,25 @@ class TestPsiPattern:
         assert (
             sum(math.comb(mn, k) * v for k, v in enumerate(pattern.values)) == 0
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            (F(1, 4), F(3, 4)),
+            (F(1, 3), F(2, 7), F(5, 6)),
+            (F(2, 9), F(2, 9), F(1, 2)),
+            (F(1, 2), F(1, 3), F(3, 4), F(5, 8)),
+        ],
+    )
+    def test_values_match_fraction_formula(self, n, xs):
+        pattern = psi_sign_pattern(n, xs)
+        expected = psi_values_by_fractions(n, xs)
+        assert pattern.values == expected
+        assert pattern.pattern == "".join(
+            "+" if v > 0 else "-" if v < 0 else "0" for v in expected
+        )
+        assert pattern.change_count == sign_changes(expected)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ParameterError):
