@@ -354,6 +354,10 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     from .randomgen import random_probability
     from .rasa import MAX_LATTICE_LENGTH, verify_hoeffding
 
+    if len(ps) > MAX_LATTICE_LENGTH:
+        raise click.UsageError(
+            f"{len(ps)} probabilities given, above the limit of {MAX_LATTICE_LENGTH}"
+        )
     if random_count:
         for name, value, limit in (
             ("--n-max", n_max, MAX_LATTICE_LENGTH),

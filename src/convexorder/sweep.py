@@ -3,14 +3,18 @@
 A sweep enumerates grid points lexicographically in (n, m, sorted parameter
 tuple), where the parameters run over all reduced fractions in [0, 1] with
 denominator up to a bound.  Each point is evaluated by a pure function, so
-the work can be farmed out to a process pool; rows are always reduced in
-grid order, making reports byte-identical for a fixed configuration and seed
-regardless of the parallelism degree.
+the grid can be split into strides: forked children evaluate all but the
+first, the parent evaluates the first, and the rows come back over pipes.
+Rows are always put back in grid order, and a stride whose child fails is
+evaluated in the parent, so reports are byte-identical for a fixed
+configuration and seed regardless of the parallelism degree.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -150,7 +154,7 @@ def _probe_table(
 
     Angles sit at every grid point k / points; the other groups do not
     depend on the grid point.  Built once per (points, groups, seed) in each
-    worker, so tasks carry only the group names and the seed.
+    process, so tasks carry only the group names and the seed.
     """
     return probe_table(points, builtin_family(points, groups=functions, seed=seed))
 
@@ -198,26 +202,132 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _single_threaded() -> bool:
+    """Whether this process runs one thread, so that a fork copies no lock
+    another thread holds.
+
+    Linux lists every thread, Python's or not, under ``/proc/self/task``;
+    elsewhere the threads started through ``threading`` are counted.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        import threading
+
+        return threading.active_count() == 1
+
+
+def _fork_stride(tasks: list[tuple], start: int, jobs: int) -> tuple[int, int]:
+    """Fork a child that writes the rows of ``tasks[start::jobs]`` to a pipe.
+
+    The rows go as one ``marshal`` string; the child leaves through
+    ``os._exit``, with status 0 only once all of it is written.  Returns the
+    child's pid and the pipe's read end.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            data = memoryview(
+                marshal.dumps([evaluate_grid_point(t) for t in tasks[start::jobs]])
+            )
+            while data:
+                data = data[os.write(write_fd, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect_stride(pid: int, read_fd: int, count: int) -> tuple[list | None, str]:
+    """Read a child's rows to the end of its pipe, close the pipe and reap it.
+
+    Returns the ``count`` rows, or ``None`` and why they are unusable.
+    """
+    chunks = []
+    try:
+        while chunk := os.read(read_fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        return None, f"the child was killed by signal {os.WTERMSIG(status)}"
+    if os.WEXITSTATUS(status) != 0:
+        return None, f"the child exited with status {os.WEXITSTATUS(status)}"
+    try:
+        rows = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):
+        return None, "the child's rows are unreadable"
+    if not isinstance(rows, list) or len(rows) != count:
+        return None, "the child's rows are short"
+    return rows, ""
+
+
+def _strided_rows(tasks: list[tuple], jobs: int) -> list[dict]:
+    """Evaluate ``tasks[i::jobs]`` in forked children for i >= 1 and stride 0
+    here, then put the rows back in grid order.
+
+    A stride whose child cannot be forked, fails or sends unusable rows is
+    evaluated here, and one line on stderr names it and the cause.  Every
+    pipe is closed and every child reaped, also when this process raises.
+    """
+    rows: list = [None] * len(tasks)
+    children: dict[int, tuple[int, int]] = {}
+    unforked: dict[int, str] = {}
+    try:
+        for start in range(1, jobs):
+            try:
+                children[start] = _fork_stride(tasks, start, jobs)
+            except OSError as exc:
+                unforked[start] = f"fork failed: {exc}"
+        rows[0::jobs] = [evaluate_grid_point(t) for t in tasks[0::jobs]]
+        for start in range(1, jobs):
+            if start in children:
+                pid, read_fd = children.pop(start)
+                stride, cause = _collect_stride(pid, read_fd, len(rows[start::jobs]))
+            else:
+                stride, cause = None, unforked[start]
+            if stride is None:
+                sys.stderr.write(
+                    f"convexorder: stride {start} of {jobs} evaluated in the "
+                    f"parent: {cause}\n"
+                )
+                stride = [evaluate_grid_point(t) for t in tasks[start::jobs]]
+            rows[start::jobs] = stride
+    finally:
+        if children:
+            import signal
+
+            for pid, read_fd in children.values():
+                os.close(read_fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return rows
+
+
 def run_sweep(config: RunConfig) -> tuple[list[dict], bool]:
     """Evaluate the whole grid; rows come back in grid order.
 
     ``config.jobs`` is clamped to the CPUs this process may use and to the
-    task count, and the pool runs only when that leaves more than one
-    worker.  It is imported only then: ``concurrent.futures.process`` pulls in
-    ``multiprocessing``, which would otherwise cost every serial run.  A pool
-    that cannot start or whose workers die falls back to the serial path.
+    task count.  When that leaves more than one job, ``os.fork`` exists and
+    this process runs one thread, the grid is split into ``jobs`` strides:
+    ``jobs - 1`` forked children evaluate one each and this process the
+    first (see ``_strided_rows``).  Otherwise, on a platform without
+    ``os.fork`` for one, the grid is evaluated here, with the same rows.
     """
     tasks = grid_tasks(config)
     jobs = min(config.jobs, _available_cpus(), len(tasks))
-    if jobs > 1:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(tasks) // (jobs * 4))
-                rows = list(pool.map(evaluate_grid_point, tasks, chunksize=chunk))
-        except (OSError, BrokenExecutor):
-            rows = [evaluate_grid_point(t) for t in tasks]
+    if jobs > 1 and hasattr(os, "fork") and _single_threaded():
+        rows = _strided_rows(tasks, jobs)
     else:
         rows = [evaluate_grid_point(t) for t in tasks]
     return rows, all(row["ok"] for row in rows)

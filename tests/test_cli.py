@@ -1,13 +1,15 @@
-import concurrent.futures
 import json
+import marshal
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -27,6 +29,22 @@ from convexorder.sweep import RunConfig, run_sweep
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 runner = CliRunner()
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids that ``os.fork`` returns to this process during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def write_pair(tmp_path):
@@ -155,66 +173,126 @@ class TestVerifyRasa:
         assert serial.output == parallel.output
 
     @pytest.mark.parametrize(
-        "error", [BrokenProcessPool("a worker died"), OSError("no semaphores")]
+        "failure, cause",
+        [
+            ("fork", "fork failed: no processes"),
+            ("raise", "the child exited with status 1"),
+            ("kill", f"the child was killed by signal {int(signal.SIGKILL)}"),
+            ("unreadable", "the child's rows are unreadable"),
+            ("short", "the child's rows are short"),
+        ],
     )
-    def test_failing_pool_falls_back_to_serial(self, monkeypatch, error):
+    def test_failed_stride_falls_back_to_serial(self, monkeypatch, capsys, failure, cause):
         config = RunConfig(n_values=(1, 2), m_values=(2,), denominator=3, seed=1, jobs=2)
         serial_rows, serial_ok = run_sweep(replace(config, jobs=1))
         args = ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "3", "--seed", "1"]
         serial = runner.invoke(main, args)
-        started = []
+        parent = os.getpid()
+        evaluate = sweep.evaluate_grid_point
 
-        class FailingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def evaluate_or_fail(task):
+            """The child's first point raises or kills it; the parent's pass."""
+            if os.getpid() != parent:
+                if failure == "raise":
+                    raise RuntimeError("a point that only fails in the child")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return evaluate(task)
 
-            def __enter__(self):
-                return self
+        def no_fork():
+            raise OSError("no processes")
 
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                raise error
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
+        if failure == "fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        elif failure in ("raise", "kill"):
+            monkeypatch.setattr(sweep, "evaluate_grid_point", evaluate_or_fail)
+        else:
+            damaged = {
+                "unreadable": lambda rows: marshal.dumps(rows)[:-1],
+                "short": lambda rows: marshal.dumps(rows[:-1]),
+            }
+            monkeypatch.setattr(
+                sweep, "marshal", SimpleNamespace(dumps=damaged[failure], loads=marshal.loads)
+            )
         monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
         assert run_sweep(config) == (serial_rows, serial_ok)
+        line = f"convexorder: stride 1 of 2 evaluated in the parent: {cause}\n"
+        assert capsys.readouterr().err == line
         result = runner.invoke(main, args + ["--jobs", "2"])
-        assert started == [2, 2]
         assert result.exit_code == serial.exit_code == 0, result.output
-        assert result.output == serial.output
+        assert result.stdout == serial.stdout
+        assert result.stderr == line
 
     @pytest.mark.parametrize(
-        "jobs, cpus, workers",
-        [(8, 3, 3), (8, 64, 6), (2, 64, 2), (4, 1, None), (1, 64, None)],
+        "jobs, cpus, clamped",
+        [(8, 3, 3), (8, 64, 6), (2, 64, 2), (4, 1, 1), (1, 64, 1)],
     )
-    def test_jobs_clamped_to_cpus_and_tasks(self, monkeypatch, jobs, cpus, workers):
+    def test_jobs_clamped_to_cpus_and_tasks(self, monkeypatch, forked, jobs, cpus, clamped):
         config = RunConfig(
             n_values=(1,), m_values=(2,), denominator=2, seed=1, jobs=jobs
         )
         assert len(sweep.grid_tasks(config)) == 6
-        started = []
-
-        class RecordingPool:
-            """Records max_workers and maps in this process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep, "_available_cpus", lambda: cpus)
         assert run_sweep(config) == run_sweep(replace(config, jobs=1))
-        assert started == ([] if workers is None else [workers])
+        assert len(forked) == clamped - 1
+
+    def test_parent_evaluates_only_stride_zero(self, monkeypatch, capsys):
+        config = RunConfig(n_values=(1, 2), m_values=(2, 3), denominator=3, seed=1, jobs=2)
+        serial = run_sweep(replace(config, jobs=1))
+        evaluated = []
+        evaluate = sweep.evaluate_grid_point
+
+        def recording_evaluate(task):
+            # A child appends to its own copy of the list.
+            evaluated.append(task)
+            return evaluate(task)
+
+        monkeypatch.setattr(sweep, "evaluate_grid_point", recording_evaluate)
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+        assert run_sweep(config) == serial
+        assert evaluated == sweep.grid_tasks(config)[0::2]
+        assert capsys.readouterr().err == ""
+
+    def test_parent_error_closes_every_pipe_and_reaps_every_child(self, monkeypatch, forked):
+        config = RunConfig(n_values=(1, 2), m_values=(2,), denominator=3, seed=1, jobs=3)
+        parent = os.getpid()
+        pipes = []
+        pipe, evaluate = os.pipe, sweep.evaluate_grid_point
+
+        def recording_pipe():
+            pipes.extend(pipe())
+            return pipes[-2:]
+
+        def evaluate_or_fail(task):
+            if os.getpid() == parent:
+                raise RuntimeError("the parent's stride fails")
+            return evaluate(task)
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(sweep, "evaluate_grid_point", evaluate_or_fail)
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: 3)
+        with pytest.raises(RuntimeError, match="the parent's stride fails"):
+            run_sweep(config)
+        assert len(forked) == 2 and len(pipes) == 4
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_threaded_process_does_not_fork(self, monkeypatch, forked):
+        config = RunConfig(n_values=(1,), m_values=(2,), denominator=3, seed=1, jobs=2)
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert run_sweep(config) == run_sweep(replace(config, jobs=1))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forked == []
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONVEXORDER_OUT_DIR", str(tmp_path))
@@ -420,6 +498,11 @@ class TestCounterexampleCommand:
             f"--denom is {cli.MAX_HOEFFDING_DENOM + 1}, above the limit of "
             f"{cli.MAX_HOEFFDING_DENOM}",
         ),
+        (
+            ["hoeffding", *["1/3"] * (MAX_LATTICE_LENGTH + 1)],
+            f"{MAX_LATTICE_LENGTH + 1} probabilities given, above the limit of "
+            f"{MAX_LATTICE_LENGTH}",
+        ),
     ],
 )
 def test_size_argument_over_limit_exits_2_at_once(argv, message):
@@ -441,6 +524,11 @@ class TestHoeffdingCommand:
     def test_identical_parameters(self):
         result = runner.invoke(main, ["hoeffding", "1/2", "1/2"])
         assert result.exit_code == 0
+
+    def test_explicit_parameters_up_to_the_limit(self):
+        result = runner.invoke(main, ["hoeffding", *["1/3"] * MAX_LATTICE_LENGTH])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["all_hold"] is True
 
     def test_random_batch(self):
         result = runner.invoke(

@@ -59,6 +59,7 @@ def test_import_loads_no_submodule_and_no_multiprocessing():
     assert "convexorder" in modules
     assert _submodules(modules) == set()
     assert "multiprocessing" not in modules
+    assert "concurrent.futures" not in modules
 
 
 def test_named_import_loads_only_its_modules():
@@ -116,8 +117,8 @@ def test_unknown_attribute_raises_attribute_error():
     assert _submodules(modules) == set()
 
 
-@pytest.mark.parametrize("jobs, pooled", [("1", False), ("2", True)])
-def test_pool_is_imported_only_when_a_pool_runs(jobs, pooled):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_imports_no_pool(jobs):
     # Two CPUs whatever the host has, so that --jobs 2 is not clamped to one.
     proc, modules = _run_cli(
         "verify-rasa", "--n", "1", "--m", "2", "--denom", "3", "--jobs", jobs,
@@ -128,7 +129,9 @@ def test_pool_is_imported_only_when_a_pool_runs(jobs, pooled):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
-    assert ("multiprocessing" in modules) is pooled
+    assert "evaluated in the parent" not in proc.stderr
+    assert "multiprocessing" not in modules
+    assert "concurrent.futures" not in modules
 
 
 @pytest.mark.parametrize(
@@ -149,3 +152,4 @@ def test_help_imports_no_kernel(args):
     loaded = {m.split(".")[1] for m in _submodules(modules)}
     assert loaded.isdisjoint(KERNELS), sorted(loaded)
     assert "multiprocessing" not in modules
+    assert "concurrent.futures" not in modules
