@@ -72,6 +72,10 @@ __all__ = [
     "szostok_decision",
 ]
 
+# The mean gap of every equal-means verdict; a Fraction is immutable.
+_ZERO = Fraction(0)
+
+
 class StandingHypothesisError(ParameterError):
     """The inputs violate a procedure's standing hypotheses.
 
@@ -232,7 +236,7 @@ def _oracle_verdict(table: _Segments) -> CxVerdict:
         )
     witness = next((table.point(i) for i, r in enumerate(table.running) if r < 0), None)
     return CxVerdict(
-        holds=witness is None, means_equal=True, witness=witness, mean_gap=Fraction(0)
+        holds=witness is None, means_equal=True, witness=witness, mean_gap=_ZERO
     )
 
 

@@ -330,10 +330,36 @@ def binomial_numerators(n: int, a: int, q: int) -> list[int]:
     """C(n, k) a^k (q - a)^(n - k), k = 0 .. n: the binomial(n, a/q) masses times q^n.
 
     The one place the binomial numerators are computed, for :func:`binomial`
-    here and for ``lattice.bernstein_numerators``.
+    here and for ``lattice.bernstein_numerators``: the running power products
+    a^k b^(n-k) times the running binomial coefficients.  a = 0 and a = q put
+    all mass on one end.
     """
     b = q - a
-    return [math.comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)]
+    if not b:
+        return [0] * n + [a**n]
+    if not a:
+        return [b**n] + [0] * n
+    out = _power_products(a, b, n)
+    c = 1
+    for k in range(1, n):
+        c = c * (n - k + 1) // k
+        out[k] *= c
+    return out
+
+
+def _power_products(a: int, b: int, n: int) -> list[int]:
+    """a^k b^(n-k) for k = 0..n, b > 0, as one running product.
+
+    Each step trades a factor b for a factor a by an exact division, which
+    costs time linear in the term's size where a product of two powers
+    would cost a full big-int multiplication.
+    """
+    term = b**n
+    out = [term]
+    for _ in range(n):
+        term = term // b * a
+        out.append(term)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .cx_order import CxVerdict, _oracle_verdict, _scan
@@ -76,8 +76,8 @@ def uniform_mixture(laws: Sequence[LatticeLaw]) -> LatticeLaw:
     out = [0] * max(len(law.nums) for law in laws)
     for law in laws:
         factor = den // law.den
-        for k, v in enumerate(law.nums):
-            out[k] += v * factor
+        nums = law.nums if factor == 1 else [v * factor for v in law.nums]
+        out[: len(nums)] = map(add, out, nums)
     return LatticeLaw(out, len(laws) * den)
 
 

@@ -19,6 +19,13 @@ the laws as int numerators, and the form's coefficients are read off the
 same integers.  ``generalized_pair``, ``poisson_binomial`` and
 ``verify_hoeffding`` stay on :class:`DiscreteDistribution`.
 
+A point's binomial laws, their self powers and the independent sum of all
+its parameters but the last depend on few of its values, so each process
+caches them over their own denominators (see ``LAW_CACHE_SIZE``) and
+:func:`point_from_pairs` brings them to the point's common denominator with
+integer factors.  :func:`lattice_point` checks its input and calls that one
+builder, which grid sweeps call directly with reduced int pairs.
+
 Boundary parameters x_i in {0, 1} are handled directly through the Dirac
 degeneration of the binomial law, so no limiting argument is required
 anywhere: every claim is a finite, exact computation.
@@ -38,6 +45,7 @@ from .distributions import (
     DiscreteDistribution,
     ParameterError,
     RationalLike,
+    _power_products,
     as_rational,
     bernoulli,
     binomial,
@@ -58,6 +66,7 @@ from .lattice import (
 
 __all__ = [
     "MAX_LATTICE_LENGTH",
+    "LAW_CACHE_SIZE",
     "RasaPair",
     "PsiPattern",
     "GeneralizedVerdicts",
@@ -67,6 +76,7 @@ __all__ = [
     "rasa_form",
     "rasa_form_general",
     "lattice_point",
+    "point_from_pairs",
     "rasa_pair",
     "generalized_pair",
     "verify_theorem_main",
@@ -177,13 +187,68 @@ def lattice_point(n: int, xs: Sequence[RationalLike]) -> LatticePoint:
     for x in xs:
         if not 0 <= x <= 1:
             raise ParameterError(f"parameters must lie in [0, 1], got {x}")
-    common_den = math.lcm(*(x.denominator for x in xs))
-    numerators = tuple(x.numerator * (common_den // x.denominator) for x in xs)
-    parts = [bernstein_numerators(n, a, common_den) for a in numerators]
-    the_sum = parts[0]
-    for part in parts[1:]:
-        the_sum = cauchy_product(the_sum, part)
-    mixed = uniform_mixture([cauchy_power(part, len(parts)) for part in parts])
+    return point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
+
+
+LAW_CACHE_SIZE = 512
+"""The binomial laws and the self powers each process keeps, one per key.
+
+A lexicographic grid cycles its last parameter through the whole Farey set,
+so a cache smaller than that set would never hit; the largest set a grid of
+``sweep.MAX_GRID_POINTS`` points holds has 433 values (``--m 2 --denom 37``).
+An entry grows with m * n and with the bits of q.  At m * n = 1000 and
+q = 37 a binomial law and its self power take 0.9 MB together, so the two
+caches hold at most about 450 MB, on grids with n near 500 whose points
+take about 9 s each.  At ``--n 10..12 --m 2 --denom 16`` they hold 243 pairs
+of 1.8 kB, 0.5 MB, and at ``--n 150 --m 2 --denom 5`` 11 pairs of 46 kB.
+The cache of sums over all parameters but the last keeps 16 of them, each
+on a lattice shorter than the point's, so at most about 11 MB.
+"""
+
+
+@lru_cache(maxsize=LAW_CACHE_SIZE)
+def _binomial(n: int, p: int, q: int) -> LatticeLaw:
+    # binomial(n, p/q) over q^n, keyed by the reduced pair (p, q).
+    return bernstein_numerators(n, p, q)
+
+
+@lru_cache(maxsize=LAW_CACHE_SIZE)
+def _self_power(n: int, m: int, p: int, q: int) -> LatticeLaw:
+    # The m-fold self sum of binomial(n, p/q) over q^(mn).
+    return cauchy_power(_binomial(n, p, q), m)
+
+
+@lru_cache(maxsize=16)
+def _prefix_sum(n: int, pairs: tuple[tuple[int, int], ...]) -> LatticeLaw:
+    # The independent sum over all parameters but the last, over the product
+    # of their own q^n: lexicographic grids share it along each run of points.
+    law = _binomial(n, *pairs[0])
+    for p, q in pairs[1:]:
+        law = cauchy_product(law, _binomial(n, p, q))
+    return law
+
+
+def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> LatticePoint:
+    """The lattice laws at (n, p_1/q_1 .. p_m/q_m), from reduced pairs.
+
+    The caller guarantees n >= 1, m >= 2 and 0 <= p_i <= q_i in lowest
+    terms; :func:`lattice_point` checks that and calls this.  Binomial laws,
+    self powers and the sum of the first m - 1 parameters come from the
+    per-process caches, each over its own denominators, and are brought to
+    L^(mn), L the least common denominator, by integer factors (L/q)^(mn).
+    """
+    m = len(pairs)
+    mn = m * n
+    common_den = math.lcm(*(q for _, q in pairs))
+    numerators = tuple(p * (common_den // q) for p, q in pairs)
+    the_sum = cauchy_product(_prefix_sum(n, pairs[:-1]), _binomial(n, *pairs[-1]))
+    full_den = common_den**mn
+    factor = full_den // the_sum.den
+    if factor != 1:
+        the_sum = LatticeLaw([v * factor for v in the_sum.nums], full_den)
+    # The self powers lie over q_i^(mn), whose least common multiple is
+    # L^(mn), so the mixture comes out over m L^(mn), as the sum over L^(mn).
+    mixed = uniform_mixture([_self_power(n, m, p, q) for p, q in pairs])
     return LatticePoint(n, numerators, common_den, the_sum, mixed)
 
 
@@ -368,21 +433,6 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
         pattern=pattern,
         change_count=sign_changes(nums),
     )
-
-
-def _power_products(a: int, b: int, n: int) -> list[int]:
-    """a^k b^(n-k) for k = 0..n, b > 0, as one running product.
-
-    Each step trades a factor b for a factor a by an exact division, which
-    costs time linear in the term's size where a product of two powers
-    would cost a full big-int multiplication.
-    """
-    term = b**n
-    out = [term]
-    for _ in range(n):
-        term = term // b * a
-        out.append(term)
-    return out
 
 
 @dataclass(frozen=True)

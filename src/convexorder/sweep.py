@@ -2,7 +2,11 @@
 
 A sweep enumerates grid points lexicographically in (n, m, sorted parameter
 tuple), where the parameters run over all reduced fractions in [0, 1] with
-denominator up to a bound.  Each point is evaluated by a pure function, so
+denominator up to a bound.  Those fractions are built and bounded once, so a
+point hands their int numerators and denominators straight to
+``rasa.point_from_pairs``, whose per-process caches of binomial laws, self
+powers and sums over all parameters but the last serve the whole grid in
+that order.  Each point is evaluated by a pure function, so
 the grid can be split into strides: forked children evaluate all but the
 first, the parent evaluates the first, and the rows come back over pipes.
 Rows are always put back in grid order, and a stride whose child fails is
@@ -24,7 +28,7 @@ from typing import Sequence
 from .convex_functions import KNOWN_FUNCTION_GROUPS, builtin_family
 from .distributions import ParameterError
 from .lattice import dot, probe_table
-from .rasa import MAX_LATTICE_LENGTH, lattice_point
+from .rasa import MAX_LATTICE_LENGTH, point_from_pairs
 
 __all__ = [
     "RunConfig",
@@ -177,7 +181,7 @@ def evaluate_grid_point(task: tuple) -> dict:
     integer coefficients; every probe is then one integer dot product.
     """
     n, m, xs, functions, seed = task
-    point = lattice_point(n, xs)
+    point = point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
     verdicts = point.verdicts()
     coeff = point.form_coefficients()
     rows, den = _probe_table(m * n, functions, seed)
@@ -221,8 +225,9 @@ def _fork_stride(tasks: list[tuple], start: int, jobs: int) -> tuple[int, int]:
     """Fork a child that writes the rows of ``tasks[start::jobs]`` to a pipe.
 
     The rows go as one ``marshal`` string; the child leaves through
-    ``os._exit``, with status 0 only once all of it is written.  Returns the
-    child's pid and the pipe's read end.
+    ``os._exit``, with status 0 only once all of it is written.  A child
+    whose evaluation raises writes the exception's one-line summary instead
+    and exits with status 1.  Returns the child's pid and the pipe's read end.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -235,12 +240,15 @@ def _fork_stride(tasks: list[tuple], start: int, jobs: int) -> tuple[int, int]:
         status = 1
         try:
             os.close(read_fd)
-            data = memoryview(
-                marshal.dumps([evaluate_grid_point(t) for t in tasks[start::jobs]])
-            )
+            try:
+                payload, done = [evaluate_grid_point(t) for t in tasks[start::jobs]], 0
+            except Exception as exc:
+                text = str(exc).split("\n", 1)[0]
+                payload, done = f"{type(exc).__name__}: {text}".removesuffix(": "), 1
+            data = memoryview(marshal.dumps(payload))
             while data:
                 data = data[os.write(write_fd, data):]
-            status = 0
+            status = done
         finally:
             os._exit(status)
     os.close(write_fd)
@@ -261,11 +269,15 @@ def _collect_stride(pid: int, read_fd: int, count: int) -> tuple[list | None, st
         _, status = os.waitpid(pid, 0)
     if os.WIFSIGNALED(status):
         return None, f"the child was killed by signal {os.WTERMSIG(status)}"
-    if os.WEXITSTATUS(status) != 0:
-        return None, f"the child exited with status {os.WEXITSTATUS(status)}"
     try:
         rows = marshal.loads(b"".join(chunks))
     except (EOFError, ValueError, TypeError):
+        rows = None
+    if os.WEXITSTATUS(status) != 0:
+        if isinstance(rows, str):
+            return None, f"the child raised {rows}"
+        return None, f"the child exited with status {os.WEXITSTATUS(status)}"
+    if rows is None:
         return None, "the child's rows are unreadable"
     if not isinstance(rows, list) or len(rows) != count:
         return None, "the child's rows are short"

@@ -176,7 +176,7 @@ class TestVerifyRasa:
         "failure, cause",
         [
             ("fork", "fork failed: no processes"),
-            ("raise", "the child exited with status 1"),
+            ("raise", "the child raised RuntimeError: a point that only fails in the child"),
             ("kill", f"the child was killed by signal {int(signal.SIGKILL)}"),
             ("unreadable", "the child's rows are unreadable"),
             ("short", "the child's rows are short"),

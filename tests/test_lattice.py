@@ -11,10 +11,12 @@ which recomputes every stop-loss value from the atoms, can.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,8 +46,10 @@ from convexorder.lattice import (
     lattice_oracle,
     uniform_mixture,
 )
-from convexorder.rasa import lattice_point
-from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
+from convexorder import lattice, rasa
+from convexorder.distributions import binomial_numerators
+from convexorder.rasa import LatticePoint, lattice_point
+from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, grid_tasks, run_sweep
 
 from oracles import (
     binomial_by_fractions,
@@ -103,6 +107,19 @@ def test_bernstein_numerators_are_binomial_masses():
                 assert as_distribution(law) == binomial(n, F(a, q))
                 assert as_distribution(law) == binomial_by_fractions(n, F(a, q))
                 assert law.den == q**n and sum(law.nums) == law.den
+
+
+LARGE_Q = (2**24 - 3, 10**30 + 57)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
+@pytest.mark.parametrize("q", [1, 2, 12, *LARGE_Q])
+def test_binomial_numerators_match_fractions(n, q):
+    for a in sorted({0, 1, q // 3, q - 1, q}):
+        nums = binomial_numerators(n, a, q)
+        law = LatticeLaw(nums, q**n)
+        assert as_distribution(law) == binomial_by_fractions(n, F(a, q)), (n, a, q)
+        assert nums == [math.comb(n, k) * a**k * (q - a) ** (n - k) for k in range(n + 1)]
 
 
 def test_products_and_mixture_match_distribution_algebra():
@@ -288,3 +305,72 @@ def test_sweep_rows_match_reference_for_each_function_group():
                 rasa_form_by_cauchy(n, xs, f) for f in sweep_probes(m * n, functions, 4)
             )
             assert row["min_form"] == str(reference), row
+
+
+def uncached_point(n, xs) -> LatticePoint:
+    """The laws at (n, xs) built from scratch over the least common
+    denominator: every binomial, self power and product made anew."""
+    xs = [F(x) for x in xs]
+    den = math.lcm(*(x.denominator for x in xs))
+    numerators = tuple(x.numerator * (den // x.denominator) for x in xs)
+    parts = [bernstein_numerators(n, a, den) for a in numerators]
+    the_sum = parts[0]
+    for part in parts[1:]:
+        the_sum = cauchy_product(the_sum, part)
+    mixed = uniform_mixture([cauchy_power(part, len(parts)) for part in parts])
+    return LatticePoint(n, numerators, den, the_sum, mixed)
+
+
+# A value in [0, 1] with denominator up to 12, spelled unreduced 1 to 3
+# times over: "1/2", "2/4" and "3/6" are one value, one cache key.
+spelled_values = st.integers(1, 12).flatmap(
+    lambda q: st.tuples(st.integers(0, q), st.just(q), st.integers(1, 3))
+).map(lambda t: f"{t[0] * t[2]}/{t[1] * t[2]}")
+
+
+@st.composite
+def repeating_points(draw):
+    """(n, xs) with m = 2..4 values drawn from a pool of at most three, so
+    values repeat within a point and across examples."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(["0", "1"]), spelled_values),
+                         min_size=1, max_size=3))
+    m = draw(st.integers(2, 4))
+    xs = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    return draw(st.integers(1, 5)), xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=repeating_points())
+def test_cached_point_equals_uncached_laws(point):
+    n, xs = point
+    built = lattice_point(n, xs)
+    assert built == uncached_point(n, xs), (n, xs)
+    assert lattice_point(n, [F(x) for x in xs]) == built
+    coeff = built.form_coefficients()
+    reference = form_coefficients_by_cauchy(n, [F(x) for x in xs])
+    assert [F(c, coeff.den) for c in coeff.nums] == list(reference), (n, xs)
+
+
+def test_grid_point_costs_one_cauchy_product(monkeypatch):
+    """On the m = 3 grid every point pays one Cauchy product, every prefix
+    of two parameters one, and every (n, x) m - 1 for its self power."""
+    calls = []
+    product = lattice.cauchy_product
+
+    def counting_product(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(lattice, "cauchy_product", counting_product)
+    monkeypatch.setattr(rasa, "cauchy_product", counting_product)
+    for cached in (rasa._binomial, rasa._self_power, rasa._prefix_sum):
+        cached.cache_clear()
+    config = RunConfig(n_values=(1, 2, 3), m_values=(3,), denominator=5, seed=0)
+    tasks = grid_tasks(config)
+    rows, ok = run_sweep(config)
+    assert ok and len(rows) == len(tasks) == 858
+    prefixes = {(n, xs[:-1]) for n, _, xs, *_ in tasks}
+    values = {(n, x) for n, _, xs, *_ in tasks for x in xs}
+    bound = len(tasks) + len(prefixes) + (3 - 1) * len(values)
+    assert bound == 1122
+    assert len(calls) <= bound

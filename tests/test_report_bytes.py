@@ -35,6 +35,22 @@ CASES = [
     ("counterexample-scan.json", ["counterexample", "--scan", "25", "--seed", "9"], 0),
     ("psi-pattern.json", ["psi-pattern", "--n", "2", "1/3", "2/3"], 0),
     ("hoeffding.json", ["hoeffding", "1/4", "3/4"], 0),
+    (
+        "verify-rasa-m3.json",
+        ["verify-rasa", "--n", "1..2", "--m", "3", "--denom", "4", "--seed", "3"],
+        0,
+    ),
+    (
+        "verify-rasa-m2.csv",
+        ["verify-rasa", "--n", "1..3", "--m", "2", "--denom", "5", "--seed", "3",
+         "--format", "csv"],
+        0,
+    ),
+    (
+        "verify-rasa-m4.json",
+        ["verify-rasa", "--n", "1", "--m", "4", "--denom", "3", "--seed", "3"],
+        0,
+    ),
 ]
 
 
