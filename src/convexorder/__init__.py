@@ -52,6 +52,7 @@ _MODULE_EXPORTS = {
     "distributions": (
         "DiscreteDistribution",
         "FormatError",
+        "MAX_ATOMS",
         "MAX_RATIONAL_DIGITS",
         "ParameterError",
         "Rational",

@@ -40,9 +40,15 @@ running integral at t is the stop-loss gap E(rhs - t)_+ - E(lhs - t)_+, and
 its total is mean(lhs) - mean(rhs).  The interval procedures first check
 that both laws live in [a, b]; the running integral from a is then zero left
 of the supports' hull and constant right of it, so a and b add nothing to
-the table.  ``lattice.lattice_oracle`` feeds lattice pairs to the same scan.
-A pair's table is built once and reused by consecutive calls on the same
-ordered pair, so running every procedure on one pair builds one table.
+the table.  A pair's table is built once and reused by consecutive calls on
+the same ordered pair, so running every procedure on one pair builds one
+table.
+
+Laws on the integer lattice need no segment table: there the stop-loss gap
+at every lattice point comes from two running sums per law
+(``lattice.stop_loss_numerators``), and ``lattice.gap_verdict`` reads it.
+Both routes hand their gaps to ``_oracle_verdict``, the one verdict reader,
+so equal laws get equal verdicts, witnesses included.
 
 The randomized corpora used to exercise these procedures are seeded
 explicitly, so parallel batch runs are reproducible.
@@ -54,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .distributions import DiscreteDistribution, ParameterError, as_rational
 
@@ -99,6 +105,10 @@ class CxVerdict:
     means_equal: bool
     witness: Optional[Fraction]
     mean_gap: Fraction
+
+
+# Every verdict that holds; a CxVerdict is immutable and compares by value.
+_HOLDS = CxVerdict(holds=True, means_equal=True, witness=None, mean_gap=_ZERO)
 
 
 @dataclass(frozen=True)
@@ -216,7 +226,7 @@ def _segments(dl: DiscreteDistribution, dr: DiscreteDistribution) -> _Segments:
 
 def _scan(grid: list[int], jumps: Sequence[int], den: int, scale: int) -> _Segments:
     """The segment table of F_rhs - F_lhs from its jumps times ``den`` at
-    increasing grid points times ``scale``; every table is built here."""
+    increasing grid points times ``scale``; every segment table is built here."""
     diffs = []
     running = [0]
     diff = 0
@@ -227,17 +237,24 @@ def _scan(grid: list[int], jumps: Sequence[int], den: int, scale: int) -> _Segme
     return _Segments(grid, diffs, running, den * scale, scale)
 
 
-def _oracle_verdict(table: _Segments) -> CxVerdict:
-    """Equal means, then the first grid point with a negative stop-loss gap."""
-    gap = -table.running[-1]
-    if gap:
-        return CxVerdict(
-            holds=False, means_equal=False, witness=None, mean_gap=table.value(gap)
-        )
-    witness = next((table.point(i) for i, r in enumerate(table.running) if r < 0), None)
-    return CxVerdict(
-        holds=witness is None, means_equal=True, witness=witness, mean_gap=_ZERO
-    )
+def _oracle_verdict(
+    mean_gap: int, gaps: Iterable[tuple[int, int]], den: int, scale: int
+) -> CxVerdict:
+    """Equal means, then the first grid point with a negative stop-loss gap.
+
+    ``mean_gap / den`` is mean(rhs) - mean(lhs).  Once it is 0, ``gaps``
+    yields each point g of the union of supports, left to right, as
+    ``(g * scale, gap)``, where ``gap / den`` is the stop-loss gap
+    E(rhs - g)_+ - E(lhs - g)_+; it is not read when the means differ.
+    Every ``CxVerdict`` the package returns is made here.
+    """
+    if mean_gap:
+        gap = Fraction(mean_gap, den)
+        return CxVerdict(holds=False, means_equal=False, witness=None, mean_gap=gap)
+    witness = next((Fraction(g, scale) for g, gap in gaps if gap < 0), None)
+    if witness is None:
+        return _HOLDS
+    return CxVerdict(holds=False, means_equal=True, witness=witness, mean_gap=_ZERO)
 
 
 def _sign_runs(values: Sequence) -> tuple[int, list[int]]:
@@ -276,7 +293,10 @@ def cx_compare_oracle(
     means, doubles as a certificate: the angle function at the witness is a
     convex function whose expectations violate the order.
     """
-    return _oracle_verdict(_segments(lhs, rhs))
+    table = _segments(lhs, rhs)
+    return _oracle_verdict(
+        -table.running[-1], zip(table.grid, table.running), table.den, table.scale
+    )
 
 
 def ohlin_check(lhs: DiscreteDistribution, rhs: DiscreteDistribution) -> OhlinReport:

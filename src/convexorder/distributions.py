@@ -36,6 +36,7 @@ __all__ = [
     "ParameterError",
     "FormatError",
     "MAX_RATIONAL_DIGITS",
+    "MAX_ATOMS",
     "DiscreteDistribution",
     "as_rational",
     "decimal_str",
@@ -67,6 +68,19 @@ The count is every digit written plus the magnitude of a decimal exponent,
 since ``1e-k`` puts k digits into the denominator.  The limit keeps values
 near 33 000 bits, so a hostile string such as ``1e-999999999`` is rejected
 before any big integer is built.
+"""
+
+
+MAX_ATOMS = 100_000
+"""The most atoms a parsed distribution may list, text lines or JSON entries.
+
+Counted before any value is parsed.  Parsing costs about 25 us and 0.5 kB
+per atom with integer supports and equal masses, and the oracle on two such
+laws 0.5 to 0.7 us more, so one file at the limit parses in about 2.5 s
+(Python 3.11, one 2-core x86-64 host).  The limit does not bound the cost
+of many distinct denominators, over whose common multiple every numerator
+is held: 6000 supports k / p_k with distinct primes p_k took 15.6 s and
+150 MB there.
 """
 
 
@@ -509,11 +523,15 @@ def parse_distribution(text: str) -> DiscreteDistribution:
 
 
 def _parse_text(text: str) -> DiscreteDistribution:
-    pairs: list[tuple[Fraction, Fraction]] = []
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            lines.append((lineno, raw, line))
+            if len(lines) > MAX_ATOMS:
+                raise FormatError(f"more than the limit of {MAX_ATOMS} atom lines")
+    pairs: list[tuple[Fraction, Fraction]] = []
+    for lineno, raw, line in lines:
         tokens = line.split()
         if len(tokens) != 2:
             raise FormatError(
@@ -541,6 +559,10 @@ def _parse_json(text: str) -> DiscreteDistribution:
     entries = obj["atoms"]
     if not isinstance(entries, list):
         raise FormatError('"atoms" must be a list of [support, mass] pairs')
+    if len(entries) > MAX_ATOMS:
+        raise FormatError(
+            f"{len(entries)} atom entries, above the limit of {MAX_ATOMS}"
+        )
     pairs = []
     for entry in entries:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:

@@ -5,9 +5,17 @@ len(nums) - 1, with Python-int numerators and one positive int denominator.
 The binomial law with parameter a/q has the numerators C(n, k) a^k (q-a)^(n-k)
 over q^n, and independent sums and uniform mixtures of such laws stay on the
 lattice, so building and comparing them needs no Fraction per step.
-``lattice_oracle`` feeds a pair's int jumps to the stop-loss scan shared with
-``cx_order``, so its verdict, witness included, is the one
-``cx_compare_oracle`` gives on the corresponding :class:`DiscreteDistribution`.
+
+A law's stop-loss table is the vector of E(X - j)_+ times its denominator at
+every lattice point j, built by :func:`stop_loss_numerators` in one pass of
+two running sums.  On the lattice, X <=_cx Y is decided by the gap vector
+E(Y - j)_+ - E(X - j)_+ alone: its entry at j = 0 is the mean gap, and once
+the means agree the order holds exactly when no entry at a point of the
+union of supports is negative.  :func:`gap_verdict` hands such a vector to
+``cx_order``'s verdict reader, so ``lattice_oracle``'s verdict, witness
+included, is the one ``cx_compare_oracle`` gives on the corresponding
+:class:`DiscreteDistribution`.  A Rasa point builds the tables of its three
+laws once and reads all three relations from them (``rasa.StopLossTable``).
 
 Nothing here normalises: a numerator vector is never reduced by a common
 factor, and a Fraction is built only for the values handed back to callers.
@@ -17,10 +25,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul
+from itertools import accumulate, compress
+from operator import add, mul, or_
 from typing import Callable, NamedTuple, Sequence
 
-from .cx_order import CxVerdict, _oracle_verdict, _scan
+from .cx_order import CxVerdict, _oracle_verdict
 from .distributions import binomial_numerators
 
 __all__ = [
@@ -29,6 +38,8 @@ __all__ = [
     "cauchy_product",
     "cauchy_power",
     "uniform_mixture",
+    "stop_loss_numerators",
+    "gap_verdict",
     "lattice_oracle",
     "probe_table",
     "dot",
@@ -81,20 +92,48 @@ def uniform_mixture(laws: Sequence[LatticeLaw]) -> LatticeLaw:
     return LatticeLaw(out, len(laws) * den)
 
 
+def stop_loss_numerators(nums: Sequence[int]) -> list[int]:
+    """pi(j) = sum_{k > j} (k - j) nums[k] for j = 0 .. len(nums) - 1.
+
+    Over the law's denominator, pi(j) is E(X - j)_+, and pi(0) is the mean.
+    From the top, pi(j) = pi(j + 1) + sum_{k > j} nums[k]: two running sums.
+    """
+    tails = accumulate(reversed(nums[1:]), initial=0)
+    out = list(accumulate(tails))
+    out.reverse()
+    return out
+
+
+def gap_verdict(
+    lhs: Sequence[int], rhs: Sequence[int], gaps: Sequence[int], den: int
+) -> CxVerdict:
+    """Decide lhs <=_cx rhs from the numerators of their stop-loss gap.
+
+    ``lhs`` and ``rhs`` are the laws' numerators, of one length, read only
+    for their supports; ``gaps[j] / den`` is E(rhs - j)_+ - E(lhs - j)_+ at
+    every lattice point j.  The gap at 0 is the mean gap, and the witness is
+    the first point of the union of supports with a negative gap.
+    """
+    # A gap that is nowhere negative leaves no witness to look for.
+    support = compress(enumerate(gaps), map(or_, lhs, rhs)) if min(gaps) < 0 else ()
+    return _oracle_verdict(gaps[0], support, den, 1)
+
+
 def lattice_oracle(lhs: LatticeLaw, rhs: LatticeLaw) -> CxVerdict:
     """Decide lhs <=_cx rhs exactly, as ``cx_compare_oracle`` does.
 
-    The grid is the lattice points where lhs or rhs has mass, the union of
-    supports, and the jump of F_rhs - F_lhs at k is r_k D_l - l_k D_r over
-    D_l D_r; the shared stop-loss scan of ``cx_order`` reads the verdict.
+    Both stop-loss tables are brought to D_l D_r, so the gap at j is
+    pi_rhs(j) D_l - pi_lhs(j) D_r over D_l D_r.
     """
     size = max(len(lhs.nums), len(rhs.nums))
     ls = lhs.nums + [0] * (size - len(lhs.nums))
     rs = rhs.nums + [0] * (size - len(rhs.nums))
     dl, dr = lhs.den, rhs.den
-    grid = [k for k in range(size) if ls[k] or rs[k]]
-    jumps = [rs[k] * dl - ls[k] * dr for k in grid]
-    return _oracle_verdict(_scan(grid, jumps, dl * dr, 1))
+    gaps = [
+        r * dl - l * dr
+        for l, r in zip(stop_loss_numerators(ls), stop_loss_numerators(rs))
+    ]
+    return gap_verdict(ls, rs, gaps, dl * dr)
 
 
 def probe_table(

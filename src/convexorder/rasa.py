@@ -16,8 +16,14 @@ verifiers here decide those order relations with the exact oracle.
 The forms and the verifiers of the Rasa relations run on the integer lattice
 kernel (:mod:`.lattice`): one :class:`LatticePoint` per parameter tuple holds
 the laws as int numerators, and the form's coefficients are read off the
-same integers.  ``generalized_pair``, ``poisson_binomial`` and
-``verify_hoeffding`` stay on :class:`DiscreteDistribution`.
+same integers.  Its :class:`StopLossTable` holds the stop-loss numerators of
+the sum, the pooled law and the mixture at every lattice point, built once,
+and the gap vectors of the relations (a), (b) and (c) over common
+denominators; all three verdicts are read from those gaps.  By the bridge
+identity, gap (c) at j is also the form's value on the angle at j / (mn), so
+a sweep reads the angles' minimum from it without evaluating a probe.
+``generalized_pair``, ``poisson_binomial`` and ``verify_hoeffding`` stay on
+:class:`DiscreteDistribution`.
 
 A point's binomial laws, their self powers and the independent sum of all
 its parameters but the last depend on few of its values, so each process
@@ -59,8 +65,10 @@ from .lattice import (
     cauchy_power,
     cauchy_product,
     dot,
+    gap_verdict,
     lattice_oracle,
     probe_table,
+    stop_loss_numerators,
     uniform_mixture,
 )
 
@@ -70,6 +78,7 @@ __all__ = [
     "RasaPair",
     "PsiPattern",
     "GeneralizedVerdicts",
+    "StopLossTable",
     "LatticePoint",
     "bernstein",
     "bernstein_vector",
@@ -92,10 +101,12 @@ MAX_LATTICE_LENGTH = 1000
 
 The lattice 0..m*n carries every law, form and psi sequence, and its cost
 grows fast with it: one ``verify-rasa`` grid point with all probe groups
-took 1.7 s at m * n = 500, 8.9 s at 1000 and 56 s at 2000 on one 2-core
-x86-64 host.  A psi pattern at m * n = 1000 took 0.02 s there with two
-parameters, 0.4 s with 100, 0.7 s with 200 and 2.9 s with 1000 (parameters
-k / (m + 1)), as its sums of int power products also grow with m.
+(m = 2, parameters 1/3 and 1/2, probe table included) took 0.24 s at
+m * n = 500, 0.9 s at 1000 and 7.0 s at 2000 on one 2-core x86-64 host,
+and with parameters of denominator 37, 4 to 6 s at 1000.  A psi pattern at
+m * n = 1000 took 0.02 s there with two parameters, 0.4 s with 100, 0.7 s
+with 200 and 2.9 s with 1000 (parameters k / (m + 1)), as its sums of int
+power products also grow with m.
 """
 
 
@@ -128,6 +139,36 @@ def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
     )
 
 
+class StopLossTable(NamedTuple):
+    """A point's three laws and the stop-loss gaps of its three relations.
+
+    Each gap vector holds, at every lattice point j = 0..mn, the numerator
+    of E(rhs - j)_+ - E(lhs - j)_+ for its relation lhs <=_cx rhs: (a) and
+    (b) over the pooled law's denominator (m L)^(mn), and (c) over the
+    mixture's, m L^(mn).  By the bridge identity, the form's value on the
+    angle (t - j/(mn))_+ is ``sum_vs_mixture[j]`` over mn L^(mn).
+    """
+
+    the_sum: LatticeLaw
+    pooled: LatticeLaw
+    mixed: LatticeLaw
+    sum_vs_pooled: list[int]
+    pooled_vs_mixture: list[int]
+    sum_vs_mixture: list[int]
+
+    def verdicts(self) -> GeneralizedVerdicts:
+        """Oracle verdicts for the relations (a), (b) and (c)."""
+        the_sum, pooled, mixed = self.the_sum.nums, self.pooled.nums, self.mixed.nums
+        den_ab, den_c = self.pooled.den, self.mixed.den
+        return GeneralizedVerdicts(
+            sum_vs_pooled=gap_verdict(the_sum, pooled, self.sum_vs_pooled, den_ab),
+            pooled_vs_mixture=gap_verdict(
+                pooled, mixed, self.pooled_vs_mixture, den_ab
+            ),
+            sum_vs_mixture=gap_verdict(the_sum, mixed, self.sum_vs_mixture, den_c),
+        )
+
+
 class LatticePoint(NamedTuple):
     """The unscaled laws behind the m-variable form at (n, x_1..x_m).
 
@@ -154,14 +195,34 @@ class LatticePoint(NamedTuple):
             self.m * self.n, sum(self.numerators), self.m * self.common_den
         )
 
+    def stop_loss_table(self) -> StopLossTable:
+        """The stop-loss gaps of the relations (a), (b) and (c) at j = 0..mn.
+
+        With pi_S, pi_P and pi_M the stop-loss numerators of the sum (over
+        L^(mn)), the pooled law (over (m L)^(mn)) and the mixture (over
+        m L^(mn)), the gaps are pi_P - m^(mn) pi_S and
+        m^(mn-1) pi_M - pi_P over (m L)^(mn), and pi_M - m pi_S over
+        m L^(mn).
+        """
+        m = self.m
+        scale = m ** (m * self.n - 1)
+        full = m * scale
+        pooled = self.pooled()
+        s, p, x = (
+            stop_loss_numerators(law.nums) for law in (self.the_sum, pooled, self.mixed)
+        )
+        return StopLossTable(
+            self.the_sum,
+            pooled,
+            self.mixed,
+            [b - full * a for a, b in zip(s, p)],
+            [scale * c - b for b, c in zip(p, x)],
+            [c - m * a for a, c in zip(s, x)],
+        )
+
     def verdicts(self) -> GeneralizedVerdicts:
         """Oracle verdicts for the relations (a), (b) and (c)."""
-        pooled = self.pooled()
-        return GeneralizedVerdicts(
-            sum_vs_pooled=lattice_oracle(self.the_sum, pooled),
-            pooled_vs_mixture=lattice_oracle(pooled, self.mixed),
-            sum_vs_mixture=lattice_oracle(self.the_sum, self.mixed),
-        )
+        return self.stop_loss_table().verdicts()
 
     def form_coefficients(self) -> LatticeLaw:
         """The coefficient of f(k / (mn)) in the form, k = 0..mn.
@@ -199,8 +260,9 @@ so a cache smaller than that set would never hit; the largest set a grid of
 An entry grows with m * n and with the bits of q.  At m * n = 1000 and
 q = 37 a binomial law and its self power take 0.9 MB together, so the two
 caches hold at most about 450 MB, on grids with n near 500 whose points
-take about 9 s each.  At ``--n 10..12 --m 2 --denom 16`` they hold 243 pairs
-of 1.8 kB, 0.5 MB, and at ``--n 150 --m 2 --denom 5`` 11 pairs of 46 kB.
+take about 4 to 6 s each (m = 2, parameters such as 12/37 and 35/37).  At
+``--n 10..12 --m 2 --denom 16`` they hold 243 pairs of 1.8 kB, 0.5 MB, and
+at ``--n 150 --m 2 --denom 5`` 11 pairs of 46 kB.
 The cache of sums over all parameters but the last keeps 16 of them, each
 on a lattice shorter than the point's, so at most about 11 MB.
 """

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from typing import Sequence
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, builtin_family
@@ -43,7 +43,7 @@ MAX_GRID_POINTS = 100_000
 """The most grid points one sweep accepts.
 
 Every row is held until the report is written: 73,696 points
-(``--n 1..4 --m 3 --denom 12``) take about 150 MB and 8 s serially on one
+(``--n 1..4 --m 3 --denom 12``) take 148 MB and 7.8 s serially on one
 2-core x86-64 host, so this bounds a sweep at roughly 200 MB.
 """
 
@@ -154,13 +154,16 @@ def grid_size(config: RunConfig) -> int:
 def _probe_table(
     points: int, functions: tuple[str, ...], seed: int
 ) -> tuple[list[list[int]], int]:
-    """The selected probe groups' values at k / points, over one denominator.
+    """The selected probe groups but the angles: values at k / points, over
+    one denominator.
 
-    Angles sit at every grid point k / points; the other groups do not
-    depend on the grid point.  Built once per (points, groups, seed) in each
-    process, so tasks carry only the group names and the seed.
+    They do not depend on the grid point, so the table is built once per
+    (points, groups, seed) in each process and tasks carry only the group
+    names and the seed.  The angles are read from the point's stop-loss
+    table instead (see ``evaluate_grid_point``).
     """
-    return probe_table(points, builtin_family(points, groups=functions, seed=seed))
+    groups = tuple(g for g in functions if g != "angles")
+    return probe_table(points, builtin_family(points, groups=groups, seed=seed))
 
 
 def grid_tasks(config: RunConfig) -> list[tuple]:
@@ -177,15 +180,25 @@ def grid_tasks(config: RunConfig) -> list[tuple]:
 def evaluate_grid_point(task: tuple) -> dict:
     """Verdicts and the minimal form value at one grid point (pure).
 
-    One set of lattice laws decides the three relations and gives the form's
-    integer coefficients; every probe is then one integer dot product.
+    One stop-loss table decides the three relations.  By the bridge
+    identity, the form on the angle at j / (mn) is relation (c)'s gap at j
+    over mn L^(mn), so the angles' minimum is that vector's minimum.  Every
+    other probe is one integer dot product with the form's coefficients.
     """
     n, m, xs, functions, seed = task
+    mn = m * n
     point = point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
-    verdicts = point.verdicts()
-    coeff = point.form_coefficients()
-    rows, den = _probe_table(m * n, functions, seed)
-    min_form = Fraction(min(dot(coeff.nums, row) for row in rows), coeff.den * den)
+    table = point.stop_loss_table()
+    verdicts = table.verdicts()
+    # Both minima over mn L^(mn) P, P the probe table's denominator.
+    rows, den = _probe_table(mn, functions, seed)
+    minima = []
+    if rows:
+        coeff = point.form_coefficients().nums
+        minima.append(min(map(dot, repeat(coeff), rows)) * mn)
+    if "angles" in functions:
+        minima.append(min(table.sum_vs_mixture) * den)
+    min_form = Fraction(min(minima), mn * point.the_sum.den * den)
     ok = verdicts.all_hold and min_form >= 0
     return {
         "n": n,

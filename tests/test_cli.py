@@ -23,6 +23,7 @@ from convexorder import (
 )
 from convexorder import cli, sweep
 from convexorder.cli import main
+from convexorder.distributions import MAX_ATOMS
 from convexorder.rasa import MAX_LATTICE_LENGTH
 from convexorder.sweep import RunConfig, run_sweep
 
@@ -404,6 +405,20 @@ class TestCxCompare:
             result = runner.invoke(main, ["cx-compare", *args])
             assert result.exit_code == 2
             assert message in result.output
+
+    @pytest.mark.parametrize("spelling", ["text", "json"])
+    def test_too_many_atoms_exit_2(self, tmp_path, spelling):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        count = MAX_ATOMS + 1
+        if spelling == "text":
+            a.write_text("".join(f"{k} 1/{count}\n" for k in range(count)))
+        else:
+            a.write_text(json.dumps({"atoms": [[k, f"1/{count}"] for k in range(count)]}))
+        b.write_text("0 1\n")
+        result = runner.invoke(main, ["cx-compare", str(a), str(b)])
+        assert result.exit_code == 2
+        assert f"limit of {MAX_ATOMS}" in result.output
 
     @pytest.mark.parametrize(
         "method, key", [("levin-steckin", "holds"), ("szostok", "decision")]

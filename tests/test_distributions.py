@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from convexorder import (
     DiscreteDistribution,
+    MAX_ATOMS,
     MAX_RATIONAL_DIGITS,
     FormatError,
     ParameterError,
@@ -583,3 +585,39 @@ class TestRationalLimit:
     def test_json_int_over_python_digit_limit(self):
         with pytest.raises(FormatError, match="invalid JSON"):
             parse_distribution('{"atoms": [[1' + "0" * 5000 + ', 1]]}')
+
+
+def spread_text(count: int) -> str:
+    """count atoms at 0 .. count - 1, each of mass 1 / count, one per line."""
+    return "".join(f"{k} 1/{count}\n" for k in range(count))
+
+
+def spread_json(count: int) -> str:
+    return json.dumps({"atoms": [[k, f"1/{count}"] for k in range(count)]})
+
+
+class TestAtomLimit:
+    @pytest.mark.parametrize("spell", [spread_text, spread_json], ids=["text", "json"])
+    def test_at_the_limit_parses(self, spell):
+        d = parse_distribution(spell(MAX_ATOMS))
+        assert len(d.support_numerators[0]) == MAX_ATOMS
+        assert d.mean() == F(MAX_ATOMS - 1, 2)
+
+    @pytest.mark.parametrize(
+        "spell, message",
+        [
+            (spread_text, f"more than the limit of {MAX_ATOMS} atom lines"),
+            (spread_json, f"{MAX_ATOMS + 1} atom entries, above the limit of {MAX_ATOMS}"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_one_over_the_limit_is_rejected_before_parsing(self, spell, message):
+        text = spell(MAX_ATOMS + 1)
+        started = time.perf_counter()
+        with pytest.raises(FormatError, match=message):
+            parse_distribution(text)
+        assert time.perf_counter() - started < 1.0
+
+    def test_comments_and_blank_lines_do_not_count(self):
+        text = "# a comment\n\n" * (MAX_ATOMS + 1) + "0 1/2\n2 1/2\n"
+        assert parse_distribution(text) == DiscreteDistribution(((F(0), F(1, 2)), (F(2), F(1, 2))))

@@ -4,9 +4,11 @@ Every lattice result is compared for exact equality with an independent
 route: Bernstein form values with the Fraction Cauchy products in
 ``oracles.py``, and whole ``CxVerdict``s, witnesses included, with
 ``oracles.oracle_by_stop_loss_scan`` on the ``DiscreteDistribution`` laws.
-``lattice_oracle`` and ``cx_compare_oracle`` share one stop-loss scan, so
-agreeing with each other cannot catch a fault in it; the Fraction scan,
-which recomputes every stop-loss value from the atoms, can.
+``lattice_oracle``, a point's stop-loss table and ``cx_compare_oracle``
+share one verdict reader, so agreeing with each other cannot catch a fault
+in it; the Fraction scan, which recomputes every stop-loss value from the
+atoms, can.  The reversed relations, read from a table's negated gaps, are
+where the witnesses are checked.
 """
 
 from __future__ import annotations
@@ -43,10 +45,14 @@ from convexorder.lattice import (
     bernstein_numerators,
     cauchy_power,
     cauchy_product,
+    dot,
+    gap_verdict,
     lattice_oracle,
+    probe_table,
+    stop_loss_numerators,
     uniform_mixture,
 )
-from convexorder import lattice, rasa
+from convexorder import lattice, rasa, sweep
 from convexorder.distributions import binomial_numerators
 from convexorder.rasa import LatticePoint, lattice_point
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, grid_tasks, run_sweep
@@ -57,6 +63,7 @@ from oracles import (
     form_value,
     oracle_by_stop_loss_scan,
     rasa_form_by_cauchy,
+    stop_loss_by_atoms,
 )
 
 
@@ -273,6 +280,103 @@ def test_oracle_matches_distribution_oracle(pair):
         verdict = lattice_oracle(a, b)
         assert verdict == cx_compare_oracle(as_distribution(a), as_distribution(b))
         assert verdict == oracle_by_stop_loss_scan(as_distribution(a), as_distribution(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nums=st.lists(st.integers(0, 50), min_size=1, max_size=12), factor=st.integers(1, 5))
+def test_stop_loss_numerators_match_atoms(nums, factor):
+    nums[-1] += 1
+    law = LatticeLaw([factor * v for v in nums], factor * sum(nums))
+    d = as_distribution(law)
+    table = stop_loss_numerators(law.nums)
+    assert len(table) == len(nums)
+    assert [F(v, law.den) for v in table] == [stop_loss_by_atoms(d, F(j)) for j in range(len(nums))]
+
+
+def assert_table_matches(n, xs) -> int:
+    """Compare the point's three table verdicts, and the three reversed
+    ones read from the negated gaps, with the Fraction stop-loss scan.
+
+    Returns the number of witnesses among the reversed verdicts.
+    """
+    table = lattice_point(n, xs).stop_loss_table()
+    laws = distribution_laws(n, xs)
+    lattice_laws = (table.the_sum, table.pooled, table.mixed)
+    assert tuple(map(as_distribution, lattice_laws)) == laws
+    verdicts = table.verdicts()
+    witnesses = 0
+    for (a, b), gaps, den, verdict in (
+        ((0, 1), table.sum_vs_pooled, table.pooled.den, verdicts.sum_vs_pooled),
+        ((1, 2), table.pooled_vs_mixture, table.pooled.den, verdicts.pooled_vs_mixture),
+        ((0, 2), table.sum_vs_mixture, table.mixed.den, verdicts.sum_vs_mixture),
+    ):
+        assert len(gaps) == len(xs) * n + 1
+        assert verdict == oracle_by_stop_loss_scan(laws[a], laws[b]), (n, xs, a, b)
+        lhs, rhs = lattice_laws[b].nums, lattice_laws[a].nums
+        reverse = gap_verdict(lhs, rhs, [-g for g in gaps], den)
+        assert reverse == oracle_by_stop_loss_scan(laws[b], laws[a]), (n, xs, b, a)
+        witnesses += reverse.witness is not None
+    return witnesses
+
+
+boundary_or_inner = st.one_of(st.sampled_from([F(0), F(1)]), parameters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    xs=st.integers(2, 4).flatmap(
+        lambda m: st.lists(boundary_or_inner, min_size=m, max_size=m)
+    ),
+)
+def test_stop_loss_table_matches_fraction_scan(n, xs):
+    assert_table_matches(n, xs)
+
+
+def test_stop_loss_table_reversals_carry_witnesses():
+    witnesses = 0
+    for n in (1, 2, 3):
+        for xs in combinations_with_replacement(farey_fractions(4), 2):
+            witnesses += assert_table_matches(n, xs)
+    for xs in ((F(0), F(1, 2), F(1)), (F(1, 4), F(1, 4), F(3, 4))):
+        witnesses += assert_table_matches(2, xs)
+    assert witnesses > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    xs=st.integers(2, 4).flatmap(
+        lambda m: st.lists(boundary_or_inner, min_size=m, max_size=m)
+    ),
+)
+def test_angle_forms_are_gap_c(n, xs):
+    """The form on the angle at j / (mn) is relation (c)'s gap at j over
+    mn L^(mn), so the angles' minimum is that vector's minimum."""
+    point = lattice_point(n, xs)
+    mn = point.m * n
+    gaps = point.stop_loss_table().sum_vs_mixture
+    coeff = point.form_coefficients()
+    rows, den = probe_table(mn, [Angle(F(j, mn)) for j in range(mn + 1)])
+    values = [F(dot(coeff.nums, row), coeff.den * den) for row in rows]
+    assert [F(g, mn * coeff.den) for g in gaps] == values
+    assert F(min(gaps), mn * coeff.den) == min(values)
+
+
+def test_sweep_takes_no_dot_product_per_angle(monkeypatch):
+    calls = []
+
+    def counting_dot(a, b):
+        calls.append(None)
+        return dot(a, b)
+
+    monkeypatch.setattr(sweep, "dot", counting_dot)
+    # Three monomials, one affine function and five random ones per point.
+    for functions, per_point in ((("angles",), 0), (KNOWN_FUNCTION_GROUPS, 9)):
+        calls.clear()
+        config = RunConfig(n_values=(1, 2), m_values=(2, 3), denominator=4, functions=functions)
+        rows, ok = run_sweep(config)
+        assert ok and len(calls) == per_point * len(rows), functions
 
 
 def sweep_probes(points, functions, seed):

@@ -47,6 +47,17 @@ CASES = [
         0,
     ),
     (
+        "verify-rasa-angles.json",
+        ["verify-rasa", "--n", "1..3", "--m", "2", "--denom", "6", "--functions", "angles"],
+        0,
+    ),
+    (
+        "verify-rasa-nonangle.json",
+        ["verify-rasa", "--n", "1..3", "--m", "2", "--denom", "6", "--functions",
+         "monomials,affine,random-pwl"],
+        0,
+    ),
+    (
         "verify-rasa-m4.json",
         ["verify-rasa", "--n", "1", "--m", "4", "--denom", "3", "--seed", "3"],
         0,
