@@ -53,6 +53,7 @@ _MODULE_EXPORTS = {
         "DiscreteDistribution",
         "FormatError",
         "MAX_ATOMS",
+        "MAX_LAW_BITS",
         "MAX_RATIONAL_DIGITS",
         "ParameterError",
         "Rational",

@@ -12,8 +12,9 @@ Rationals cross this boundary as `p/q` strings, never as floats.  Reports
 are byte-identical for a fixed configuration and seed.
 
 This module alone turns reports into JSON: the compute modules return
-dataclasses of Fractions, laws and test functions, and ``report_data``
-encodes any of them, so no compute module knows the report format.
+records (``NamedTuple``s) of Fractions, laws and test functions, and
+``report_data`` encodes any of them, so no compute module knows the report
+format.
 
 Each subcommand imports the modules it runs inside its own body, so
 `--help` and every command pay at start-up only for what they use.
@@ -22,7 +23,6 @@ Each subcommand imports the modules it runs inside its own body, so
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -103,17 +103,18 @@ def _emit(payload: str, out_path: str | None) -> None:
 
 def report_data(obj):
     """JSON data for a report: a Fraction becomes its `p/q` string, a law its
-    atom list, a test function its description, a dataclass a dict of its
-    fields in field order, and a tuple or list a list; dicts are encoded
-    value by value, and anything else is returned as it is."""
+    atom list, a test function its description, a record (a ``NamedTuple``)
+    a dict of its fields in field order, and any other tuple or a list a
+    list; dicts are encoded value by value, and anything else is returned as
+    it is."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, DiscreteDistribution):
         return distribution_to_json_obj(obj)["atoms"]
     if isinstance(obj, ConvexTestFunction):
         return obj.describe()
-    if dataclasses.is_dataclass(obj):
-        return {f.name: report_data(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: report_data(value) for name, value in zip(obj._fields, obj)}
     if isinstance(obj, (tuple, list)):
         return [report_data(item) for item in obj]
     if isinstance(obj, dict):

@@ -14,7 +14,6 @@ union of support points decides the order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -33,11 +32,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Angle:
+class _Value:
+    """An immutable value whose fields are its class's ``__slots__``.
+
+    Two values are equal when they are of one class and their fields are
+    equal, and the hash is that of the field tuple, so a probe can key a
+    cache without meeting a probe of another class with equal fields there
+    (``Angle(2) != Monomial(2)``).  The repr names every field, and fields
+    are set once, in ``__init__`` through ``_fill``.  A plain class costs
+    far less to build at import than a generated one.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Angle(_Value):
     """t -> max(t - c, 0): the angle (stop-loss) function with kink at c."""
 
-    c: Fraction
+    __slots__ = ("c",)
+
+    def __init__(self, c: Fraction) -> None:
+        self._fill(c)
 
     def __call__(self, t: Fraction) -> Fraction:
         shifted = t - self.c
@@ -47,15 +90,15 @@ class Angle:
         return f"angle({self.c})"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Value):
     """t -> t**k for even k >= 2, convex on the whole line."""
 
-    degree: int
+    __slots__ = ("degree",)
 
-    def __post_init__(self) -> None:
-        if self.degree < 2 or self.degree % 2:
+    def __init__(self, degree: int) -> None:
+        if degree < 2 or degree % 2:
             raise ParameterError("monomial degree must be an even integer >= 2")
+        self._fill(degree)
 
     def __call__(self, t: Fraction) -> Fraction:
         return t**self.degree
@@ -64,12 +107,13 @@ class Monomial:
         return f"monomial({self.degree})"
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(_Value):
     """t -> intercept + slope * t; convex with zero curvature."""
 
-    intercept: Fraction
-    slope: Fraction
+    __slots__ = ("intercept", "slope")
+
+    def __init__(self, intercept: Fraction, slope: Fraction) -> None:
+        self._fill(intercept, slope)
 
     def __call__(self, t: Fraction) -> Fraction:
         return self.intercept + self.slope * t
@@ -78,8 +122,7 @@ class Affine:
         return f"affine({self.intercept},{self.slope})"
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(_Value):
     """Convex piecewise-linear function given by breakpoints and slopes.
 
     `slopes[i]` applies between `breakpoints[i-1]` and `breakpoints[i]`
@@ -88,17 +131,21 @@ class PiecewiseLinear:
     anchors the function.
     """
 
-    value_at_zero: Fraction
-    breakpoints: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]
+    __slots__ = ("value_at_zero", "breakpoints", "slopes")
 
-    def __post_init__(self) -> None:
-        if len(self.slopes) != len(self.breakpoints) + 1:
+    def __init__(
+        self,
+        value_at_zero: Fraction,
+        breakpoints: tuple[Fraction, ...],
+        slopes: tuple[Fraction, ...],
+    ) -> None:
+        if len(slopes) != len(breakpoints) + 1:
             raise ParameterError("need exactly one more slope than breakpoints")
-        if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
+        if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
             raise ParameterError("breakpoints must be strictly increasing")
-        if any(s > t for s, t in zip(self.slopes, self.slopes[1:])):
+        if any(s > t for s, t in zip(slopes, slopes[1:])):
             raise ParameterError("slopes must be nondecreasing (convexity)")
+        self._fill(value_at_zero, breakpoints, slopes)
 
     def __call__(self, t: Fraction) -> Fraction:
         """f(0) + s_0 t plus one angle per breakpoint, each anchored at 0:

@@ -14,8 +14,8 @@ checked against the known exact values; any mismatch raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .convex_functions import Angle, ConvexTestFunction, expectation
 from .cx_order import (
@@ -36,8 +36,7 @@ class VerificationError(AssertionError):
     """A recomputed quantity disagrees with its known exact value."""
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     lhs: DiscreteDistribution
     rhs: DiscreteDistribution
     sign_change_points: tuple[Fraction, ...]

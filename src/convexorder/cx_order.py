@@ -57,7 +57,6 @@ explicitly, so parallel batch runs are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -91,8 +90,7 @@ class StandingHypothesisError(ParameterError):
     """
 
 
-@dataclass(frozen=True)
-class CxVerdict:
+class CxVerdict(NamedTuple):
     """Outcome of a convex-order comparison lhs <=_cx rhs.
 
     ``witness`` is a threshold t with stop_loss(lhs, t) > stop_loss(rhs, t);
@@ -111,8 +109,7 @@ class CxVerdict:
 _HOLDS = CxVerdict(holds=True, means_equal=True, witness=None, mean_gap=_ZERO)
 
 
-@dataclass(frozen=True)
-class OhlinReport:
+class OhlinReport(NamedTuple):
     """Outcome of the single-crossing test.
 
     ``applies`` means the sufficient condition is met (equal means and the
@@ -126,8 +123,7 @@ class OhlinReport:
     identical: bool
 
 
-@dataclass(frozen=True)
-class LevinSteckinReport:
+class LevinSteckinReport(NamedTuple):
     """The three integral conditions, each reported separately.
 
     ``endpoint_match`` compares the right limits F(b+), which agree once both
@@ -150,8 +146,7 @@ class LevinSteckinReport:
         return self.holds
 
 
-@dataclass(frozen=True)
-class SzostokReport:
+class SzostokReport(NamedTuple):
     """Sign-change analysis of F = F_rhs - F_lhs on [a, b].
 
     ``areas`` lists A_i = integral of |F| over the i-th segment cut by the

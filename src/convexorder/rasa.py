@@ -40,7 +40,6 @@ anywhere: every claim is a finite, exact computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -363,8 +362,7 @@ def rasa_form_general(
     return Fraction(dot(coeff.nums, row), coeff.den * den)
 
 
-@dataclass(frozen=True)
-class RasaPair:
+class RasaPair(NamedTuple):
     """The two sides of the order relation behind the Bernstein form.
 
     ``lhs`` is the law of the normalised sum of independent binomial draws
@@ -439,8 +437,7 @@ def verify_hoeffding(ps: Sequence[RationalLike]) -> CxVerdict:
     return cx_compare_oracle(poisson_binomial(ps), binomial(n, p_bar))
 
 
-@dataclass(frozen=True)
-class PsiPattern:
+class PsiPattern(NamedTuple):
     """The exact sequence psi_k separating mixture and averaged binomial masses.
 
     psi_k = (1/m) sum_i x_i^k (1-x_i)^(mn-k) - xbar^k (1-xbar)^(mn-k) for
@@ -497,8 +494,7 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
     )
 
 
-@dataclass(frozen=True)
-class GeneralizedVerdicts:
+class GeneralizedVerdicts(NamedTuple):
     """The three order relations behind the m-variable inequality.
 
     (a) the independent sum precedes the pooled binomial law,

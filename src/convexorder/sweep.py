@@ -19,13 +19,12 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, repeat
 from typing import Sequence
 
-from .convex_functions import KNOWN_FUNCTION_GROUPS, builtin_family
+from .convex_functions import KNOWN_FUNCTION_GROUPS, _Value, builtin_family
 from .distributions import ParameterError
 from .lattice import dot, probe_table
 from .rasa import MAX_LATTICE_LENGTH, point_from_pairs
@@ -58,24 +57,27 @@ def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
     return sorted(values)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Value):
     """Configuration of one sweep: ranges, grid bound, probe functions.
 
     ``n_values`` and ``m_values`` ascend and may be ``range`` objects: the
     grid is counted from their lengths before any check iterates them, so a
     huge range is rejected without being built, and the largest m * n is read
-    from their ends.
+    from their ends.  A configuration is immutable and compares by value.
     """
 
-    n_values: Sequence[int]
-    m_values: Sequence[int]
-    denominator: int
-    seed: int = 0
-    jobs: int = 1
-    functions: tuple[str, ...] = KNOWN_FUNCTION_GROUPS
+    __slots__ = ("n_values", "m_values", "denominator", "seed", "jobs", "functions")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n_values: Sequence[int],
+        m_values: Sequence[int],
+        denominator: int,
+        seed: int = 0,
+        jobs: int = 1,
+        functions: tuple[str, ...] = KNOWN_FUNCTION_GROUPS,
+    ) -> None:
+        self._fill(n_values, m_values, denominator, seed, jobs, functions)
         if not self.n_values or not self.m_values:
             raise ParameterError("n and m ranges must be nonempty")
         if self.denominator < 2:

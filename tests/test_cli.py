@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,9 +22,10 @@ from convexorder import (
 )
 from convexorder import cli, sweep
 from convexorder.cli import main
-from convexorder.distributions import MAX_ATOMS
+from convexorder.distributions import MAX_ATOMS, MAX_LAW_BITS
 from convexorder.rasa import MAX_LATTICE_LENGTH
 from convexorder.sweep import RunConfig, run_sweep
+from test_distributions import first_count_over_law_bits, prime_supports
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -185,7 +185,9 @@ class TestVerifyRasa:
     )
     def test_failed_stride_falls_back_to_serial(self, monkeypatch, capsys, failure, cause):
         config = RunConfig(n_values=(1, 2), m_values=(2,), denominator=3, seed=1, jobs=2)
-        serial_rows, serial_ok = run_sweep(replace(config, jobs=1))
+        serial_rows, serial_ok = run_sweep(
+            RunConfig(n_values=(1, 2), m_values=(2,), denominator=3, seed=1, jobs=1)
+        )
         args = ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "3", "--seed", "1"]
         serial = runner.invoke(main, args)
         parent = os.getpid()
@@ -233,12 +235,15 @@ class TestVerifyRasa:
         )
         assert len(sweep.grid_tasks(config)) == 6
         monkeypatch.setattr(sweep, "_available_cpus", lambda: cpus)
-        assert run_sweep(config) == run_sweep(replace(config, jobs=1))
+        serial = RunConfig(n_values=(1,), m_values=(2,), denominator=2, seed=1, jobs=1)
+        assert run_sweep(config) == run_sweep(serial)
         assert len(forked) == clamped - 1
 
     def test_parent_evaluates_only_stride_zero(self, monkeypatch, capsys):
         config = RunConfig(n_values=(1, 2), m_values=(2, 3), denominator=3, seed=1, jobs=2)
-        serial = run_sweep(replace(config, jobs=1))
+        serial = run_sweep(
+            RunConfig(n_values=(1, 2), m_values=(2, 3), denominator=3, seed=1, jobs=1)
+        )
         evaluated = []
         evaluate = sweep.evaluate_grid_point
 
@@ -288,7 +293,8 @@ class TestVerifyRasa:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert run_sweep(config) == run_sweep(replace(config, jobs=1))
+            serial = RunConfig(n_values=(1,), m_values=(2,), denominator=3, seed=1, jobs=1)
+            assert run_sweep(config) == run_sweep(serial)
         finally:
             release.set()
             other.join(timeout=10)
@@ -419,6 +425,18 @@ class TestCxCompare:
         result = runner.invoke(main, ["cx-compare", str(a), str(b)])
         assert result.exit_code == 2
         assert f"limit of {MAX_ATOMS}" in result.output
+
+    @pytest.mark.parametrize("spelling", ["text", "json"])
+    def test_denominators_over_limit_exit_2_at_once(self, tmp_path, spelling):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text(prime_supports(first_count_over_law_bits(), spelling))
+        b.write_text("0 1\n")
+        started = time.perf_counter()
+        result = runner.invoke(main, ["cx-compare", str(a), str(b)])
+        assert time.perf_counter() - started < 1
+        assert result.exit_code == 2
+        assert f"limit of {MAX_LAW_BITS} for atoms times denominator bits" in result.output
 
     @pytest.mark.parametrize(
         "method, key", [("levin-steckin", "holds"), ("szostok", "decision")]

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexorder import distributions
 from convexorder import (
     DiscreteDistribution,
     MAX_ATOMS,
+    MAX_LAW_BITS,
     MAX_RATIONAL_DIGITS,
     FormatError,
     ParameterError,
@@ -621,3 +623,65 @@ class TestAtomLimit:
     def test_comments_and_blank_lines_do_not_count(self):
         text = "# a comment\n\n" * (MAX_ATOMS + 1) + "0 1/2\n2 1/2\n"
         assert parse_distribution(text) == DiscreteDistribution(((F(0), F(1, 2)), (F(2), F(1, 2))))
+
+
+def primes():
+    """2, 3, 5, 7, ... by trial division."""
+    candidate = 2
+    while True:
+        if all(candidate % d for d in range(2, math.isqrt(candidate) + 1)):
+            yield candidate
+        candidate += 1
+
+
+def prime_supports(count: int, spelling: str = "text") -> str:
+    """count atoms k / p_k over the first count primes p_k, each of mass
+    1 / count: the common support denominator is the primes' product."""
+    atoms = [(f"{k}/{p}", f"1/{count}") for k, p in zip(range(count), primes())]
+    if spelling == "json":
+        return json.dumps({"atoms": atoms})
+    return "".join(f"{s} {m}\n" for s, m in atoms)
+
+
+def first_count_over_law_bits() -> int:
+    """The fewest atoms of ``prime_supports`` whose law passes MAX_LAW_BITS."""
+    product = 1
+    for count, p in enumerate(primes(), start=1):
+        product *= p
+        if count * product.bit_length() > MAX_LAW_BITS:
+            return count
+
+
+class TestLawSizeLimit:
+    @pytest.mark.parametrize("spelling", ["text", "json"])
+    def test_just_over_the_limit_is_rejected_at_once(self, spelling):
+        count = first_count_over_law_bits()
+        text = prime_supports(count, spelling)
+        started = time.perf_counter()
+        with pytest.raises(FormatError, match=f"{count} atoms over a .* limit of {MAX_LAW_BITS}"):
+            parse_distribution(text)
+        assert time.perf_counter() - started < 1.0
+
+    def test_just_under_the_limit_parses(self):
+        count = first_count_over_law_bits() - 1
+        d = parse_distribution(prime_supports(count))
+        (points, scale), (_, den) = d.support_numerators, d.mass_numerators
+        assert len(points) == count and den == count
+        assert count * scale.bit_length() <= MAX_LAW_BITS
+
+    @pytest.mark.parametrize("spelling", ["text", "json"])
+    def test_mass_denominators_count(self, monkeypatch, spelling):
+        # Integer supports, masses 1 / 2^k and 1 - 1 / 2^k: k + 1 bits twice.
+        monkeypatch.setattr(distributions, "MAX_LAW_BITS", 200)
+        for k, admitted in ((99, True), (100, False)):
+            atoms = [["0", f"1/{2**k}"], ["1", f"{2**k - 1}/{2**k}"]]
+            text = (
+                json.dumps({"atoms": atoms})
+                if spelling == "json"
+                else "".join(f"{s} {m}\n" for s, m in atoms)
+            )
+            if admitted:
+                assert parse_distribution(text).mass_numerators[1] == 2**k
+            else:
+                with pytest.raises(FormatError, match="2 atoms over a 101-bit"):
+                    parse_distribution(text)

@@ -68,6 +68,33 @@ def test_named_import_loads_only_its_modules():
     assert _submodules(modules) == {"convexorder.distributions", "convexorder.cx_order"}
 
 
+def test_compare_import_loads_no_dataclasses_or_inspect():
+    # Records are NamedTuples and values plain classes: generating a
+    # dataclass's methods costs 0.4 to 1 ms a class, and ``dataclasses``
+    # itself pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+    proc, modules = _run("from convexorder import bernoulli, cx_compare_oracle\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--help"],
+        ["verify-rasa", "--n", "1", "--m", "2", "--denom", "3", "--jobs", "1"],
+        ["cx-compare", "{law}", "{law}"],
+    ],
+)
+def test_commands_load_no_dataclasses(tmp_path, args):
+    # Click itself imports ``inspect``, so only ``dataclasses`` is checked.
+    law = tmp_path / "law.txt"
+    law.write_text("0 1/2\n1 1/2\n")
+    proc, modules = _run_cli(*(arg.format(law=law) for arg in args))
+    assert proc.returncode == 0, proc.stderr
+    assert "dataclasses" not in modules
+
+
 def test_every_export_is_its_modules_object():
     proc, _ = _run(
         "import importlib\n"
