@@ -68,7 +68,6 @@ _MODULE_EXPORTS = {
         "distribution_to_text",
         "mixture",
         "parse_distribution",
-        "scale",
     ),
     "randomgen": (
         "random_equal_mean_pair",
@@ -78,15 +77,11 @@ _MODULE_EXPORTS = {
     "rasa": (
         "GeneralizedVerdicts",
         "PsiPattern",
-        "RasaPair",
-        "bernstein",
         "bernstein_vector",
-        "generalized_pair",
         "poisson_binomial",
         "psi_sign_pattern",
         "rasa_form",
         "rasa_form_general",
-        "rasa_pair",
         "verify_generalized",
         "verify_hoeffding",
         "verify_theorem_main",

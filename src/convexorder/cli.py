@@ -96,9 +96,13 @@ def _resolve_out(path: str | None) -> str | None:
 def _emit(payload: str, out_path: str | None) -> None:
     if out_path is None:
         click.echo(payload, nl=False)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)
+    except OSError as exc:
+        click.echo(f"cannot write the report to {out_path}: {exc.strerror}", err=True)
+        sys.exit(2)
 
 
 def report_data(obj):
@@ -106,9 +110,19 @@ def report_data(obj):
     atom list, a test function its description, a record (a ``NamedTuple``)
     a dict of its fields in field order, and any other tuple or a list a
     list; dicts are encoded value by value, and anything else is returned as
-    it is."""
+    it is.  A Fraction whose terms pass Python's limit on int-to-string
+    conversion ends the command with exit 2."""
     if isinstance(obj, Fraction):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:
+            click.echo(
+                "cannot write the report: a value has more than "
+                f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                "converting an int to a string",
+                err=True,
+            )
+            sys.exit(2)
     if isinstance(obj, DiscreteDistribution):
         return distribution_to_json_obj(obj)["atoms"]
     if isinstance(obj, ConvexTestFunction):
@@ -231,7 +245,7 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
             lhs = parse_distribution(fa.read())
         with open(file_b, encoding="utf-8") as fb:
             rhs = parse_distribution(fb.read())
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         click.echo(f"cannot parse distribution: {exc}", err=True)
         sys.exit(2)
 

@@ -46,7 +46,6 @@ __all__ = [
     "convolve",
     "convolve_many",
     "mixture",
-    "scale",
     "parse_distribution",
     "distribution_to_text",
     "distribution_to_json_obj",
@@ -523,17 +522,6 @@ def mixture(
             mix[t * stretch] = mix.get(t * stretch, 0) + v * factor
     keys = sorted(mix)
     return DiscreteDistribution._from_ints(keys, unit, [mix[k] for k in keys], den)
-
-
-def scale(d: DiscreteDistribution, a: RationalLike) -> DiscreteDistribution:
-    """Law of X / a for a > 0: supports divided by a, masses unchanged."""
-    a = as_rational(a)
-    if a <= 0:
-        raise ParameterError(f"scale divisor must be positive, got {a}")
-    points, unit = d.support_numerators
-    return DiscreteDistribution._from_ints(
-        [t * a.denominator for t in points], unit * a.numerator, *d.mass_numerators
-    )
 
 
 # ---------------------------------------------------------------------------

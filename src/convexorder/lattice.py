@@ -11,11 +11,12 @@ every lattice point j, built by :func:`stop_loss_numerators` in one pass of
 two running sums.  On the lattice, X <=_cx Y is decided by the gap vector
 E(Y - j)_+ - E(X - j)_+ alone: its entry at j = 0 is the mean gap, and once
 the means agree the order holds exactly when no entry at a point of the
-union of supports is negative.  :func:`gap_verdict` hands such a vector to
-``cx_order``'s verdict reader, so ``lattice_oracle``'s verdict, witness
-included, is the one ``cx_compare_oracle`` gives on the corresponding
-:class:`DiscreteDistribution`.  A Rasa point builds the tables of its three
-laws once and reads all three relations from them (``rasa.StopLossTable``).
+union of supports is negative.  :func:`gap_verdict`, the one reader of
+such vectors, hands them to ``cx_order``'s verdict reader, so its verdict,
+witness included, is the one ``cx_compare_oracle`` gives on the
+corresponding :class:`DiscreteDistribution`.  A Rasa point builds the
+tables of its three laws once and reads all three relations from them
+(``rasa.StopLossTable``).
 
 Nothing here normalises: a numerator vector is never reduced by a common
 factor, and a Fraction is built only for the values handed back to callers.
@@ -40,7 +41,6 @@ __all__ = [
     "uniform_mixture",
     "stop_loss_numerators",
     "gap_verdict",
-    "lattice_oracle",
     "probe_table",
     "dot",
 ]
@@ -117,23 +117,6 @@ def gap_verdict(
     # A gap that is nowhere negative leaves no witness to look for.
     support = compress(enumerate(gaps), map(or_, lhs, rhs)) if min(gaps) < 0 else ()
     return _oracle_verdict(gaps[0], support, den, 1)
-
-
-def lattice_oracle(lhs: LatticeLaw, rhs: LatticeLaw) -> CxVerdict:
-    """Decide lhs <=_cx rhs exactly, as ``cx_compare_oracle`` does.
-
-    Both stop-loss tables are brought to D_l D_r, so the gap at j is
-    pi_rhs(j) D_l - pi_lhs(j) D_r over D_l D_r.
-    """
-    size = max(len(lhs.nums), len(rhs.nums))
-    ls = lhs.nums + [0] * (size - len(lhs.nums))
-    rs = rhs.nums + [0] * (size - len(rhs.nums))
-    dl, dr = lhs.den, rhs.den
-    gaps = [
-        r * dl - l * dr
-        for l, r in zip(stop_loss_numerators(ls), stop_loss_numerators(rs))
-    ]
-    return gap_verdict(ls, rs, gaps, dl * dr)
 
 
 def probe_table(

@@ -22,7 +22,8 @@ and the gap vectors of the relations (a), (b) and (c) over common
 denominators; all three verdicts are read from those gaps.  By the bridge
 identity, gap (c) at j is also the form's value on the angle at j / (mn), so
 a sweep reads the angles' minimum from it without evaluating a probe.
-``generalized_pair``, ``poisson_binomial`` and ``verify_hoeffding`` stay on
+``verify_theorem_main`` is relation (c) at m = 2, read from that table.
+Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
 :class:`DiscreteDistribution`.
 
 A point's binomial laws, their self powers and the independent sum of all
@@ -55,8 +56,6 @@ from .distributions import (
     bernoulli,
     binomial,
     convolve_many,
-    mixture,
-    scale,
 )
 from .lattice import (
     LatticeLaw,
@@ -65,7 +64,6 @@ from .lattice import (
     cauchy_product,
     dot,
     gap_verdict,
-    lattice_oracle,
     probe_table,
     stop_loss_numerators,
     uniform_mixture,
@@ -74,19 +72,15 @@ from .lattice import (
 __all__ = [
     "MAX_LATTICE_LENGTH",
     "LAW_CACHE_SIZE",
-    "RasaPair",
     "PsiPattern",
     "GeneralizedVerdicts",
     "StopLossTable",
     "LatticePoint",
-    "bernstein",
     "bernstein_vector",
     "rasa_form",
     "rasa_form_general",
     "lattice_point",
     "point_from_pairs",
-    "rasa_pair",
-    "generalized_pair",
     "verify_theorem_main",
     "verify_generalized",
     "poisson_binomial",
@@ -107,18 +101,6 @@ m * n = 1000 took 0.02 s there with two parameters, 0.4 s with 100, 0.7 s
 with 200 and 2.9 s with 1000 (parameters k / (m + 1)), as its sums of int
 power products also grow with m.
 """
-
-
-def bernstein(n: int, i: int, x: RationalLike) -> Fraction:
-    """The Bernstein basis polynomial C(n,i) x^i (1-x)^(n-i), exactly."""
-    if n < 1:
-        raise ParameterError(f"degree must be >= 1, got {n}")
-    if not 0 <= i <= n:
-        raise ParameterError(f"index {i} outside 0..{n}")
-    x = as_rational(x)
-    if not 0 <= x <= 1:
-        raise ParameterError(f"argument must lie in [0, 1], got {x}")
-    return math.comb(n, i) * x**i * (1 - x) ** (n - i)
 
 
 def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
@@ -362,53 +344,9 @@ def rasa_form_general(
     return Fraction(dot(coeff.nums, row), coeff.den * den)
 
 
-class RasaPair(NamedTuple):
-    """The two sides of the order relation behind the Bernstein form.
-
-    ``lhs`` is the law of the normalised sum of independent binomial draws
-    (one per parameter), ``rhs`` the uniform mixture of the laws of the
-    normalised m-fold i.i.d. sums; both live on [0, 1] and share the mean
-    (x_1 + ... + x_m) / m.
-    """
-
-    lhs: DiscreteDistribution
-    rhs: DiscreteDistribution
-    n: int
-    m: int
-    parameters: tuple[Fraction, ...]
-
-
-def generalized_pair(n: int, xs: Sequence[RationalLike]) -> RasaPair:
-    """Construct the compared pair for parameters (x_1, ..., x_m), m >= 2."""
-    xs = tuple(as_rational(x) for x in xs)
-    m = len(xs)
-    if m < 2:
-        raise ParameterError("need at least two parameters")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    for x in xs:
-        if not 0 <= x <= 1:
-            raise ParameterError(f"parameters must lie in [0, 1], got {x}")
-    mn = m * n
-    parts = [binomial(n, x) for x in xs]
-    lhs = scale(convolve_many(parts), mn)
-    self_sums = [
-        scale(convolve_many([part] * m), mn) for part in parts
-    ]
-    weights = [Fraction(1, m)] * m
-    rhs = mixture(weights, self_sums)
-    return RasaPair(lhs=lhs, rhs=rhs, n=n, m=m, parameters=xs)
-
-
-def rasa_pair(n: int, x: RationalLike, y: RationalLike) -> RasaPair:
-    """Two-parameter special case of :func:`generalized_pair`."""
-    return generalized_pair(n, (x, y))
-
-
 def verify_theorem_main(n: int, x: RationalLike, y: RationalLike) -> CxVerdict:
     """Oracle verdict for sum-vs-mixture on the unscaled two-parameter pair."""
-    point = _cached_point(n, _point_key((x, y)))
-    return lattice_oracle(point.the_sum, point.mixed)
+    return verify_generalized(n, (x, y)).sum_vs_mixture
 
 
 def poisson_binomial(ps: Sequence[RationalLike]) -> DiscreteDistribution:

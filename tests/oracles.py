@@ -6,12 +6,17 @@ over the atoms, and CDF values, mean, point masses, binomial laws, mixtures
 and scalings as Fraction sums and products over the atoms, instead of the
 int numerators the law is held as; CDF integrals via midpoint sampling
 instead of right limits, the convex order via direct expectation sweeps over
-a large probe family, the Bernstein form via Fraction Cauchy products of the
-basis vectors instead of the integer lattice kernel, the psi sequence by
-Fraction powers instead of int power products, and the four
-convex-order procedures via Fraction CDF values looked up point by point
-(the stop-loss oracle as an O(K^2) scan of ``stop_loss``) instead of the
-integer segment table.
+a large probe family, the Bernstein basis as Fraction products with
+``math.comb``, the Bernstein form via Fraction Cauchy products of the basis
+vectors instead of the integer lattice kernel, the Rasa pair of laws by
+Fraction convolution, mixture and scaling of the atoms instead of the
+lattice point, the psi sequence by Fraction powers instead of int power
+products, and the four convex-order procedures via Fraction CDF values
+looked up point by point (the stop-loss oracle as an O(K^2) scan of
+``stop_loss``) instead of the integer segment table.  None of them calls
+the package's law builders (``binomial``, ``convolve_many``, ``mixture``,
+``bernstein_vector`` or ``binomial_numerators``), so a fault there cannot
+reach the reference.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from convexorder import (
@@ -31,7 +37,6 @@ from convexorder import (
     ParameterError,
     StandingHypothesisError,
     SzostokReport,
-    bernstein_vector,
     expectation,
     random_piecewise_linear,
 )
@@ -113,6 +118,32 @@ def convolve_by_fractions(
     )
 
 
+def bernstein(n: int, i: int, x: Fraction) -> Fraction:
+    """The Bernstein basis polynomial C(n, i) x^i (1 - x)^(n - i) at x."""
+    return math.comb(n, i) * x**i * (1 - x) ** (n - i)
+
+
+def _bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
+    return tuple(bernstein(n, i, x) for i in range(n + 1))
+
+
+def pair_by_fractions(
+    n: int, xs: Sequence[Fraction]
+) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    """The two laws compared by the m-variable form at (x_1..x_m).
+
+    lhs is the normalised sum of independent binomial(n, x_i) draws, rhs
+    the uniform mixture of the normalised m-fold i.i.d. sums; both live on
+    [0, 1], and the form equals m (E_rhs f - E_lhs f).
+    """
+    m = len(xs)
+    parts = [binomial_by_fractions(n, x) for x in xs]
+    the_sum = reduce(convolve_by_fractions, parts)
+    self_sums = [reduce(convolve_by_fractions, [part] * m) for part in parts]
+    mixed = mixture_by_fractions([Fraction(1, m)] * m, self_sums)
+    return scale_by_fractions(the_sum, m * n), scale_by_fractions(mixed, m * n)
+
+
 def probe_family(
     lhs: DiscreteDistribution,
     rhs: DiscreteDistribution,
@@ -164,7 +195,7 @@ def _cauchy_product(
 
 def _self_product(n: int, x: Fraction, m: int) -> tuple[Fraction, ...]:
     """m-fold Cauchy power of the Bernstein vector of degree n at x."""
-    vec = bernstein_vector(n, x)
+    vec = _bernstein_vector(n, x)
     out = vec
     for _ in range(m - 1):
         out = _cauchy_product(out, vec)
@@ -180,9 +211,9 @@ def form_coefficients_by_cauchy(
     the Cauchy product of all of them, each reduced as it is built.
     """
     m = len(xs)
-    cross = bernstein_vector(n, xs[0])
+    cross = _bernstein_vector(n, xs[0])
     for x in xs[1:]:
-        cross = _cauchy_product(cross, bernstein_vector(n, x))
+        cross = _cauchy_product(cross, _bernstein_vector(n, x))
     coeff = [-m * c for c in cross]
     for x in xs:
         for k, v in enumerate(_self_product(n, x, m)):

@@ -25,7 +25,6 @@ from convexorder import (
     cx_compare_oracle,
     expectation,
     farey_fractions,
-    generalized_pair,
     levin_steckin_check,
     ohlin_check,
     psi_sign_pattern,
@@ -34,13 +33,13 @@ from convexorder import (
     random_weighted_distribution,
     rasa_form,
     rasa_form_general,
-    scale,
     sign_changes,
     szostok_decision,
     verify_generalized,
     verify_hoeffding,
     verify_theorem_main,
 )
+from oracles import pair_by_fractions, scale_by_fractions
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -104,10 +103,10 @@ def test_criterion_3_m_variable_inequality_at_desk_scale():
         for xs in combinations_with_replacement(grid, 3):
             verdicts = verify_generalized(n, xs)
             assert verdicts.all_hold, (n, xs)
-            pair = generalized_pair(n, xs)
+            lhs, rhs = pair_by_fractions(n, xs)
             for f in family:
                 value = rasa_form_general(n, xs, f)
-                gap = expectation(pair.rhs, f) - expectation(pair.lhs, f)
+                gap = expectation(rhs, f) - expectation(lhs, f)
                 assert value == 3 * gap, (n, xs, f)
                 assert value >= 0, (n, xs, f)
     elapsed = _report(
@@ -209,7 +208,9 @@ def test_criterion_7_algebraic_invariants():
         factor = F(rng.randint(1, 12), rng.randint(1, 12))
         assert (
             cx_compare_oracle(lhs, rhs).holds
-            == cx_compare_oracle(scale(lhs, factor), scale(rhs, factor)).holds
+            == cx_compare_oracle(
+                scale_by_fractions(lhs, factor), scale_by_fractions(rhs, factor)
+            ).holds
         )
     _report(
         7,

@@ -6,17 +6,22 @@ import subprocess
 import sys
 import threading
 import time
+from datetime import timedelta
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexorder import (
     binomial,
     build_counterexample,
     dirac,
+    distribution_to_json_obj,
     distribution_to_text,
     mixture,
 )
@@ -25,7 +30,12 @@ from convexorder.cli import main
 from convexorder.distributions import MAX_ATOMS, MAX_LAW_BITS
 from convexorder.rasa import MAX_LATTICE_LENGTH
 from convexorder.sweep import RunConfig, run_sweep
-from test_distributions import first_count_over_law_bits, prime_supports
+from test_distributions import (
+    first_count_over_law_bits,
+    prime_supports,
+    primes,
+    rational_distributions,
+)
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -301,6 +311,16 @@ class TestVerifyRasa:
         assert not other.is_alive()
         assert forked == []
 
+    def test_out_in_missing_directory_exits_2(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        result = runner.invoke(
+            main, ["verify-rasa", "--n", "1", "--m", "2", "--denom", "2", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.output == (
+            f"cannot write the report to {out}: No such file or directory\n"
+        )
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONVEXORDER_OUT_DIR", str(tmp_path))
         result = runner.invoke(
@@ -463,6 +483,96 @@ class TestCxCompare:
         assert result.exit_code == 0  # dirac(1) <=_cx spread
         assert json.loads(result.output)["holds"] is True
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no limit on int-to-string conversion in this Python",
+    )
+    def test_report_value_over_digit_limit_exits_2(self, tmp_path):
+        # Both files pass the parse limits, but the mean gap's denominator,
+        # the product of the first 1000 primes, has over 4300 digits.
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text(prime_supports(1000))
+        b.write_text(
+            "".join(
+                f"{i + 1}/{p} 1/{500 * p}\n{i + 2}/{p} {p - 1}/{500 * p}\n"
+                for i, p in enumerate(islice(primes(), 500))
+            )
+        )
+        result = runner.invoke(main, ["cx-compare", str(a), str(b), "--method", "oracle"])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"cannot write the report: a value has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for converting "
+            "an int to a string\n"
+        )
+
+    def test_file_not_utf8_exits_2(self, tmp_path):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_bytes(b"\xff\xfe0 1\n")
+        b.write_text("0 1\n")
+        result = runner.invoke(main, ["cx-compare", str(a), str(b)])
+        assert result.exit_code == 2
+        assert result.output.startswith("cannot parse distribution: 'utf-8' codec")
+
+
+# Hostile file contents: valid laws in both formats, atom lines and JSON
+# documents built from good and bad values, and arbitrary text and bytes.
+_values = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.builds("{}/{}".format, st.integers(-3, 12), st.integers(0, 12)),
+    st.sampled_from(["1e-3", "0.5", "-0", "1_0", "abc", "", "nan", "inf", "1e999999"]),
+)
+_lines = st.one_of(
+    st.builds("{} {}".format, _values, _values),
+    st.sampled_from(["", "# comment", "1", "1 2 3"]),
+    st.text(max_size=12),
+)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5), st.floats(), _values),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["atoms", "x"]), children, max_size=2),
+    max_leaves=8,
+)
+_file_contents = st.one_of(
+    rational_distributions().map(distribution_to_text),
+    rational_distributions().map(lambda d: json.dumps(distribution_to_json_obj(d))),
+    st.lists(_lines, max_size=6).map("\n".join),
+    st.lists(st.tuples(_values, _values).map(list), max_size=4).map(
+        lambda atoms: json.dumps({"atoms": atoms})
+    ),
+    _json_values.map(json.dumps),
+    st.text(max_size=40),
+    st.binary(max_size=40),
+)
+_endpoints = st.lists(
+    st.tuples(st.sampled_from(["--a", "--b"]), _values).map("=".join), max_size=2
+)
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2), derandomize=True)
+@given(
+    a=_file_contents,
+    b=_file_contents,
+    method=st.sampled_from(["oracle", "ohlin", "szostok", "levin-steckin"]),
+    endpoints=_endpoints,
+)
+def test_cx_compare_fuzz_ends_with_a_defined_exit_code(tmp_path_factory, a, b, method, endpoints):
+    folder = tmp_path_factory.getbasetemp() / "fuzz"
+    folder.mkdir(exist_ok=True)
+    paths = []
+    for name, content in (("a", a), ("b", b)):
+        path = folder / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        paths.append(str(path))
+    result = runner.invoke(main, ["cx-compare", *paths, "--method", method, *endpoints])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code in {0, 1, 2, 3}, result.output
+
 
 class TestCounterexampleCommand:
     def test_json_report(self):
@@ -589,6 +699,11 @@ class TestHoeffdingCommand:
         assert result.exit_code == 2
         assert "limit of 10000 decimal digits" in result.output
 
+    def test_out_is_a_directory_exits_2(self, tmp_path):
+        result = runner.invoke(main, ["hoeffding", "1/2", "1/3", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == f"cannot write the report to {tmp_path}: Is a directory\n"
+
 
 class TestPsiPatternCommand:
     def test_two_parameters(self):
@@ -605,6 +720,16 @@ class TestPsiPatternCommand:
     def test_boundary_exit_2(self):
         result = runner.invoke(main, ["psi-pattern", "--n", "1", "0", "1/2"])
         assert result.exit_code == 2
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no limit on int-to-string conversion in this Python",
+    )
+    def test_value_over_digit_limit_exits_2(self):
+        # A 3000-digit denominator, squared in psi's common denominator.
+        result = runner.invoke(main, ["psi-pattern", "--n", "1", "1/" + "7" * 3000, "1/2"])
+        assert result.exit_code == 2
+        assert result.output.startswith("cannot write the report: a value has more than")
 
     @pytest.mark.parametrize("n", ["999999999999999999", "501"])
     def test_lattice_length_over_limit_exits_2_at_once(self, n):

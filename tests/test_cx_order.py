@@ -24,7 +24,6 @@ from convexorder import (
     ohlin_check,
     poisson_binomial,
     random_equal_mean_pair,
-    scale,
     sign_changes,
     szostok_decision,
 )
@@ -37,6 +36,7 @@ from oracles import (
     levin_steckin_by_cdf_integrals,
     ohlin_by_probes,
     oracle_by_stop_loss_scan,
+    scale_by_fractions,
     szostok_by_cdf_segments,
 )
 
@@ -124,7 +124,9 @@ class TestOracle:
             lhs, rhs = random_equal_mean_pair(rng)
             a = F(rng.randint(1, 12), rng.randint(1, 12))
             before = cx_compare_oracle(lhs, rhs).holds
-            after = cx_compare_oracle(scale(lhs, a), scale(rhs, a)).holds
+            after = cx_compare_oracle(
+                scale_by_fractions(lhs, a), scale_by_fractions(rhs, a)
+            ).holds
             assert before == after
 
 

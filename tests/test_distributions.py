@@ -26,7 +26,6 @@ from convexorder import (
     distribution_to_text,
     mixture,
     parse_distribution,
-    scale,
 )
 from oracles import (
     binomial_by_fractions,
@@ -36,7 +35,6 @@ from oracles import (
     mass_at_by_atoms,
     mean_by_atoms,
     mixture_by_fractions,
-    scale_by_fractions,
     stop_loss_by_atoms,
     stop_loss_by_survival_integral,
 )
@@ -162,28 +160,6 @@ class TestAlgebra:
             mixture([HALF, F(1, 3)], [d, dirac(1)])
         with pytest.raises(ParameterError):
             mixture([F(3, 2), F(-1, 2)], [d, dirac(1)])
-
-    def test_scale_dirac_composition(self):
-        n = 1
-        summed = convolve(dirac(0), dirac(n))
-        assert scale(summed, 2 * n) == dirac(HALF)
-
-    def test_scale_support_map(self):
-        assert scale(binomial(2, HALF), 2).atoms == (
-            (F(0), F(1, 4)),
-            (HALF, HALF),
-            (F(1), F(1, 4)),
-        )
-
-    def test_scale_inverse(self):
-        d = binomial(3, F(2, 7))
-        assert scale(scale(d, 3), F(1, 3)) == d
-
-    def test_scale_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
-            scale(dirac(1), 0)
-        with pytest.raises(ParameterError):
-            scale(dirac(1), F(-1, 2))
 
     def test_mean_examples(self):
         assert binomial(4, F(1, 4)).mean() == 1
@@ -517,14 +493,6 @@ class TestIntHeldLaw:
         expected = binomial_by_fractions(n, p)
         assert d == expected
         assert d.atoms == expected.atoms
-
-    @settings(max_examples=60, derandomize=True)
-    @given(
-        rational_distributions(),
-        st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
-    )
-    def test_scale_matches_fraction_route(self, d, a):
-        assert scale(d, a) == scale_by_fractions(d, a)
 
     @settings(max_examples=60, derandomize=True)
     @given(

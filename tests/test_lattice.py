@@ -4,11 +4,12 @@ Every lattice result is compared for exact equality with an independent
 route: Bernstein form values with the Fraction Cauchy products in
 ``oracles.py``, and whole ``CxVerdict``s, witnesses included, with
 ``oracles.oracle_by_stop_loss_scan`` on the ``DiscreteDistribution`` laws.
-``lattice_oracle``, a point's stop-loss table and ``cx_compare_oracle``
-share one verdict reader, so agreeing with each other cannot catch a fault
-in it; the Fraction scan, which recomputes every stop-loss value from the
-atoms, can.  The reversed relations, read from a table's negated gaps, are
-where the witnesses are checked.
+``gap_verdict`` on any two lattice laws (see :func:`lattice_verdict`), a
+point's stop-loss table and ``cx_compare_oracle`` share one verdict reader,
+so agreeing with each other cannot catch a fault in it; the Fraction scan,
+which recomputes every stop-loss value from the atoms, can.  The reversed
+relations, read from a table's negated gaps, are where the witnesses are
+checked.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from convexorder import (
     Affine,
     Angle,
+    CxVerdict,
     DiscreteDistribution,
     Monomial,
     binomial,
@@ -47,7 +49,6 @@ from convexorder.lattice import (
     cauchy_product,
     dot,
     gap_verdict,
-    lattice_oracle,
     probe_table,
     stop_loss_numerators,
     uniform_mixture,
@@ -73,6 +74,19 @@ def as_distribution(law: LatticeLaw) -> DiscreteDistribution:
     )
 
 
+def lattice_verdict(lhs: LatticeLaw, rhs: LatticeLaw) -> CxVerdict:
+    """lhs <=_cx rhs by ``gap_verdict``: both stop-loss tables are brought to
+    D_l D_r, so the gap at j is pi_rhs(j) D_l - pi_lhs(j) D_r over D_l D_r."""
+    size = max(len(lhs.nums), len(rhs.nums))
+    ls = lhs.nums + [0] * (size - len(lhs.nums))
+    rs = rhs.nums + [0] * (size - len(rhs.nums))
+    gaps = [
+        r * lhs.den - l * rhs.den
+        for l, r in zip(stop_loss_numerators(ls), stop_loss_numerators(rs))
+    ]
+    return gap_verdict(ls, rs, gaps, lhs.den * rhs.den)
+
+
 def distribution_laws(n, xs):
     """The independent sum, pooled binomial and mixture, built from atoms."""
     m = len(xs)
@@ -96,7 +110,7 @@ def assert_point_matches(n, xs, family) -> int:
     witnesses = 0
     for i, j in ((0, 1), (1, 2), (0, 2)):
         for a, b in ((i, j), (j, i)):
-            verdict = lattice_oracle(lattice[a], lattice[b])
+            verdict = lattice_verdict(lattice[a], lattice[b])
             assert verdict == cx_compare_oracle(laws[a], laws[b]), (n, xs, a, b)
             assert verdict == oracle_by_stop_loss_scan(laws[a], laws[b]), (n, xs, a, b)
             witnesses += verdict.witness is not None
@@ -148,12 +162,12 @@ def test_witness_skips_points_empty_on_both_sides():
     # witness in the union of supports is 2.
     spread = LatticeLaw([1, 0, 0, 0, 1], 2)
     point = LatticeLaw([0, 0, 1], 1)
-    verdict = lattice_oracle(spread, point)
+    verdict = lattice_verdict(spread, point)
     assert verdict.witness == 2
     assert verdict == cx_compare_oracle(as_distribution(spread), as_distribution(point))
     assert verdict == oracle_by_stop_loss_scan(as_distribution(spread), as_distribution(point))
-    assert lattice_oracle(point, spread).holds
-    assert lattice_oracle(point, spread) == oracle_by_stop_loss_scan(
+    assert lattice_verdict(point, spread).holds
+    assert lattice_verdict(point, spread) == oracle_by_stop_loss_scan(
         as_distribution(point), as_distribution(spread)
     )
 
@@ -161,7 +175,7 @@ def test_witness_skips_points_empty_on_both_sides():
 def test_unequal_means_report_the_gap():
     lhs = LatticeLaw([1, 1], 2)
     rhs = LatticeLaw([0, 1, 2], 3)
-    verdict = lattice_oracle(lhs, rhs)
+    verdict = lattice_verdict(lhs, rhs)
     assert not verdict.holds and not verdict.means_equal
     assert verdict == cx_compare_oracle(as_distribution(lhs), as_distribution(rhs))
     assert verdict == oracle_by_stop_loss_scan(as_distribution(lhs), as_distribution(rhs))
@@ -201,7 +215,7 @@ def test_criterion_2_grid():
                     [convolve(binomial(n, x), binomial(n, x)), convolve(binomial(n, y), binomial(n, y))],
                 )
                 assert verify_theorem_main(n, x, y) == cx_compare_oracle(the_sum, mixed), (n, x, y)
-                reverse = lattice_oracle(point.mixed, point.the_sum)
+                reverse = lattice_verdict(point.mixed, point.the_sum)
                 assert reverse == cx_compare_oracle(mixed, the_sum), (n, x, y)
                 assert reverse == oracle_by_stop_loss_scan(mixed, the_sum), (n, x, y)
                 witnesses += reverse.witness is not None
@@ -277,7 +291,7 @@ def lattice_pairs(draw):
 def test_oracle_matches_distribution_oracle(pair):
     lhs, rhs = pair
     for a, b in ((lhs, rhs), (rhs, lhs)):
-        verdict = lattice_oracle(a, b)
+        verdict = lattice_verdict(a, b)
         assert verdict == cx_compare_oracle(as_distribution(a), as_distribution(b))
         assert verdict == oracle_by_stop_loss_scan(as_distribution(a), as_distribution(b))
 

@@ -10,7 +10,6 @@ from convexorder import (
     Monomial,
     Affine,
     ParameterError,
-    bernstein,
     bernstein_vector,
     binomial,
     convolve,
@@ -18,7 +17,6 @@ from convexorder import (
     dirac,
     expectation,
     farey_fractions,
-    generalized_pair,
     mixture,
     ohlin_check,
     poisson_binomial,
@@ -26,14 +24,13 @@ from convexorder import (
     random_probability,
     rasa_form,
     rasa_form_general,
-    rasa_pair,
     builtin_family,
     sign_changes,
     verify_generalized,
     verify_hoeffding,
     verify_theorem_main,
 )
-from oracles import psi_values_by_fractions
+from oracles import bernstein, pair_by_fractions, psi_values_by_fractions
 
 HALF = F(1, 2)
 
@@ -57,11 +54,9 @@ class TestBernstein:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            bernstein(2, 3, HALF)
+            bernstein_vector(0, HALF)
         with pytest.raises(ParameterError):
-            bernstein(2, -1, HALF)
-        with pytest.raises(ParameterError):
-            bernstein(2, 1, F(5, 4))
+            bernstein_vector(2, F(5, 4))
 
 
 class TestRasaForm:
@@ -84,9 +79,9 @@ class TestRasaForm:
             assert rasa_form(n, x, y, f) == rasa_form(n, y, x, f)
 
     def test_bridge_to_pair_expectations(self):
-        pair = rasa_pair(2, F(1, 3), F(2, 3))
+        lhs, rhs = pair_by_fractions(2, (F(1, 3), F(2, 3)))
         f = Angle(HALF)
-        gap = expectation(pair.rhs, f) - expectation(pair.lhs, f)
+        gap = expectation(rhs, f) - expectation(lhs, f)
         assert rasa_form(2, F(1, 3), F(2, 3), f) == 2 * gap
 
     def test_nonnegative_on_sample_grid(self):
@@ -128,17 +123,16 @@ def test_package_caches_are_bounded():
 
 class TestRasaPair:
     def test_boundary_dirac_pair(self):
-        pair = rasa_pair(1, F(0), F(1))
-        assert pair.lhs == dirac(HALF)
-        assert pair.rhs == mixture([HALF, HALF], [dirac(0), dirac(1)])
+        lhs, rhs = pair_by_fractions(1, (F(0), F(1)))
+        assert lhs == dirac(HALF)
+        assert rhs == mixture([HALF, HALF], [dirac(0), dirac(1)])
 
     def test_means_match(self):
-        pair = rasa_pair(1, F(1, 4), F(3, 4))
-        assert pair.lhs.mean() == pair.rhs.mean() == HALF
+        lhs, rhs = pair_by_fractions(1, (F(1, 4), F(3, 4)))
+        assert lhs.mean() == rhs.mean() == HALF
 
     def test_supports_inside_unit_interval(self):
-        pair = rasa_pair(3, F(1, 5), F(4, 5))
-        for d in (pair.lhs, pair.rhs):
+        for d in pair_by_fractions(3, (F(1, 5), F(4, 5))):
             assert d.min_support >= 0 and d.max_support <= 1
 
 
@@ -244,19 +238,13 @@ class TestPsiPattern:
 
 
 class TestGeneralized:
-    def test_m2_reduces_to_pair(self):
-        via_general = generalized_pair(2, [F(1, 4), F(2, 3)])
-        via_pair = rasa_pair(2, F(1, 4), F(2, 3))
-        assert via_general.lhs == via_pair.lhs
-        assert via_general.rhs == via_pair.rhs
-
     def test_all_equal_parameters_coincide(self):
-        pair = generalized_pair(2, [F(1, 3)] * 3)
-        assert pair.lhs == pair.rhs
+        lhs, rhs = pair_by_fractions(2, [F(1, 3)] * 3)
+        assert lhs == rhs
 
     def test_three_parameter_means(self):
-        pair = generalized_pair(1, [F(1, 4), HALF, F(3, 4)])
-        assert pair.lhs.mean() == pair.rhs.mean() == HALF
+        lhs, rhs = pair_by_fractions(1, [F(1, 4), HALF, F(3, 4)])
+        assert lhs.mean() == rhs.mean() == HALF
 
     def test_three_relations_hold(self):
         verdicts = verify_generalized(1, [F(1, 4), HALF, F(3, 4)])
@@ -272,8 +260,6 @@ class TestGeneralized:
     def test_needs_two_parameters(self):
         with pytest.raises(ParameterError):
             verify_generalized(1, [HALF])
-        with pytest.raises(ParameterError):
-            generalized_pair(1, [HALF])
 
 
 class TestGeneralForm:
@@ -287,9 +273,9 @@ class TestGeneralForm:
 
     def test_bridge_factor_m(self):
         xs = [F(0), HALF, F(1)]
-        pair = generalized_pair(1, xs)
+        lhs, rhs = pair_by_fractions(1, xs)
         f = Angle(HALF)
-        gap = expectation(pair.rhs, f) - expectation(pair.lhs, f)
+        gap = expectation(rhs, f) - expectation(lhs, f)
         assert rasa_form_general(1, xs, f) == 3 * gap
 
     def test_permutation_invariance(self):

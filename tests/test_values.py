@@ -18,8 +18,9 @@ from convexorder.convex_functions import Affine, Angle, Monomial, PiecewiseLinea
 from convexorder.counterexample import CounterexampleReport, analyze_counterexample
 from convexorder.cx_order import CxVerdict, LevinSteckinReport, OhlinReport, SzostokReport
 from convexorder.distributions import DiscreteDistribution, ParameterError, bernoulli
-from convexorder.rasa import GeneralizedVerdicts, PsiPattern, RasaPair, rasa_form, rasa_pair
+from convexorder.rasa import GeneralizedVerdicts, PsiPattern, rasa_form
 from convexorder.sweep import RunConfig
+from oracles import pair_by_fractions
 
 _VERDICT = "CxVerdict(holds=False, means_equal=True, witness=Fraction(1, 2), mean_gap=Fraction(0, 1))"
 
@@ -103,13 +104,13 @@ CASES = [
     ),
 ]
 
-# Reprs of the records the package builds itself.
+# Reprs of built values: records the package builds itself, and the laws of
+# one Rasa pair from the Fraction reference route in ``oracles.py``.
 BUILT = [
     (
-        lambda: rasa_pair(1, F(1, 3), F(1, 2)),
-        "RasaPair(lhs=DiscreteDistribution(0: 1/3, 1/2: 1/2, 1: 1/6), "
-        "rhs=DiscreteDistribution(0: 25/72, 1/2: 17/36, 1: 13/72), n=1, m=2, "
-        "parameters=(Fraction(1, 3), Fraction(1, 2)))",
+        lambda: pair_by_fractions(1, (F(1, 3), F(1, 2))),
+        "(DiscreteDistribution(0: 1/3, 1/2: 1/2, 1: 1/6), "
+        "DiscreteDistribution(0: 25/72, 1/2: 17/36, 1: 13/72))",
     ),
     (
         analyze_counterexample,
@@ -256,7 +257,7 @@ def test_values_copy_and_pickle_equal():
 def test_records_are_named_tuples_with_their_properties():
     for cls in (
         CxVerdict, OhlinReport, LevinSteckinReport, SzostokReport,
-        GeneralizedVerdicts, PsiPattern, RasaPair, CounterexampleReport,
+        GeneralizedVerdicts, PsiPattern, CounterexampleReport,
     ):
         assert issubclass(cls, tuple) and cls._fields
     report = LevinSteckinReport(True, True, False)
