@@ -14,7 +14,9 @@ are byte-identical for a fixed configuration and seed.
 This module alone turns reports into JSON: the compute modules return
 records (``NamedTuple``s) of Fractions, laws and test functions, and
 ``report_data`` encodes any of them, so no compute module knows the report
-format.
+format.  A sweep's rows, most of a ``verify-rasa`` report, are written
+through one row template (``_json_rows_payload``) with the bytes
+``json.dumps`` would write.
 
 Each subcommand imports the modules it runs inside its own body, so
 `--help` and every command pay at start-up only for what they use.
@@ -30,6 +32,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -140,6 +143,38 @@ def _json_payload(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+# How ``json.dumps`` writes a scalar row value, by its exact type.
+_JSON_SCALARS = {
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+}
+
+
+def _json_rows_payload(head: dict, rows: list[dict]) -> str:
+    """``_json_payload({**head, "rows": rows})``, the rows written through
+    one template.
+
+    ``json.dumps`` with an indent never uses CPython's C encoder, and a
+    sweep's rows are most of its report.  Every row has the keys of the
+    first, in its order, and str, int or bool values: a str goes through
+    ``encode_basestring_ascii``, the C function ``json.dumps`` itself calls,
+    an int through ``int.__repr__`` and a bool as ``true`` or ``false``, so
+    the bytes are the ones ``json.dumps`` writes.
+    """
+    text = _json_payload({**head, "rows": []})
+    if not rows:
+        return text
+    keys = (encode_basestring_ascii(key).replace("%", "%%") for key in rows[0])
+    template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    body = ",\n".join(
+        template % tuple([_JSON_SCALARS[type(v)](v) for v in row.values()])
+        for row in rows
+    )
+    # The text ends with the empty rows list, "[]\n}\n".
+    return text[:-5] + "[\n" + body + "\n  ]\n}\n"
+
+
 def _csv_payload(rows: list[dict], columns: list[str]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -193,7 +228,7 @@ def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out):
         columns = ["n", "m", "xs", "verdict_a", "verdict_b", "verdict_c", "min_form", "ok"]
         payload = _csv_payload(rows, columns)
     else:
-        payload = _json_payload(
+        payload = _json_rows_payload(
             {
                 "command": "verify-rasa",
                 "n": _range_echo(config.n_values),
@@ -202,8 +237,8 @@ def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out):
                 "seed": config.seed,
                 "functions": list(config.functions),
                 "ok": ok,
-                "rows": rows,
-            }
+            },
+            rows,
         )
     _emit(payload, _resolve_out(out))
     if not ok:

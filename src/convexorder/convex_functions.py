@@ -14,7 +14,9 @@ union of support points decides the order.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .distributions import DiscreteDistribution, ParameterError
@@ -33,24 +35,31 @@ __all__ = [
 
 
 class _Value:
-    """An immutable value whose fields are its class's ``__slots__``.
+    """An immutable value whose fields are its class's public ``__slots__``.
 
     Two values are equal when they are of one class and their fields are
     equal, and the hash is that of the field tuple, so a probe can key a
     cache without meeting a probe of another class with equal fields there
     (``Angle(2) != Monomial(2)``).  The repr names every field, and fields
-    are set once, in ``__init__`` through ``_fill``.  A plain class costs
-    far less to build at import than a generated one.
+    are set once, in ``__init__`` through ``_fill``.  A slot whose name
+    starts with an underscore holds data derived from the fields in
+    ``__init__``, outside equality, hash and repr.  A plain class costs far
+    less to build at import than a generated one.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
 
     def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,7 +70,7 @@ class _Value:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -131,7 +140,7 @@ class PiecewiseLinear(_Value):
     anchors the function.
     """
 
-    __slots__ = ("value_at_zero", "breakpoints", "slopes")
+    __slots__ = ("value_at_zero", "breakpoints", "slopes", "_intercepts")
 
     def __init__(
         self,
@@ -146,14 +155,25 @@ class PiecewiseLinear(_Value):
         if any(s > t for s, t in zip(slopes, slopes[1:])):
             raise ParameterError("slopes must be nondecreasing (convexity)")
         self._fill(value_at_zero, breakpoints, slopes)
+        # f(t) = f(0) + s_0 t + sum_i (s_{i+1} - s_i) (max(t - b_i, 0) - max(-b_i, 0)),
+        # one angle per breakpoint anchored at 0, is intercepts[j] + s_j t on
+        # the piece from b_{j-1} to b_j: each breakpoint passed moves
+        # (s_{i+1} - s_i) b_i from the intercept into the slope.
+        jumps = [s_next - s for s, s_next in zip(slopes, slopes[1:])]
+        intercept = value_at_zero
+        for b, jump in zip(breakpoints, jumps):
+            if b < 0:
+                intercept += jump * b
+        intercepts = [intercept]
+        for b, jump in zip(breakpoints, jumps):
+            intercept -= jump * b
+            intercepts.append(intercept)
+        object.__setattr__(self, "_intercepts", tuple(intercepts))
 
     def __call__(self, t: Fraction) -> Fraction:
-        """f(0) + s_0 t plus one angle per breakpoint, each anchored at 0:
-        sum_i (s_{i+1} - s_i) (max(t - b_i, 0) - max(-b_i, 0))."""
-        value = self.value_at_zero + self.slopes[0] * t
-        for b, s, s_next in zip(self.breakpoints, self.slopes, self.slopes[1:]):
-            value += (s_next - s) * (max(t - b, 0) - max(-b, 0))
-        return value
+        """The affine piece that holds t, evaluated at t."""
+        j = bisect_right(self.breakpoints, t)
+        return self._intercepts[j] + self.slopes[j] * t
 
     def describe(self) -> str:
         pieces = ";".join(str(b) for b in self.breakpoints)
@@ -219,6 +239,13 @@ def builtin_family(
     if "affine" in groups:
         family.append(Affine(Fraction(1), Fraction(-2)))
     if "random-pwl" in groups:
-        rng = random.Random(seed)
-        family.extend(random_piecewise_linear(rng) for _ in range(random_count))
+        family.extend(_random_family(random_count, seed))
     return tuple(family)
+
+
+@lru_cache(maxsize=16)
+def _random_family(count: int, seed: int) -> tuple[PiecewiseLinear, ...]:
+    # The random group does not depend on the angle denominator, and a sweep
+    # asks for it once per m * n; its functions are immutable.
+    rng = random.Random(seed)
+    return tuple(random_piecewise_linear(rng) for _ in range(count))

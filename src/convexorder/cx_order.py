@@ -61,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .distributions import DiscreteDistribution, ParameterError, as_rational
+from .distributions import DiscreteDistribution, ParameterError, _quoted, as_rational
 
 __all__ = [
     "CxVerdict",
@@ -340,8 +340,8 @@ def _require_interval(
     for d in (lhs, rhs):
         if d.min_support < a or d.max_support > b:
             raise ParameterError(
-                f"distribution escapes [{a}, {b}]: "
-                f"support spans [{d.min_support}, {d.max_support}]"
+                f"distribution escapes [{_quoted(a)}, {_quoted(b)}]: support "
+                f"spans [{_quoted(d.min_support)}, {_quoted(d.max_support)}]"
             )
 
 
@@ -382,7 +382,7 @@ def szostok_decision(
     if table.running[-1]:
         raise StandingHypothesisError(
             f"total integral of the CDF difference is "
-            f"{table.value(table.running[-1])}, not 0"
+            f"{_quoted(table.value(table.running[-1]))}, not 0"
         )
 
     first_sign, changes = _sign_runs(table.diffs)

@@ -168,6 +168,41 @@ def decimal_str(value: Fraction, digits: int = 12) -> str:
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
+_QUOTED_BITS = 200
+
+
+def _quoted(value: Fraction) -> str:
+    """A value as an error message quotes it, in one short line.
+
+    Its ``p/q`` text when both terms have at most 200 bits (about 60
+    digits); otherwise six significant digits, rounded toward zero, and the
+    bit length of the denominator if that is a long term.  A message built
+    from an input's values thus never passes Python's limit on int-to-string
+    conversion.
+    """
+    p, q = value.numerator, value.denominator
+    size = abs(p)
+    if size.bit_length() <= _QUOTED_BITS and q.bit_length() <= _QUOTED_BITS:
+        return str(value)
+    # The exponent e with 10^e <= |value| < 10^(e+1), from the bit lengths'
+    # estimate (log10 2 is about 0.30103) and moved to the exact one.
+    e = (size.bit_length() - q.bit_length()) * 30103 // 100000
+    while True:
+        lead = size * 10 ** (5 - e) // q if e <= 5 else size // (q * 10 ** (e - 5))
+        if lead >= 10**6:
+            e += 1
+        elif lead < 10**5:
+            e -= 1
+        else:
+            break
+    sign = "-" if p < 0 else ""
+    text = str(lead)
+    text = f"about {sign}{text[0]}.{text[1:]}e{e}"
+    if q.bit_length() > _QUOTED_BITS:
+        text += f" (a {q.bit_length()}-bit denominator)"
+    return text
+
+
 class DiscreteDistribution:
     """A finitely supported probability measure on the rationals.
 
@@ -224,12 +259,14 @@ class DiscreteDistribution:
             if previous is not None and p <= previous:
                 raise ParameterError("support points must be strictly increasing")
             if v <= 0:
-                raise ParameterError(f"mass at {Fraction(p, scale)} must be positive")
+                raise ParameterError(
+                    f"mass at {_quoted(Fraction(p, scale))} must be positive"
+                )
             previous = p
         total = sum(nums)
         if total != den:
             raise ParameterError(
-                f"masses must sum to 1 exactly, got {Fraction(total, den)}"
+                f"masses must sum to 1 exactly, got {_quoted(Fraction(total, den))}"
             )
         g = math.gcd(scale, *points)
         # gcd(*nums) divides den, their sum, so it equals gcd(den, *nums); a
@@ -423,7 +460,7 @@ def bernoulli(p: RationalLike) -> DiscreteDistribution:
     """Bernoulli law on {0, 1}; p in {0, 1} degenerates to a point mass."""
     p = as_rational(p)
     if not 0 <= p <= 1:
-        raise ParameterError(f"bernoulli parameter must lie in [0, 1], got {p}")
+        raise ParameterError(f"bernoulli parameter must lie in [0, 1], got {_quoted(p)}")
     if p == 0:
         return dirac(0)
     if p == 1:
@@ -443,7 +480,7 @@ def binomial(n: int, p: RationalLike) -> DiscreteDistribution:
         raise ParameterError(f"binomial needs n >= 1, got {n}")
     p = as_rational(p)
     if not 0 <= p <= 1:
-        raise ParameterError(f"binomial parameter must lie in [0, 1], got {p}")
+        raise ParameterError(f"binomial parameter must lie in [0, 1], got {_quoted(p)}")
     if p == 0:
         return dirac(0)
     if p == 1:

@@ -14,15 +14,17 @@ is the uniform mixture of the laws of the normalised i.i.d. sums.  The
 verifiers here decide those order relations with the exact oracle.
 
 The forms and the verifiers of the Rasa relations run on the integer lattice
-kernel (:mod:`.lattice`): one :class:`LatticePoint` per parameter tuple holds
-the laws as int numerators, and the form's coefficients are read off the
-same integers.  Its :class:`StopLossTable` holds the stop-loss numerators of
-the sum, the pooled law and the mixture at every lattice point, built once,
-and the gap vectors of the relations (a), (b) and (c) over common
-denominators; all three verdicts are read from those gaps.  By the bridge
-identity, gap (c) at j is also the form's value on the angle at j / (mn), so
-a sweep reads the angles' minimum from it without evaluating a probe.
-``verify_theorem_main`` is relation (c) at m = 2, read from that table.
+kernel (:mod:`.lattice`) and share one route: :func:`point_from_pairs`
+builds one :class:`StopLossTable` per parameter tuple in one integer pass.
+The table holds the sum, the pooled law and the mixture as int numerators,
+the form's coefficients F = M - m S read off the same integers, and the gap
+vectors of the relations (a), (b) and (c) over common denominators.  The
+stop-loss map is linear, so two stop-loss passes, over F and over the
+pooled law minus the scaled sum, give all three gaps; all three verdicts
+are read from them.  By the bridge identity, gap (c) at j is also the form's
+value on the angle at j / (mn), so a sweep reads the angles' minimum from it
+without evaluating a probe, and every other probe is one dot product with
+F.  ``verify_theorem_main`` is relation (c) at m = 2, read from that table.
 Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
 :class:`DiscreteDistribution`.
 
@@ -52,6 +54,7 @@ from .distributions import (
     ParameterError,
     RationalLike,
     _power_products,
+    _quoted,
     as_rational,
     bernoulli,
     binomial,
@@ -75,7 +78,6 @@ __all__ = [
     "PsiPattern",
     "GeneralizedVerdicts",
     "StopLossTable",
-    "LatticePoint",
     "bernstein_vector",
     "rasa_form",
     "rasa_form_general",
@@ -108,7 +110,7 @@ def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
     if n < 1:
         raise ParameterError(f"degree must be >= 1, got {n}")
     if not 0 <= x <= 1:
-        raise ParameterError(f"argument must lie in [0, 1], got {x}")
+        raise ParameterError(f"argument must lie in [0, 1], got {_quoted(x)}")
     y = 1 - x
     x_powers = [Fraction(1)]
     y_powers = [Fraction(1)]
@@ -121,7 +123,17 @@ def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
 
 
 class StopLossTable(NamedTuple):
-    """A point's three laws and the stop-loss gaps of its three relations.
+    """The laws at one point (n, x_1..x_m), its form and the stop-loss gaps
+    of its three relations.
+
+    Each x_i is written a_i / L over the least common denominator L of the
+    parameters.  ``the_sum`` is the Cauchy product of the binomial(n, x_i)
+    laws (the cross product, over L^(mn)), ``pooled`` the binomial(mn, mean
+    of the x_i) law (over (m L)^(mn)) and ``mixed`` the uniform mixture of
+    the m-fold self sums (the self products, summed over m L^(mn)); all
+    three live on 0..mn.  ``form`` holds the coefficient of f(k / (mn)) in
+    the form over L^(mn): the mixture's numerators minus m times the sum's,
+    by the bridge identity form = m (E_mixed f - E_sum f).
 
     Each gap vector holds, at every lattice point j = 0..mn, the numerator
     of E(rhs - j)_+ - E(lhs - j)_+ for its relation lhs <=_cx rhs: (a) and
@@ -133,6 +145,7 @@ class StopLossTable(NamedTuple):
     the_sum: LatticeLaw
     pooled: LatticeLaw
     mixed: LatticeLaw
+    form: list[int]
     sum_vs_pooled: list[int]
     pooled_vs_mixture: list[int]
     sum_vs_mixture: list[int]
@@ -150,77 +163,8 @@ class StopLossTable(NamedTuple):
         )
 
 
-class LatticePoint(NamedTuple):
-    """The unscaled laws behind the m-variable form at (n, x_1..x_m).
-
-    Each x_i is written a_i / L over the least common denominator L of the
-    parameters, so every binomial(n, x_i) law carries its numerators over
-    L^n.  ``the_sum`` is their Cauchy product (the cross product, over
-    L^(mn)) and ``mixed`` the uniform mixture of their m-fold Cauchy powers
-    (the self products, summed over m L^(mn)).  Both live on 0..mn.
-    """
-
-    n: int
-    numerators: tuple[int, ...]
-    common_den: int
-    the_sum: LatticeLaw
-    mixed: LatticeLaw
-
-    @property
-    def m(self) -> int:
-        return len(self.numerators)
-
-    def pooled(self) -> LatticeLaw:
-        """binomial(mn, mean of the x_i): numerators over (m L)^(mn)."""
-        return bernstein_numerators(
-            self.m * self.n, sum(self.numerators), self.m * self.common_den
-        )
-
-    def stop_loss_table(self) -> StopLossTable:
-        """The stop-loss gaps of the relations (a), (b) and (c) at j = 0..mn.
-
-        With pi_S, pi_P and pi_M the stop-loss numerators of the sum (over
-        L^(mn)), the pooled law (over (m L)^(mn)) and the mixture (over
-        m L^(mn)), the gaps are pi_P - m^(mn) pi_S and
-        m^(mn-1) pi_M - pi_P over (m L)^(mn), and pi_M - m pi_S over
-        m L^(mn).
-        """
-        m = self.m
-        scale = m ** (m * self.n - 1)
-        full = m * scale
-        pooled = self.pooled()
-        s, p, x = (
-            stop_loss_numerators(law.nums) for law in (self.the_sum, pooled, self.mixed)
-        )
-        return StopLossTable(
-            self.the_sum,
-            pooled,
-            self.mixed,
-            [b - full * a for a, b in zip(s, p)],
-            [scale * c - b for b, c in zip(p, x)],
-            [c - m * a for a, c in zip(s, x)],
-        )
-
-    def verdicts(self) -> GeneralizedVerdicts:
-        """Oracle verdicts for the relations (a), (b) and (c)."""
-        return self.stop_loss_table().verdicts()
-
-    def form_coefficients(self) -> LatticeLaw:
-        """The coefficient of f(k / (mn)) in the form, k = 0..mn.
-
-        It is sum_i self_i - m cross over L^(mn): the mixture's numerators
-        minus m times the sum's, the same integers relation (c) compares.
-        This is the bridge identity form = m (E_mixed f - E_sum f).
-        """
-        m = self.m
-        return LatticeLaw(
-            [s - m * c for s, c in zip(self.mixed.nums, self.the_sum.nums)],
-            self.the_sum.den,
-        )
-
-
-def lattice_point(n: int, xs: Sequence[RationalLike]) -> LatticePoint:
-    """Build the lattice laws at (n, x_1..x_m); m >= 2, n >= 1, x_i in [0, 1]."""
+def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
+    """The laws, form and gaps at (n, x_1..x_m); m >= 2, n >= 1, x_i in [0, 1]."""
     xs = [as_rational(x) for x in xs]
     if len(xs) < 2:
         raise ParameterError("need at least two parameters")
@@ -228,7 +172,7 @@ def lattice_point(n: int, xs: Sequence[RationalLike]) -> LatticePoint:
         raise ParameterError(f"n must be >= 1, got {n}")
     for x in xs:
         if not 0 <= x <= 1:
-            raise ParameterError(f"parameters must lie in [0, 1], got {x}")
+            raise ParameterError(f"parameters must lie in [0, 1], got {_quoted(x)}")
     return point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
 
 
@@ -271,19 +215,24 @@ def _prefix_sum(n: int, pairs: tuple[tuple[int, int], ...]) -> LatticeLaw:
     return law
 
 
-def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> LatticePoint:
-    """The lattice laws at (n, p_1/q_1 .. p_m/q_m), from reduced pairs.
+def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTable:
+    """The laws, form and gaps at (n, p_1/q_1 .. p_m/q_m), from reduced pairs.
 
     The caller guarantees n >= 1, m >= 2 and 0 <= p_i <= q_i in lowest
     terms; :func:`lattice_point` checks that and calls this.  Binomial laws,
     self powers and the sum of the first m - 1 parameters come from the
     per-process caches, each over its own denominators, and are brought to
     L^(mn), L the least common denominator, by integer factors (L/q)^(mn).
+
+    The stop-loss map pi is linear, so two passes give all three gaps.
+    With S, P and M the numerators of the sum, the pooled law and the
+    mixture, gap (c) is pi(M) - m pi(S) = pi(F) for the form's coefficients
+    F = M - m S, gap (a) is pi(P) - m^(mn) pi(S) = pi(P - m^(mn) S), and gap
+    (b), m^(mn-1) pi(M) - pi(P), is m^(mn-1) (c) - (a).
     """
     m = len(pairs)
     mn = m * n
     common_den = math.lcm(*(q for _, q in pairs))
-    numerators = tuple(p * (common_den // q) for p, q in pairs)
     the_sum = cauchy_product(_prefix_sum(n, pairs[:-1]), _binomial(n, *pairs[-1]))
     full_den = common_den**mn
     factor = full_den // the_sum.den
@@ -292,7 +241,23 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> LatticePoint
     # The self powers lie over q_i^(mn), whose least common multiple is
     # L^(mn), so the mixture comes out over m L^(mn), as the sum over L^(mn).
     mixed = uniform_mixture([_self_power(n, m, p, q) for p, q in pairs])
-    return LatticePoint(n, numerators, common_den, the_sum, mixed)
+    total = sum(p * (common_den // q) for p, q in pairs)
+    pooled = bernstein_numerators(mn, total, m * common_den)
+    s = the_sum.nums
+    form = [c - m * a for a, c in zip(s, mixed.nums)]
+    sum_vs_mixture = stop_loss_numerators(form)
+    scale = m ** (mn - 1)
+    full = m * scale
+    sum_vs_pooled = stop_loss_numerators([b - full * a for a, b in zip(s, pooled.nums)])
+    return StopLossTable(
+        the_sum,
+        pooled,
+        mixed,
+        form,
+        sum_vs_pooled,
+        [scale * c - a for a, c in zip(sum_vs_pooled, sum_vs_mixture)],
+        sum_vs_mixture,
+    )
 
 
 @lru_cache(maxsize=256)
@@ -309,18 +274,11 @@ def _point_key(xs: Sequence[RationalLike]) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=64)
-def _cached_point(n: int, xs: tuple[tuple[int, int], ...]) -> LatticePoint:
+def _cached_point(n: int, xs: tuple[tuple[int, int], ...]) -> StopLossTable:
     # Library callers probe one point with many test functions and decide
-    # its relations too, so the forms and the verifiers share one point per
-    # key.  Its laws are only ever read.
+    # its relations too, so the forms and the verifiers share one table per
+    # key.  Its lists are only ever read.
     return lattice_point(n, [Fraction(p, q) for p, q in xs])
-
-
-@lru_cache(maxsize=64)
-def _form_coefficients(n: int, xs: tuple[tuple[int, int], ...]) -> LatticeLaw:
-    # Recomputing the coefficients on every probe would cost more than
-    # building the point did.
-    return _cached_point(n, xs).form_coefficients()
 
 
 def rasa_form(
@@ -337,11 +295,11 @@ def rasa_form_general(
 
     The coefficient of f(k / (mn)) collects, over all index tuples summing
     to k, the m same-parameter products minus m times the cross product;
-    :meth:`LatticePoint.form_coefficients` gives them as integers.
+    the point's :class:`StopLossTable` holds them as integers.
     """
-    coeff = _form_coefficients(n, _point_key(xs))
-    row, den = _probe_row(len(coeff.nums) - 1, f)
-    return Fraction(dot(coeff.nums, row), coeff.den * den)
+    table = _cached_point(n, _point_key(xs))
+    row, den = _probe_row(len(table.form) - 1, f)
+    return Fraction(dot(table.form, row), table.the_sum.den * den)
 
 
 def verify_theorem_main(n: int, x: RationalLike, y: RationalLike) -> CxVerdict:
@@ -369,7 +327,7 @@ def verify_hoeffding(ps: Sequence[RationalLike]) -> CxVerdict:
         raise ParameterError("need at least one parameter")
     for p in ps:
         if not 0 < p < 1:
-            raise ParameterError(f"parameters must lie in (0, 1), got {p}")
+            raise ParameterError(f"parameters must lie in (0, 1), got {_quoted(p)}")
     n = len(ps)
     p_bar = sum(ps, Fraction(0)) / n
     return cx_compare_oracle(poisson_binomial(ps), binomial(n, p_bar))
@@ -404,7 +362,7 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
         raise ParameterError(f"n must be >= 1, got {n}")
     for x in xs:
         if not 0 < x < 1:
-            raise ParameterError(f"parameters must lie in (0, 1), got {x}")
+            raise ParameterError(f"parameters must lie in (0, 1), got {_quoted(x)}")
     if all(x == xs[0] for x in xs):
         raise ParameterError("degenerate input: all parameters equal, psi == 0")
     mn = m * n

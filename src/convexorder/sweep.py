@@ -6,12 +6,14 @@ denominator up to a bound.  Those fractions are built and bounded once, so a
 point hands their int numerators and denominators straight to
 ``rasa.point_from_pairs``, whose per-process caches of binomial laws, self
 powers and sums over all parameters but the last serve the whole grid in
-that order.  Each point is evaluated by a pure function, so
-the grid can be split into strides: forked children evaluate all but the
-first, the parent evaluates the first, and the rows come back over pipes.
-Rows are always put back in grid order, and a stride whose child fails is
-evaluated in the parent, so reports are byte-identical for a fixed
-configuration and seed regardless of the parallelism degree.
+that order.  That one integer pass returns the point's stop-loss table: its
+three verdicts, the angles' minimum (gap (c)) and the form coefficients
+that every other probe meets in one dot product.  Each point is evaluated
+by a pure function, so the grid can be split into strides: forked children
+evaluate all but the first, the parent evaluates the first, and the rows
+come back over pipes.  Rows are always put back in grid order, and a stride
+whose child fails is evaluated in the parent, so reports are byte-identical
+for a fixed configuration and seed regardless of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ MAX_GRID_POINTS = 100_000
 """The most grid points one sweep accepts.
 
 Every row is held until the report is written: 73,696 points
-(``--n 1..4 --m 3 --denom 12``) take 148 MB and 7.8 s serially on one
-2-core x86-64 host, so this bounds a sweep at roughly 200 MB.
+(``--n 1..4 --m 3 --denom 12``, a 13.6 MB report) peak at 90 MB and take
+5.8 to 6.7 s serially on one 2-core x86-64 host with Python 3.11, so this
+bounds a sweep at roughly 120 MB.
 """
 
 
@@ -182,30 +185,29 @@ def grid_tasks(config: RunConfig) -> list[tuple]:
 def evaluate_grid_point(task: tuple) -> dict:
     """Verdicts and the minimal form value at one grid point (pure).
 
-    One stop-loss table decides the three relations.  By the bridge
-    identity, the form on the angle at j / (mn) is relation (c)'s gap at j
-    over mn L^(mn), so the angles' minimum is that vector's minimum.  Every
-    other probe is one integer dot product with the form's coefficients.
+    One stop-loss table holds the point's form coefficients and decides the
+    three relations.  By the bridge identity, the form on the angle at
+    j / (mn) is relation (c)'s gap at j over mn L^(mn), so the angles'
+    minimum is that vector's minimum.  Every other probe is one integer dot
+    product with the form's coefficients.
     """
     n, m, xs, functions, seed = task
     mn = m * n
-    point = point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
-    table = point.stop_loss_table()
+    table = point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
     verdicts = table.verdicts()
     # Both minima over mn L^(mn) P, P the probe table's denominator.
     rows, den = _probe_table(mn, functions, seed)
     minima = []
     if rows:
-        coeff = point.form_coefficients().nums
-        minima.append(min(map(dot, repeat(coeff), rows)) * mn)
+        minima.append(min(map(dot, repeat(table.form), rows)) * mn)
     if "angles" in functions:
         minima.append(min(table.sum_vs_mixture) * den)
-    min_form = Fraction(min(minima), mn * point.the_sum.den * den)
+    min_form = Fraction(min(minima), mn * table.the_sum.den * den)
     ok = verdicts.all_hold and min_form >= 0
     return {
         "n": n,
         "m": m,
-        "xs": ";".join(str(x) for x in xs),
+        "xs": ";".join(map(str, xs)),
         "verdict_a": verdicts.sum_vs_pooled.holds,
         "verdict_b": verdicts.pooled_vs_mixture.holds,
         "verdict_c": verdicts.sum_vs_mixture.holds,

@@ -40,6 +40,7 @@ from convexorder import (
     expectation,
     random_piecewise_linear,
 )
+from convexorder.distributions import _quoted
 
 
 def stop_loss_by_survival_integral(d: DiscreteDistribution, t: Fraction) -> Fraction:
@@ -359,7 +360,7 @@ def szostok_by_cdf_segments(
     total = sum((d * ln for d, ln in zip(diffs, lengths)), Fraction(0))
     if total != 0:
         raise StandingHypothesisError(
-            f"total integral of the CDF difference is {total}, not 0"
+            f"total integral of the CDF difference is {_quoted(total)}, not 0"
         )
     first_sign = next((1 if d > 0 else -1 for d in diffs if d != 0), 0)
     if first_sign == 0:

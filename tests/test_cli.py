@@ -26,10 +26,10 @@ from convexorder import (
     mixture,
 )
 from convexorder import cli, sweep
-from convexorder.cli import main
+from convexorder.cli import _json_rows_payload, main
 from convexorder.distributions import MAX_ATOMS, MAX_LAW_BITS
 from convexorder.rasa import MAX_LATTICE_LENGTH
-from convexorder.sweep import RunConfig, run_sweep
+from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
 from test_distributions import (
     first_count_over_law_bits,
     prime_supports,
@@ -175,6 +175,33 @@ class TestVerifyRasa:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,m,xs,verdict_a,verdict_b,verdict_c,min_form,ok"
         assert lines[1] == "1,2,0;0,true,true,true,0,true"
+
+    def test_failing_row_exits_1_with_the_bytes_of_json_dumps(self, monkeypatch):
+        evaluate = sweep.evaluate_grid_point
+
+        def failing(task):
+            row = evaluate(task)
+            if task[:3] == (2, 2, (F(1, 3), F(1, 2))):
+                row.update(verdict_c=False, min_form="-1/7", ok=False)
+            return row
+
+        monkeypatch.setattr(sweep, "evaluate_grid_point", failing)
+        result = runner.invoke(main, ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "3"])
+        assert result.exit_code == 1
+        assert result.stderr == "verification failed at n=2 m=2 xs=1/3;1/2\n"
+        rows, ok = run_sweep(RunConfig(n_values=(1, 2), m_values=(2,), denominator=3))
+        assert not ok and sum(not row["ok"] for row in rows) == 1
+        payload = {
+            "command": "verify-rasa",
+            "n": "1..2",
+            "m": "2",
+            "denominator": 3,
+            "seed": 0,
+            "functions": list(KNOWN_FUNCTION_GROUPS),
+            "ok": False,
+            "rows": rows,
+        }
+        assert result.stdout == json.dumps(payload, indent=2) + "\n"
 
     def test_jobs_do_not_change_output(self):
         args = ["verify-rasa", "--n", "1", "--m", "2", "--denom", "3", "--seed", "1"]
@@ -507,6 +534,39 @@ class TestCxCompare:
             "an int to a string\n"
         )
 
+    def test_mass_sum_over_digit_limit_exits_2(self, tmp_path):
+        # Masses 1/p_k over the first 1800 primes: their sum, quoted by the
+        # parse error, has a denominator of over 6000 digits.
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("".join(f"{k} 1/{p}\n" for k, p in zip(range(1800), primes())))
+        b.write_text("0 1\n")
+        result = runner.invoke(main, ["cx-compare", str(a), str(b)])
+        assert result.exit_code == 2
+        assert result.output == (
+            "cannot parse distribution: masses must sum to 1 exactly, "
+            "got about 2.52867e0 (a 22056-bit denominator)\n"
+        )
+
+    def test_szostok_total_over_digit_limit_exits_3(self, tmp_path):
+        # The digit-limit pair above: unequal means whose gap, the total
+        # integral Szostok's message quotes, has over 4300 digits.
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text(prime_supports(1000))
+        b.write_text(
+            "".join(
+                f"{i + 1}/{p} 1/{500 * p}\n{i + 2}/{p} {p - 1}/{500 * p}\n"
+                for i, p in enumerate(islice(primes(), 500))
+            )
+        )
+        result = runner.invoke(main, ["cx-compare", str(a), str(b), "--method", "szostok"])
+        assert result.exit_code == 3
+        assert result.output == (
+            "standing hypotheses unmet: total integral of the CDF difference is "
+            "about -2.76248e-2 (a 16329-bit denominator), not 0\n"
+        )
+
     def test_file_not_utf8_exits_2(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -699,6 +759,13 @@ class TestHoeffdingCommand:
         assert result.exit_code == 2
         assert "limit of 10000 decimal digits" in result.output
 
+    def test_parameter_over_digit_limit_exits_2(self):
+        result = runner.invoke(main, ["hoeffding", "1/2", "1e4400"])
+        assert result.exit_code == 2
+        assert result.output == (
+            "invalid probability: parameters must lie in (0, 1), got about 1.00000e4400\n"
+        )
+
     def test_out_is_a_directory_exits_2(self, tmp_path):
         result = runner.invoke(main, ["hoeffding", "1/2", "1/3", "--out", str(tmp_path)])
         assert result.exit_code == 2
@@ -739,3 +806,48 @@ class TestPsiPatternCommand:
         assert result.exit_code == 2
         message = f"m * n is {2 * int(n)}, above the limit of {MAX_LATTICE_LENGTH}\n"
         assert message in result.output
+
+
+# Row values of every kind the row template writes: ints past 64 bits and
+# negative ones, and strings with quotes, backslashes, control characters,
+# "%" and characters outside ASCII.
+_row_values = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.text(max_size=8),
+    st.sampled_from(['a"b', "back\\slash", "\x00\x1f\n\t", "%s%%", "\u00e9\u2028\U0001f600"]),
+)
+
+
+@st.composite
+def _report_rows(draw):
+    """A head without a "rows" key and rows that share their keys, in order."""
+    keys = draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
+    rows = draw(
+        st.lists(
+            st.lists(_row_values, min_size=len(keys), max_size=len(keys)),
+            max_size=4,
+        )
+    )
+    head = draw(st.dictionaries(st.text(max_size=6), _row_values, max_size=3))
+    head.pop("rows", None)
+    return head, [dict(zip(keys, values)) for values in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_rows())
+def test_row_writer_matches_json_dumps(report):
+    head, rows = report
+    assert _json_rows_payload(head, rows) == json.dumps({**head, "rows": rows}, indent=2) + "\n"
+
+
+def test_row_writer_edge_values():
+    head = {"command": "verify-rasa", "ok": False}
+    rows = [
+        {"n": -3, "m": 2**70, "xs": 'q"b\\c\x01\n\u00e9', "ok": False},
+        {"n": 0, "m": -(2**64) - 1, "xs": "", "ok": True},
+    ]
+    for part in ([], rows[:1], rows):
+        expected = json.dumps({**head, "rows": part}, indent=2) + "\n"
+        assert _json_rows_payload(head, part) == expected

@@ -133,3 +133,38 @@ def test_family_groups_select_in_family_order():
     assert builtin_family(4, groups=("affine", "monomials")) == fam[5:9]
     assert builtin_family(4, groups=("random-pwl",), random_count=3, seed=11) == fam[9:]
     assert builtin_family(4, groups=()) == ()
+
+
+def anchored_angles(f: PiecewiseLinear, t):
+    """f(0) + s_0 t + sum_i (s_{i+1} - s_i) (max(t - b_i, 0) - max(-b_i, 0)):
+    the definition, one anchored angle per breakpoint."""
+    value = f.value_at_zero + f.slopes[0] * t
+    for b, s, s_next in zip(f.breakpoints, f.slopes, f.slopes[1:]):
+        value += (s_next - s) * (max(t - b, 0) - max(-b, 0))
+    return value
+
+
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def piecewise_linear(draw):
+    """Breakpoints anywhere on the line, on both sides of 0, and
+    nondecreasing slopes with equal neighbours allowed."""
+    breakpoints = tuple(sorted(draw(st.sets(rationals, max_size=5))))
+    slopes = [draw(rationals)]
+    for _ in breakpoints:
+        slopes.append(slopes[-1] + draw(st.builds(F, st.integers(0, 9), st.integers(1, 6))))
+    return PiecewiseLinear(draw(rationals), breakpoints, tuple(slopes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=piecewise_linear(), ts=st.lists(rationals, max_size=6))
+def test_piecewise_linear_equals_anchored_angles(f, ts):
+    for t in [*ts, *f.breakpoints, F(0)]:
+        assert f(t) == anchored_angles(f, t), (f, t)
+    for k in range(9):
+        assert f(F(k, 8)) == anchored_angles(f, F(k, 8))
+    same = PiecewiseLinear(f.value_at_zero, f.breakpoints, f.slopes)
+    assert same == f and hash(same) == hash(f) and repr(same) == repr(f)
+    assert "_intercepts" not in repr(f)

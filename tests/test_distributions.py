@@ -653,3 +653,28 @@ class TestLawSizeLimit:
             else:
                 with pytest.raises(FormatError, match="2 atoms over a 101-bit"):
                     parse_distribution(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.one_of(st.integers(-(10**90), 10**90), st.integers(-50, 50)),
+    q=st.one_of(st.integers(1, 10**90), st.integers(1, 50)),
+)
+def test_quoted_values_are_exact_when_short_and_bounded_when_long(p, q):
+    value = F(p, q)
+    text = distributions._quoted(value)
+    if max(abs(value.numerator), value.denominator).bit_length() <= 200:
+        assert text == str(value)
+        return
+    assert len(text) < 60
+    # "about [-]d.ddddde<e>": six significant digits, rounded toward zero.
+    mantissa, exponent = text.split()[1].split("e")
+    assert mantissa.startswith("-") == (value < 0)
+    lead, e = int(mantissa.lstrip("-").replace(".", "")), int(exponent)
+    assert 10**5 <= lead < 10**6
+    assert math.floor(abs(value) * F(10) ** (5 - e)) == lead
+
+
+def test_quoted_long_values():
+    assert distributions._quoted(1 - F(1, 10**80)) == "about 9.99999e-1 (a 266-bit denominator)"
+    assert distributions._quoted(F(-(10**4400))) == "about -1.00000e4400"

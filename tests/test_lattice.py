@@ -55,7 +55,7 @@ from convexorder.lattice import (
 )
 from convexorder import lattice, rasa, sweep
 from convexorder.distributions import binomial_numerators
-from convexorder.rasa import LatticePoint, lattice_point
+from convexorder.rasa import lattice_point
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, grid_tasks, run_sweep
 
 from oracles import (
@@ -105,7 +105,7 @@ def assert_point_matches(n, xs, family) -> int:
     """
     point = lattice_point(n, xs)
     laws = distribution_laws(n, xs)
-    lattice = (point.the_sum, point.pooled(), point.mixed)
+    lattice = (point.the_sum, point.pooled, point.mixed)
     assert tuple(map(as_distribution, lattice)) == laws
     witnesses = 0
     for i, j in ((0, 1), (1, 2), (0, 2)):
@@ -202,8 +202,8 @@ def test_criterion_2_grid():
             for y in grid:
                 point = lattice_point(n, (x, y))
                 coeff = form_coefficients_by_cauchy(n, (x, y))
-                lattice_coeff = point.form_coefficients()
-                assert [F(c, lattice_coeff.den) for c in lattice_coeff.nums] == list(coeff)
+                form_den = point.the_sum.den
+                assert [F(c, form_den) for c in point.form] == list(coeff)
                 # The form is symmetric in (x, y) with equal coefficients, so
                 # the probe values are compared on one half of the grid.
                 for f in family if x <= y else ():
@@ -313,7 +313,7 @@ def assert_table_matches(n, xs) -> int:
 
     Returns the number of witnesses among the reversed verdicts.
     """
-    table = lattice_point(n, xs).stop_loss_table()
+    table = lattice_point(n, xs)
     laws = distribution_laws(n, xs)
     lattice_laws = (table.the_sum, table.pooled, table.mixed)
     assert tuple(map(as_distribution, lattice_laws)) == laws
@@ -347,6 +347,31 @@ def test_stop_loss_table_matches_fraction_scan(n, xs):
     assert_table_matches(n, xs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    xs=st.integers(2, 4).flatmap(
+        lambda m: st.lists(boundary_or_inner, min_size=m, max_size=m)
+    ),
+)
+def test_two_pass_table_equals_three_pass_formulas(n, xs):
+    """The gaps from pi(F) and pi(P - m^(mn) S) are the ones the three
+    stop-loss tables of S, P and M give, and F is M - m S."""
+    table = lattice_point(n, xs)
+    m, mn = len(xs), len(xs) * n
+    common_den = math.lcm(*(F(x).denominator for x in xs))
+    assert table.the_sum.den == common_den**mn
+    assert table.pooled.den == (m * common_den) ** mn
+    assert table.mixed.den == m * common_den**mn
+    s, p, x = (stop_loss_numerators(law.nums) for law in table[:3])
+    scale = m ** (mn - 1)
+    assert table.sum_vs_pooled == [b - m * scale * a for a, b in zip(s, p)]
+    assert table.pooled_vs_mixture == [scale * c - b for b, c in zip(p, x)]
+    assert table.sum_vs_mixture == [c - m * a for a, c in zip(s, x)]
+    assert table.form == [c - m * a for a, c in zip(table.the_sum.nums, table.mixed.nums)]
+    assert_table_matches(n, xs)
+
+
 def test_stop_loss_table_reversals_carry_witnesses():
     witnesses = 0
     for n in (1, 2, 3):
@@ -368,13 +393,13 @@ def test_angle_forms_are_gap_c(n, xs):
     """The form on the angle at j / (mn) is relation (c)'s gap at j over
     mn L^(mn), so the angles' minimum is that vector's minimum."""
     point = lattice_point(n, xs)
-    mn = point.m * n
-    gaps = point.stop_loss_table().sum_vs_mixture
-    coeff = point.form_coefficients()
+    mn = len(xs) * n
+    gaps = point.sum_vs_mixture
+    form_den = point.the_sum.den
     rows, den = probe_table(mn, [Angle(F(j, mn)) for j in range(mn + 1)])
-    values = [F(dot(coeff.nums, row), coeff.den * den) for row in rows]
-    assert [F(g, mn * coeff.den) for g in gaps] == values
-    assert F(min(gaps), mn * coeff.den) == min(values)
+    values = [F(dot(point.form, row), form_den * den) for row in rows]
+    assert [F(g, mn * form_den) for g in gaps] == values
+    assert F(min(gaps), mn * form_den) == min(values)
 
 
 def test_sweep_takes_no_dot_product_per_angle(monkeypatch):
@@ -425,9 +450,10 @@ def test_sweep_rows_match_reference_for_each_function_group():
             assert row["min_form"] == str(reference), row
 
 
-def uncached_point(n, xs) -> LatticePoint:
-    """The laws at (n, xs) built from scratch over the least common
-    denominator: every binomial, self power and product made anew."""
+def uncached_laws(n, xs) -> tuple[LatticeLaw, LatticeLaw, LatticeLaw]:
+    """The sum, pooled law and mixture at (n, xs) built from scratch over
+    the least common denominator: every binomial, self power and product
+    made anew."""
     xs = [F(x) for x in xs]
     den = math.lcm(*(x.denominator for x in xs))
     numerators = tuple(x.numerator * (den // x.denominator) for x in xs)
@@ -436,7 +462,8 @@ def uncached_point(n, xs) -> LatticePoint:
     for part in parts[1:]:
         the_sum = cauchy_product(the_sum, part)
     mixed = uniform_mixture([cauchy_power(part, len(parts)) for part in parts])
-    return LatticePoint(n, numerators, den, the_sum, mixed)
+    pooled = bernstein_numerators(len(xs) * n, sum(numerators), len(xs) * den)
+    return the_sum, pooled, mixed
 
 
 # A value in [0, 1] with denominator up to 12, spelled unreduced 1 to 3
@@ -462,11 +489,10 @@ def repeating_points(draw):
 def test_cached_point_equals_uncached_laws(point):
     n, xs = point
     built = lattice_point(n, xs)
-    assert built == uncached_point(n, xs), (n, xs)
+    assert built[:3] == uncached_laws(n, xs), (n, xs)
     assert lattice_point(n, [F(x) for x in xs]) == built
-    coeff = built.form_coefficients()
     reference = form_coefficients_by_cauchy(n, [F(x) for x in xs])
-    assert [F(c, coeff.den) for c in coeff.nums] == list(reference), (n, xs)
+    assert [F(c, built.the_sum.den) for c in built.form] == list(reference), (n, xs)
 
 
 def test_grid_point_costs_one_cauchy_product(monkeypatch):
