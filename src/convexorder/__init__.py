@@ -37,7 +37,6 @@ _MODULE_EXPORTS = {
         "build_counterexample",
     ),
     "cx_order": (
-        "CxVerdict",
         "LevinSteckinReport",
         "OhlinReport",
         "StandingHypothesisError",
@@ -51,28 +50,28 @@ _MODULE_EXPORTS = {
     ),
     "distributions": (
         "DiscreteDistribution",
-        "FormatError",
         "MAX_ATOMS",
         "MAX_LAW_BITS",
-        "MAX_RATIONAL_DIGITS",
-        "ParameterError",
         "Rational",
-        "as_rational",
         "bernoulli",
         "binomial",
         "convolve",
         "convolve_many",
-        "decimal_str",
         "dirac",
         "distribution_to_json_obj",
-        "distribution_to_text",
         "mixture",
         "parse_distribution",
+    ),
+    "exact": (
+        "CxVerdict",
+        "FormatError",
+        "MAX_RATIONAL_DIGITS",
+        "ParameterError",
+        "as_rational",
     ),
     "randomgen": (
         "random_equal_mean_pair",
         "random_probability",
-        "random_weighted_distribution",
     ),
     "rasa": (
         "GeneralizedVerdicts",

@@ -18,33 +18,24 @@ format.  A sweep's rows, most of a ``verify-rasa`` report, are written
 through one row template (``_json_rows_payload``) with the bytes
 ``json.dumps`` would write.
 
-Each subcommand imports the modules it runs inside its own body, so
-`--help` and every command pay at start-up only for what they use.
+Each subcommand imports the modules it runs inside its own body, and each
+report writer the codec it writes with, so `--help` and every command pay
+at start-up only for what they use: `--help` loads only this module,
+``convex_functions`` and ``exact`` of the package, and neither ``json`` nor
+``csv``; ``verify-rasa`` adds ``sweep``, ``rasa`` and ``lattice``, and the
+commands that read or report laws add ``distributions`` and ``cx_order``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
-import random
 import re
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import click
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, ConvexTestFunction
-from .distributions import (
-    DiscreteDistribution,
-    FormatError,
-    ParameterError,
-    as_rational,
-    distribution_to_json_obj,
-    parse_distribution,
-)
+from .exact import FormatError, ParameterError, as_rational
 
 OUT_DIR_ENV = "CONVEXORDER_OUT_DIR"
 
@@ -115,6 +106,10 @@ def report_data(obj):
     list; dicts are encoded value by value, and anything else is returned as
     it is.  A Fraction whose terms pass Python's limit on int-to-string
     conversion ends the command with exit 2."""
+    from fractions import Fraction
+
+    from .distributions import DiscreteDistribution, distribution_to_json_obj
+
     if isinstance(obj, Fraction):
         try:
             return str(obj)
@@ -140,15 +135,9 @@ def report_data(obj):
 
 
 def _json_payload(obj: dict) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
-
-
-# How ``json.dumps`` writes a scalar row value, by its exact type.
-_JSON_SCALARS = {
-    bool: lambda value: "true" if value else "false",
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-}
 
 
 def _json_rows_payload(head: dict, rows: list[dict]) -> str:
@@ -162,13 +151,21 @@ def _json_rows_payload(head: dict, rows: list[dict]) -> str:
     an int through ``int.__repr__`` and a bool as ``true`` or ``false``, so
     the bytes are the ones ``json.dumps`` writes.
     """
+    from json.encoder import encode_basestring_ascii
+
     text = _json_payload({**head, "rows": []})
     if not rows:
         return text
+    # How ``json.dumps`` writes a scalar row value, by its exact type.
+    scalars = {
+        bool: lambda value: "true" if value else "false",
+        int: int.__repr__,
+        str: encode_basestring_ascii,
+    }
     keys = (encode_basestring_ascii(key).replace("%", "%%") for key in rows[0])
     template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
     body = ",\n".join(
-        template % tuple([_JSON_SCALARS[type(v)](v) for v in row.values()])
+        template % tuple([scalars[type(v)](v) for v in row.values()])
         for row in rows
     )
     # The text ends with the empty rows list, "[]\n}\n".
@@ -176,6 +173,9 @@ def _json_rows_payload(head: dict, rows: list[dict]) -> str:
 
 
 def _csv_payload(rows: list[dict], columns: list[str]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
@@ -274,6 +274,7 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
         ohlin_check,
         szostok_decision,
     )
+    from .distributions import parse_distribution
 
     try:
         with open(file_a, encoding="utf-8") as fa:
@@ -368,6 +369,8 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
 
 
 def _scan_for_violations(count: int, seed: int) -> dict:
+    import random
+
     from .cx_order import cx_compare_oracle
     from .randomgen import random_equal_mean_pair
 
@@ -401,6 +404,8 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     Pass explicit probabilities (`hoeffding 1/4 3/4`) or `--random N` for a
     seeded batch; exits 0 only if every instance satisfies the order.
     """
+    import random
+
     from .randomgen import random_probability
     from .rasa import MAX_LATTICE_LENGTH, verify_hoeffding
 
@@ -415,7 +420,7 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
         ):
             if value > limit:
                 raise click.UsageError(f"{name} is {value}, above the limit of {limit}")
-    instances: list[list[Fraction]] = []
+    instances = []
     try:
         if ps:
             instances.append([as_rational(p) for p in ps])

@@ -17,9 +17,12 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-from .distributions import DiscreteDistribution, ParameterError
+from .exact import ParameterError
+
+if TYPE_CHECKING:
+    from .distributions import DiscreteDistribution
 
 __all__ = [
     "Angle",

@@ -47,8 +47,12 @@ table.
 Laws on the integer lattice need no segment table: there the stop-loss gap
 at every lattice point comes from two running sums per law
 (``lattice.stop_loss_numerators``), and ``lattice.gap_verdict`` reads it.
-Both routes hand their gaps to ``_oracle_verdict``, the one verdict reader,
-so equal laws get equal verdicts, witnesses included.
+Both routes hand their gaps to ``exact._oracle_verdict``, the one verdict
+reader, so equal laws get equal verdicts, witnesses included.  It and
+``CxVerdict`` live in :mod:`.exact`, so the lattice route loads neither
+this module nor ``distributions``; both names are re-exported here.  This
+module reads laws only through their int numerators and never builds one,
+so it imports ``distributions`` for type annotations alone.
 
 The randomized corpora used to exercise these procedures are seeded
 explicitly, so parallel batch runs are reproducible.
@@ -59,9 +63,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .distributions import DiscreteDistribution, ParameterError, _quoted, as_rational
+from .exact import CxVerdict, ParameterError, _oracle_verdict, _quoted, as_rational
+
+if TYPE_CHECKING:
+    from .distributions import DiscreteDistribution
 
 __all__ = [
     "CxVerdict",
@@ -77,9 +84,6 @@ __all__ = [
     "szostok_decision",
 ]
 
-# The mean gap of every equal-means verdict; a Fraction is immutable.
-_ZERO = Fraction(0)
-
 
 class StandingHypothesisError(ParameterError):
     """The inputs violate a procedure's standing hypotheses.
@@ -88,25 +92,6 @@ class StandingHypothesisError(ParameterError):
     difference over [a, b] is not zero (unequal means), so that a hypothesis
     violation is never conflated with a negative decision.
     """
-
-
-class CxVerdict(NamedTuple):
-    """Outcome of a convex-order comparison lhs <=_cx rhs.
-
-    ``witness`` is a threshold t with stop_loss(lhs, t) > stop_loss(rhs, t);
-    it is present exactly when the means agree but dominance fails, and it is
-    the smallest such t on the union of supports.  ``mean_gap`` is
-    mean(rhs) - mean(lhs).
-    """
-
-    holds: bool
-    means_equal: bool
-    witness: Optional[Fraction]
-    mean_gap: Fraction
-
-
-# Every verdict that holds; a CxVerdict is immutable and compares by value.
-_HOLDS = CxVerdict(holds=True, means_equal=True, witness=None, mean_gap=_ZERO)
 
 
 class OhlinReport(NamedTuple):
@@ -230,26 +215,6 @@ def _scan(grid: list[int], jumps: Sequence[int], den: int, scale: int) -> _Segme
         diffs.append(diff)
         running.append(running[-1] + diff * (following - key))
     return _Segments(grid, diffs, running, den * scale, scale)
-
-
-def _oracle_verdict(
-    mean_gap: int, gaps: Iterable[tuple[int, int]], den: int, scale: int
-) -> CxVerdict:
-    """Equal means, then the first grid point with a negative stop-loss gap.
-
-    ``mean_gap / den`` is mean(rhs) - mean(lhs).  Once it is 0, ``gaps``
-    yields each point g of the union of supports, left to right, as
-    ``(g * scale, gap)``, where ``gap / den`` is the stop-loss gap
-    E(rhs - g)_+ - E(lhs - g)_+; it is not read when the means differ.
-    Every ``CxVerdict`` the package returns is made here.
-    """
-    if mean_gap:
-        gap = Fraction(mean_gap, den)
-        return CxVerdict(holds=False, means_equal=False, witness=None, mean_gap=gap)
-    witness = next((Fraction(g, scale) for g, gap in gaps if gap < 0), None)
-    if witness is None:
-        return _HOLDS
-    return CxVerdict(holds=False, means_equal=True, witness=witness, mean_gap=_ZERO)
 
 
 def _sign_runs(values: Sequence) -> tuple[int, list[int]]:

@@ -14,6 +14,11 @@ built on top of this module rely on that convention.
 
 Values are immutable after construction and may be shared freely between
 threads or processes; every operation here is a pure function.
+
+The errors, the rational coercion :func:`as_rational`, the message quoting
+``_quoted`` and the binomial numerators come from :mod:`.exact`, which the
+lattice route shares without loading this module, and are re-exported here
+under their old names.
 """
 
 from __future__ import annotations
@@ -25,10 +30,20 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
+
+from .exact import (
+    MAX_RATIONAL_DIGITS,
+    FormatError,
+    ParameterError,
+    RationalLike,
+    _power_products,  # noqa: F401  (re-exported)
+    _quoted,
+    as_rational,
+    binomial_numerators,
+)
 
 Rational = Fraction
-RationalLike = Union[Fraction, int, str]
 
 __all__ = [
     "Rational",
@@ -39,7 +54,6 @@ __all__ = [
     "MAX_LAW_BITS",
     "DiscreteDistribution",
     "as_rational",
-    "decimal_str",
     "dirac",
     "bernoulli",
     "binomial",
@@ -47,27 +61,8 @@ __all__ = [
     "convolve_many",
     "mixture",
     "parse_distribution",
-    "distribution_to_text",
     "distribution_to_json_obj",
 ]
-
-
-class ParameterError(ValueError):
-    """An argument violates an operation's contract (range, sign, length)."""
-
-
-class FormatError(ValueError):
-    """Input text or JSON does not encode a valid distribution."""
-
-
-MAX_RATIONAL_DIGITS = 10_000
-"""The most decimal digits a parsed rational string may carry.
-
-The count is every digit written plus the magnitude of a decimal exponent,
-since ``1e-k`` puts k digits into the denominator.  The limit keeps values
-near 33 000 bits, so a hostile string such as ``1e-999999999`` is rejected
-before any big integer is built.
-"""
 
 
 MAX_ATOMS = 100_000
@@ -99,108 +94,6 @@ and masses both run over 1449 distinct primes, two lines per prime
 (17 242 bits, 49.9 million), in 0.50 s and 42 MB; ``cx-compare`` of the
 latter against itself takes 1.1 s and 58 MB.
 """
-
-
-def _decimal_digits(text: str) -> int:
-    """Digits written in text plus its exponent's magnitude, capped above the limit.
-
-    A string whose length alone exceeds what the limit allows (at most one
-    underscore per digit and a few signs and separators) is over it.
-    """
-    over = MAX_RATIONAL_DIGITS + 1
-    if len(text) > 2 * MAX_RATIONAL_DIGITS + 8:
-        return over
-    mantissa, _, exponent = text.lower().partition("e")
-    written = sum(c.isdigit() for c in mantissa)
-    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    if not magnitude.isdigit():  # no exponent, a zero one, or one Fraction rejects
-        return written
-    if len(magnitude) > len(str(MAX_RATIONAL_DIGITS)):
-        return over
-    return min(written + int(magnitude), over)
-
-
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or `p/q` string to an exact Fraction.
-
-    Floats are rejected: they carry rounding error and this library promises
-    exactness end to end.  A string carrying more than
-    :data:`MAX_RATIONAL_DIGITS` decimal digits is rejected before it is
-    parsed.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise FormatError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if _decimal_digits(text) > MAX_RATIONAL_DIGITS:
-            raise FormatError(
-                f"rational {text[:24]!r}{'...' if len(text) > 24 else ''} exceeds "
-                f"the limit of {MAX_RATIONAL_DIGITS} decimal digits "
-                "(an exponent counts as its magnitude in digits)"
-            )
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"cannot parse rational from {value!r}") from exc
-    raise FormatError(f"not a rational value: {value!r} (floats are rejected)")
-
-
-def decimal_str(value: Fraction, digits: int = 12) -> str:
-    """Approximate decimal rendering of a rational, for display only.
-
-    Never used in any computation or serialized data format; reports carry
-    exact `p/q` strings.
-    """
-    if digits < 0:
-        raise ParameterError("digits must be >= 0")
-    sign = "-" if value < 0 else ""
-    n, d = abs(value.numerator), value.denominator
-    scaled, rem = divmod(n * 10**digits, d)
-    if 2 * rem >= d:
-        scaled += 1
-    text = str(scaled).rjust(digits + 1, "0")
-    whole, frac = text[: len(text) - digits], text[len(text) - digits :]
-    frac = frac.rstrip("0")
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
-
-
-_QUOTED_BITS = 200
-
-
-def _quoted(value: Fraction) -> str:
-    """A value as an error message quotes it, in one short line.
-
-    Its ``p/q`` text when both terms have at most 200 bits (about 60
-    digits); otherwise six significant digits, rounded toward zero, and the
-    bit length of the denominator if that is a long term.  A message built
-    from an input's values thus never passes Python's limit on int-to-string
-    conversion.
-    """
-    p, q = value.numerator, value.denominator
-    size = abs(p)
-    if size.bit_length() <= _QUOTED_BITS and q.bit_length() <= _QUOTED_BITS:
-        return str(value)
-    # The exponent e with 10^e <= |value| < 10^(e+1), from the bit lengths'
-    # estimate (log10 2 is about 0.30103) and moved to the exact one.
-    e = (size.bit_length() - q.bit_length()) * 30103 // 100000
-    while True:
-        lead = size * 10 ** (5 - e) // q if e <= 5 else size // (q * 10 ** (e - 5))
-        if lead >= 10**6:
-            e += 1
-        elif lead < 10**5:
-            e -= 1
-        else:
-            break
-    sign = "-" if p < 0 else ""
-    text = str(lead)
-    text = f"about {sign}{text[0]}.{text[1:]}e{e}"
-    if q.bit_length() > _QUOTED_BITS:
-        text += f" (a {q.bit_length()}-bit denominator)"
-    return text
 
 
 class DiscreteDistribution:
@@ -407,42 +300,6 @@ class DiscreteDistribution:
     def __repr__(self) -> str:
         body = ", ".join(f"{s}: {m}" for s, m in self.atoms)
         return f"DiscreteDistribution({body})"
-
-
-def binomial_numerators(n: int, a: int, q: int) -> list[int]:
-    """C(n, k) a^k (q - a)^(n - k), k = 0 .. n: the binomial(n, a/q) masses times q^n.
-
-    The one place the binomial numerators are computed, for :func:`binomial`
-    here and for ``lattice.bernstein_numerators``: the running power products
-    a^k b^(n-k) times the running binomial coefficients.  a = 0 and a = q put
-    all mass on one end.
-    """
-    b = q - a
-    if not b:
-        return [0] * n + [a**n]
-    if not a:
-        return [b**n] + [0] * n
-    out = _power_products(a, b, n)
-    c = 1
-    for k in range(1, n):
-        c = c * (n - k + 1) // k
-        out[k] *= c
-    return out
-
-
-def _power_products(a: int, b: int, n: int) -> list[int]:
-    """a^k b^(n-k) for k = 0..n, b > 0, as one running product.
-
-    Each step trades a factor b for a factor a by an exact division, which
-    costs time linear in the term's size where a product of two powers
-    would cost a full big-int multiplication.
-    """
-    term = b**n
-    out = [term]
-    for _ in range(n):
-        term = term // b * a
-        out.append(term)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +510,6 @@ def _json_atom(entry) -> tuple[Fraction, Fraction]:
     if mass < 0:
         raise FormatError(f"negative mass in atom entry {entry!r}")
     return support, mass
-
-
-def distribution_to_text(d: DiscreteDistribution) -> str:
-    return "\n".join(f"{s} {m}" for s, m in d.atoms) + "\n"
 
 
 def distribution_to_json_obj(d: DiscreteDistribution) -> dict:

@@ -12,11 +12,13 @@ two running sums.  On the lattice, X <=_cx Y is decided by the gap vector
 E(Y - j)_+ - E(X - j)_+ alone: its entry at j = 0 is the mean gap, and once
 the means agree the order holds exactly when no entry at a point of the
 union of supports is negative.  :func:`gap_verdict`, the one reader of
-such vectors, hands them to ``cx_order``'s verdict reader, so its verdict,
-witness included, is the one ``cx_compare_oracle`` gives on the
-corresponding :class:`DiscreteDistribution`.  A Rasa point builds the
-tables of its three laws once and reads all three relations from them
-(``rasa.StopLossTable``).
+such vectors, hands them to ``exact._oracle_verdict``, the verdict reader
+``cx_compare_oracle`` also uses, so its verdict, witness included, is the
+one ``cx_compare_oracle`` gives on the corresponding
+``DiscreteDistribution``.  This module imports only :mod:`.exact` from the
+package, so the lattice route loads neither ``cx_order`` nor
+``distributions``.  A Rasa point builds the tables of its three laws once
+and reads all three relations from them (``rasa.StopLossTable``).
 
 Nothing here normalises: a numerator vector is never reduced by a common
 factor, and a Fraction is built only for the values handed back to callers.
@@ -30,8 +32,7 @@ from itertools import accumulate, compress
 from operator import add, mul, or_
 from typing import Callable, NamedTuple, Sequence
 
-from .cx_order import CxVerdict, _oracle_verdict
-from .distributions import binomial_numerators
+from .exact import CxVerdict, _oracle_verdict, binomial_numerators
 
 __all__ = [
     "LatticeLaw",

@@ -14,7 +14,6 @@ from .distributions import DiscreteDistribution, ParameterError
 
 __all__ = [
     "random_probability",
-    "random_weighted_distribution",
     "random_equal_mean_pair",
 ]
 
@@ -58,19 +57,6 @@ def _as_distribution(supports: list[int], weights: list[int], total: int):
     return DiscreteDistribution.from_pairs(
         [(Fraction(s), Fraction(w, total)) for s, w in zip(supports, weights)]
     )
-
-
-def random_weighted_distribution(
-    rng: random.Random,
-    max_support: int = 10,
-    max_total: int = 12,
-    max_atoms: int = 5,
-) -> DiscreteDistribution:
-    """Random distribution on {0..max_support} with weights over a small total."""
-    _check_sizes(max_support, max_total, max_atoms)
-    total = rng.randint(2, max_total)
-    supports, weights = _random_atoms(rng, max_support, total, max_atoms)
-    return _as_distribution(supports, weights, total)
 
 
 def random_equal_mean_pair(

@@ -26,7 +26,9 @@ value on the angle at j / (mn), so a sweep reads the angles' minimum from it
 without evaluating a probe, and every other probe is one dot product with
 F.  ``verify_theorem_main`` is relation (c) at m = 2, read from that table.
 Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
-:class:`DiscreteDistribution`.
+``DiscreteDistribution``.  ``distributions`` and ``cx_order`` are imported
+only inside them and ``psi_sign_pattern``, the functions that use them, so
+a sweep, which runs only the lattice route, loads neither.
 
 A point's binomial laws, their self powers and the independent sum of all
 its parameters but the last depend on few of its values, so each process
@@ -45,20 +47,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .convex_functions import ConvexTestFunction, builtin_family
-from .cx_order import CxVerdict, cx_compare_oracle, sign_changes
-from .distributions import (
-    DiscreteDistribution,
+from .exact import (
+    CxVerdict,
     ParameterError,
     RationalLike,
     _power_products,
     _quoted,
     as_rational,
-    bernoulli,
-    binomial,
-    convolve_many,
 )
 from .lattice import (
     LatticeLaw,
@@ -71,6 +69,9 @@ from .lattice import (
     stop_loss_numerators,
     uniform_mixture,
 )
+
+if TYPE_CHECKING:
+    from .distributions import DiscreteDistribution
 
 __all__ = [
     "MAX_LATTICE_LENGTH",
@@ -309,6 +310,8 @@ def verify_theorem_main(n: int, x: RationalLike, y: RationalLike) -> CxVerdict:
 
 def poisson_binomial(ps: Sequence[RationalLike]) -> DiscreteDistribution:
     """Exact law of a sum of independent Bernoulli draws with parameters ps."""
+    from .distributions import bernoulli, convolve_many
+
     if not ps:
         raise ParameterError("need at least one parameter")
     parts = [bernoulli(p) for p in ps]
@@ -322,6 +325,9 @@ def verify_hoeffding(ps: Sequence[RationalLike]) -> CxVerdict:
     binomial law with the same trial count and the averaged parameter; the
     sum precedes the binomial in the convex order.
     """
+    from .cx_order import cx_compare_oracle
+    from .distributions import binomial
+
     ps = [as_rational(p) for p in ps]
     if not ps:
         raise ParameterError("need at least one parameter")
@@ -354,6 +360,8 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
     The sequence is summed in ints over one common denominator, and one
     Fraction is built per value.
     """
+    from .cx_order import sign_changes
+
     xs = [as_rational(x) for x in xs]
     m = len(xs)
     if m < 2:

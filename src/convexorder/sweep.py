@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement, repeat
 from typing import Sequence
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, _Value, builtin_family
-from .distributions import ParameterError
+from .exact import ParameterError
 from .lattice import dot, probe_table
 from .rasa import MAX_LATTICE_LENGTH, point_from_pairs
 

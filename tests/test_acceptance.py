@@ -30,7 +30,6 @@ from convexorder import (
     psi_sign_pattern,
     random_equal_mean_pair,
     random_probability,
-    random_weighted_distribution,
     rasa_form,
     rasa_form_general,
     sign_changes,
@@ -39,6 +38,7 @@ from convexorder import (
     verify_hoeffding,
     verify_theorem_main,
 )
+from helpers import random_weighted_distribution
 from oracles import pair_by_fractions, scale_by_fractions
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")

@@ -22,7 +22,6 @@ from convexorder import (
     build_counterexample,
     dirac,
     distribution_to_json_obj,
-    distribution_to_text,
     mixture,
 )
 from convexorder import cli, sweep
@@ -30,6 +29,7 @@ from convexorder.cli import _json_rows_payload, main
 from convexorder.distributions import MAX_ATOMS, MAX_LAW_BITS
 from convexorder.rasa import MAX_LATTICE_LENGTH
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
+from helpers import distribution_to_text
 from test_distributions import (
     first_count_over_law_bits,
     prime_supports,

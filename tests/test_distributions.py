@@ -20,13 +20,12 @@ from convexorder import (
     binomial,
     convolve,
     convolve_many,
-    decimal_str,
     dirac,
     distribution_to_json_obj,
-    distribution_to_text,
     mixture,
     parse_distribution,
 )
+from helpers import distribution_to_text
 from oracles import (
     binomial_by_fractions,
     cdf_by_atoms,
@@ -323,12 +322,6 @@ class TestFormats:
         assert as_rational("-2") == -2
         with pytest.raises(FormatError):
             as_rational("1/0")
-
-    def test_decimal_str(self):
-        assert decimal_str(F(1, 4), 6) == "0.25"
-        assert decimal_str(F(-1, 3), 6) == "-0.333333"
-        assert decimal_str(F(2), 4) == "2"
-        assert decimal_str(F(2, 3), 3) == "0.667"
 
 
 rational_points = st.fractions(min_value=-3, max_value=3, max_denominator=8)

@@ -2,12 +2,8 @@ import random
 
 import pytest
 
-from convexorder import (
-    ParameterError,
-    random_equal_mean_pair,
-    random_probability,
-    random_weighted_distribution,
-)
+from convexorder import ParameterError, random_equal_mean_pair, random_probability
+from helpers import random_weighted_distribution
 
 
 def test_random_probability_interior_and_bounded():

@@ -15,12 +15,27 @@ import pytest
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
-KERNELS = ("sweep", "rasa", "lattice", "cx_order", "counterexample", "randomgen")
+KERNELS = (
+    "sweep", "rasa", "lattice", "cx_order", "distributions", "counterexample", "randomgen",
+)
 
+# What a sweep runs: the lattice route, never ``distributions`` or ``cx_order``.
+SWEEP_MODULES = {
+    "convexorder.cli",
+    "convexorder.convex_functions",
+    "convexorder.exact",
+    "convexorder.lattice",
+    "convexorder.rasa",
+    "convexorder.sweep",
+}
+
+SWEEP_ARGS = ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "3"]
+
+# The probe itself imports no module a test looks for, such as ``json``.
 _PROBE = (
-    "import atexit, json, sys\n"
+    "import atexit, sys\n"
     "atexit.register(lambda: sys.stderr.write("
-    "'\\nMODULES ' + json.dumps(sorted(sys.modules)) + '\\n'))\n"
+    "'\\nMODULES ' + ' '.join(sorted(sys.modules)) + '\\n'))\n"
 )
 
 
@@ -34,7 +49,7 @@ def _run(code: str) -> tuple[subprocess.CompletedProcess, set[str]]:
         timeout=120,
     )
     marker = proc.stderr.rindex("MODULES ")
-    modules = set(json.loads(proc.stderr[marker + len("MODULES "):]))
+    modules = set(proc.stderr[marker + len("MODULES "):].split())
     return proc, modules
 
 
@@ -65,7 +80,35 @@ def test_import_loads_no_submodule_and_no_multiprocessing():
 def test_named_import_loads_only_its_modules():
     proc, modules = _run("from convexorder import bernoulli, cx_compare_oracle\n")
     assert proc.returncode == 0, proc.stderr
-    assert _submodules(modules) == {"convexorder.distributions", "convexorder.cx_order"}
+    assert _submodules(modules) == {
+        "convexorder.distributions", "convexorder.cx_order", "convexorder.exact",
+    }
+
+
+def test_exact_imports_no_other_package_module():
+    proc, modules = _run("import convexorder.exact\n")
+    assert proc.returncode == 0, proc.stderr
+    assert _submodules(modules) == {"convexorder.exact"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_loads_only_the_lattice_route(fmt):
+    proc, modules = _run_cli(*SWEEP_ARGS, "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert _submodules(modules) == SWEEP_MODULES
+    # Each report writer imports only the codec it writes with.
+    assert ("csv" in modules) == (fmt == "csv")
+    assert ("json" in modules) == (fmt == "json")
+
+
+def test_compare_loads_no_lattice_route(tmp_path):
+    law = tmp_path / "law.txt"
+    law.write_text("0 1/2\n1 1/2\n")
+    proc, modules = _run_cli("cx-compare", str(law), str(law))
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.split(".")[1] for m in _submodules(modules)}
+    assert {"distributions", "cx_order", "exact"} <= loaded
+    assert loaded.isdisjoint({"lattice", "rasa", "sweep"}), sorted(loaded)
 
 
 def test_compare_import_loads_no_dataclasses_or_inspect():
@@ -178,5 +221,7 @@ def test_help_imports_no_kernel(args):
     assert "Usage:" in proc.stdout
     loaded = {m.split(".")[1] for m in _submodules(modules)}
     assert loaded.isdisjoint(KERNELS), sorted(loaded)
+    assert "json" not in modules
+    assert "csv" not in modules
     assert "multiprocessing" not in modules
     assert "concurrent.futures" not in modules

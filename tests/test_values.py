@@ -14,10 +14,20 @@ import pickle
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+import convexorder
+from convexorder import cx_order, distributions, exact
 from convexorder.convex_functions import Affine, Angle, Monomial, PiecewiseLinear
 from convexorder.counterexample import CounterexampleReport, analyze_counterexample
-from convexorder.cx_order import CxVerdict, LevinSteckinReport, OhlinReport, SzostokReport
-from convexorder.distributions import DiscreteDistribution, ParameterError, bernoulli
+from convexorder.cx_order import (
+    CxVerdict,
+    LevinSteckinReport,
+    OhlinReport,
+    StandingHypothesisError,
+    SzostokReport,
+    cx_compare_oracle,
+)
+from convexorder.distributions import DiscreteDistribution, ParameterError, bernoulli, dirac
+from convexorder.lattice import gap_verdict
 from convexorder.rasa import GeneralizedVerdicts, PsiPattern, rasa_form
 from convexorder.sweep import RunConfig
 from oracles import pair_by_fractions
@@ -266,6 +276,40 @@ def test_records_are_named_tuples_with_their_properties():
     holds = CxVerdict(True, True, None, F(0))
     assert GeneralizedVerdicts(holds, holds, holds).all_hold
     assert not GeneralizedVerdicts(holds, holds, CxVerdict(False, True, F(1), F(0))).all_hold
+
+
+def test_moved_names_are_one_object_under_every_path():
+    # The pieces both law routes share live in ``exact``; the modules that
+    # defined them before and the package's exports name the same objects.
+    moved = {
+        distributions: (
+            "ParameterError", "FormatError", "MAX_RATIONAL_DIGITS", "RationalLike",
+            "as_rational", "_quoted", "binomial_numerators", "_power_products",
+        ),
+        cx_order: ("CxVerdict", "_oracle_verdict", "ParameterError", "as_rational", "_quoted"),
+        convexorder: (
+            "CxVerdict", "FormatError", "MAX_RATIONAL_DIGITS", "ParameterError", "as_rational",
+        ),
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert getattr(module, name) is getattr(exact, name), (module.__name__, name)
+    assert issubclass(StandingHypothesisError, exact.ParameterError)
+
+
+def test_verdict_reprs_are_unchanged():
+    holding = "CxVerdict(holds=True, means_equal=True, witness=None, mean_gap=Fraction(0, 1))"
+    apart = "CxVerdict(holds=False, means_equal=False, witness=None, mean_gap=Fraction(1, 1))"
+    half = F(1, 2)
+    assert repr(cx_compare_oracle(dirac(half), bernoulli(half))) == holding
+    assert repr(cx_compare_oracle(bernoulli(half), dirac(half))) == _VERDICT
+    assert repr(cx_compare_oracle(dirac(0), dirac(1))) == apart
+    # The lattice route: mass 1/2 at 0 and 2 against all mass at 1, and back.
+    spread, point = [1, 0, 1], [0, 2, 0]
+    assert repr(gap_verdict(point, spread, [0, 1, 0], 2)) == holding
+    assert repr(gap_verdict(spread, point, [0, -1, 0], 2)) == _VERDICT.replace(
+        "Fraction(1, 2)", "Fraction(1, 1)"
+    )
 
 
 def test_rejected_constructions_keep_their_messages():
