@@ -438,7 +438,7 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
         for inst in instances:
             verdict = verify_hoeffding(inst)
             all_hold = all_hold and verdict.holds
-            rows.append({"ps": ";".join(str(p) for p in inst), "holds": verdict.holds})
+            rows.append({"ps": ";".join(map(report_data, inst)), "holds": verdict.holds})
     except (FormatError, ParameterError) as exc:
         click.echo(f"invalid probability: {exc}", err=True)
         sys.exit(2)

@@ -4,7 +4,10 @@ A lattice law puts mass ``nums[k] / den`` on the integer k, for k = 0 ..
 len(nums) - 1, with Python-int numerators and one positive int denominator.
 The binomial law with parameter a/q has the numerators C(n, k) a^k (q-a)^(n-k)
 over q^n, and independent sums and uniform mixtures of such laws stay on the
-lattice, so building and comparing them needs no Fraction per step.
+lattice, so building and comparing them needs no Fraction per step.  The sum
+of m independent binomial(n, a/q) draws is binomial(mn, a/q), the same
+integers over q^(mn), so only a sum of laws with different parameters needs
+:func:`cauchy_product`.
 
 A law's stop-loss table is the vector of E(X - j)_+ times its denominator at
 every lattice point j, built by :func:`stop_loss_numerators` in one pass of
@@ -38,7 +41,6 @@ __all__ = [
     "LatticeLaw",
     "bernstein_numerators",
     "cauchy_product",
-    "cauchy_power",
     "uniform_mixture",
     "stop_loss_numerators",
     "gap_verdict",
@@ -67,14 +69,6 @@ def cauchy_product(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
             for j, bj in enumerate(b.nums):
                 out[i + j] += ai * bj
     return LatticeLaw(out, a.den * b.den)
-
-
-def cauchy_power(law: LatticeLaw, m: int) -> LatticeLaw:
-    """The law of the sum of m independent draws from law, m >= 1."""
-    out = law
-    for _ in range(m - 1):
-        out = cauchy_product(out, law)
-    return out
 
 
 def uniform_mixture(laws: Sequence[LatticeLaw]) -> LatticeLaw:

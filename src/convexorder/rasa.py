@@ -30,12 +30,15 @@ Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
 only inside them and ``psi_sign_pattern``, the functions that use them, so
 a sweep, which runs only the lattice route, loads neither.
 
-A point's binomial laws, their self powers and the independent sum of all
-its parameters but the last depend on few of its values, so each process
-caches them over their own denominators (see ``LAW_CACHE_SIZE``) and
-:func:`point_from_pairs` brings them to the point's common denominator with
-integer factors.  :func:`lattice_point` checks its input and calls that one
-builder, which grid sweeps call directly with reduced int pairs.
+The m-fold i.i.d. sum of binomial(n, x) draws is binomial(mn, x), so every
+law at a point is a binomial law but the independent sum, which is the
+point's one Cauchy-product work.  Its binomial laws, at degrees n and mn,
+and the independent sum of all its parameters but the last depend on few
+of its values, so each process caches them over their own denominators
+(see ``LAW_CACHE_SIZE``) and :func:`point_from_pairs` brings them to the
+point's common denominator with integer factors.  :func:`lattice_point`
+checks its input and calls that one builder, which grid sweeps call
+directly with reduced int pairs.
 
 Boundary parameters x_i in {0, 1} are handled directly through the Dirac
 degeneration of the binomial law, so no limiting argument is required
@@ -61,7 +64,6 @@ from .exact import (
 from .lattice import (
     LatticeLaw,
     bernstein_numerators,
-    cauchy_power,
     cauchy_product,
     dot,
     gap_verdict,
@@ -97,12 +99,12 @@ MAX_LATTICE_LENGTH = 1000
 
 The lattice 0..m*n carries every law, form and psi sequence, and its cost
 grows fast with it: one ``verify-rasa`` grid point with all probe groups
-(m = 2, parameters 1/3 and 1/2, probe table included) took 0.24 s at
-m * n = 500, 0.9 s at 1000 and 7.0 s at 2000 on one 2-core x86-64 host,
-and with parameters of denominator 37, 4 to 6 s at 1000.  A psi pattern at
-m * n = 1000 took 0.02 s there with two parameters, 0.4 s with 100, 0.7 s
-with 200 and 2.9 s with 1000 (parameters k / (m + 1)), as its sums of int
-power products also grow with m.
+(m = 2, parameters 1/3 and 1/2, probe table included) took 0.07 s at
+m * n = 500, 0.31 s at 1000 and 2.3 s at 2000 in a fresh process on one
+2-core x86-64 host, and with parameters of denominator 37, 1.5 to 2.8 s at
+1000.  A psi pattern at m * n = 1000 took 0.02 s there with two parameters,
+0.4 s with 100, 0.7 s with 200 and 2.9 s with 1000 (parameters k / (m + 1)),
+as its sums of int power products also grow with m.
 """
 
 
@@ -131,10 +133,10 @@ class StopLossTable(NamedTuple):
     parameters.  ``the_sum`` is the Cauchy product of the binomial(n, x_i)
     laws (the cross product, over L^(mn)), ``pooled`` the binomial(mn, mean
     of the x_i) law (over (m L)^(mn)) and ``mixed`` the uniform mixture of
-    the m-fold self sums (the self products, summed over m L^(mn)); all
-    three live on 0..mn.  ``form`` holds the coefficient of f(k / (mn)) in
-    the form over L^(mn): the mixture's numerators minus m times the sum's,
-    by the bridge identity form = m (E_mixed f - E_sum f).
+    the m-fold self sums, the binomial(mn, x_i) laws (summed over
+    m L^(mn)); all three live on 0..mn.  ``form`` holds the coefficient of
+    f(k / (mn)) in the form over L^(mn): the mixture's numerators minus m
+    times the sum's, by the bridge identity form = m (E_mixed f - E_sum f).
 
     Each gap vector holds, at every lattice point j = 0..mn, the numerator
     of E(rhs - j)_+ - E(lhs - j)_+ for its relation lhs <=_cx rhs: (a) and
@@ -177,18 +179,20 @@ def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
     return point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
 
 
-LAW_CACHE_SIZE = 512
-"""The binomial laws and the self powers each process keeps, one per key.
+LAW_CACHE_SIZE = 1024
+"""The binomial laws each process keeps, one per (degree, p, q).
 
-A lexicographic grid cycles its last parameter through the whole Farey set,
-so a cache smaller than that set would never hit; the largest set a grid of
-``sweep.MAX_GRID_POINTS`` points holds has 433 values (``--m 2 --denom 37``).
-An entry grows with m * n and with the bits of q.  At m * n = 1000 and
-q = 37 a binomial law and its self power take 0.9 MB together, so the two
-caches hold at most about 450 MB, on grids with n near 500 whose points
-take about 4 to 6 s each (m = 2, parameters such as 12/37 and 35/37).  At
-``--n 10..12 --m 2 --denom 16`` they hold 243 pairs of 1.8 kB, 0.5 MB, and
-at ``--n 150 --m 2 --denom 5`` 11 pairs of 46 kB.
+A point reads binomial(n, p/q) for its sum and binomial(mn, p/q) for its
+mixture, so a lexicographic grid cycles both degrees through the whole
+Farey set, and a cache smaller than twice that set would never hit.  The
+largest set a grid of ``sweep.MAX_GRID_POINTS`` points holds has 433 values
+(``--m 2 --denom 37``), so that grid needs 866 entries.  An entry grows with
+its degree and with the bits of q: at m * n = 1000 and q = 37 the 433 laws
+of degree 500 take 63 MB and the 433 of degree 1000 take 237 MB, so the
+cache holds at most about 300 MB, on grids with n near 500 whose points
+take about 1.5 to 2.8 s each (m = 2, parameters such as 12/37 and 35/37).
+At ``--n 10..12 --m 2 --denom 16`` it holds 486 laws, 0.4 MB, and at
+``--n 150 --m 2 --denom 5`` 22 laws, 0.4 MB.
 The cache of sums over all parameters but the last keeps 16 of them, each
 on a lattice shorter than the point's, so at most about 11 MB.
 """
@@ -196,14 +200,8 @@ on a lattice shorter than the point's, so at most about 11 MB.
 
 @lru_cache(maxsize=LAW_CACHE_SIZE)
 def _binomial(n: int, p: int, q: int) -> LatticeLaw:
-    # binomial(n, p/q) over q^n, keyed by the reduced pair (p, q).
+    # binomial(n, p/q) over q^n, keyed by the degree and the reduced pair.
     return bernstein_numerators(n, p, q)
-
-
-@lru_cache(maxsize=LAW_CACHE_SIZE)
-def _self_power(n: int, m: int, p: int, q: int) -> LatticeLaw:
-    # The m-fold self sum of binomial(n, p/q) over q^(mn).
-    return cauchy_power(_binomial(n, p, q), m)
 
 
 @lru_cache(maxsize=16)
@@ -220,10 +218,11 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
     """The laws, form and gaps at (n, p_1/q_1 .. p_m/q_m), from reduced pairs.
 
     The caller guarantees n >= 1, m >= 2 and 0 <= p_i <= q_i in lowest
-    terms; :func:`lattice_point` checks that and calls this.  Binomial laws,
-    self powers and the sum of the first m - 1 parameters come from the
-    per-process caches, each over its own denominators, and are brought to
-    L^(mn), L the least common denominator, by integer factors (L/q)^(mn).
+    terms; :func:`lattice_point` checks that and calls this.  The binomial
+    laws at degrees n and mn and the sum of the first m - 1 parameters come
+    from the per-process caches, each over its own denominators, and are
+    brought to L^(mn), L the least common denominator, by integer factors
+    (L/q)^(mn).  The sum's last factor is its one Cauchy product.
 
     The stop-loss map pi is linear, so two passes give all three gaps.
     With S, P and M the numerators of the sum, the pooled law and the
@@ -239,9 +238,10 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
     factor = full_den // the_sum.den
     if factor != 1:
         the_sum = LatticeLaw([v * factor for v in the_sum.nums], full_den)
-    # The self powers lie over q_i^(mn), whose least common multiple is
-    # L^(mn), so the mixture comes out over m L^(mn), as the sum over L^(mn).
-    mixed = uniform_mixture([_self_power(n, m, p, q) for p, q in pairs])
+    # The m-fold self sum of binomial(n, p/q) is binomial(mn, p/q) over
+    # q^(mn); those denominators have least common multiple L^(mn), so the
+    # mixture comes out over m L^(mn), as the sum over L^(mn).
+    mixed = uniform_mixture([_binomial(mn, p, q) for p, q in pairs])
     total = sum(p * (common_den // q) for p, q in pairs)
     pooled = bernstein_numerators(mn, total, m * common_den)
     s = the_sum.nums

@@ -4,11 +4,11 @@ A sweep enumerates grid points lexicographically in (n, m, sorted parameter
 tuple), where the parameters run over all reduced fractions in [0, 1] with
 denominator up to a bound.  Those fractions are built and bounded once, so a
 point hands their int numerators and denominators straight to
-``rasa.point_from_pairs``, whose per-process caches of binomial laws, self
-powers and sums over all parameters but the last serve the whole grid in
-that order.  That one integer pass returns the point's stop-loss table: its
-three verdicts, the angles' minimum (gap (c)) and the form coefficients
-that every other probe meets in one dot product.  Each point is evaluated
+``rasa.point_from_pairs``, whose per-process caches of binomial laws, at
+degrees n and mn, and of sums over all parameters but the last serve the
+whole grid in that order.  That one integer pass returns the point's
+stop-loss table: its three verdicts, the angles' minimum (gap (c)) and the
+form coefficients that every other probe meets in one dot product.  Each point is evaluated
 by a pure function, so the grid can be split into strides: forked children
 evaluate all but the first, the parent evaluates the first, and the rows
 come back over pipes.  Rows are always put back in grid order, and a stride

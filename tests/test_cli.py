@@ -766,6 +766,21 @@ class TestHoeffdingCommand:
             "invalid probability: parameters must lie in (0, 1), got about 1.00000e4400\n"
         )
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no limit on int-to-string conversion in this Python",
+    )
+    def test_report_parameter_over_digit_limit_exits_2(self):
+        # 1e-5000 lies in (0, 1) and within the parse limit, but its
+        # denominator has 5001 digits, too many to write into the report.
+        result = runner.invoke(main, ["hoeffding", "1/2", "1e-5000"])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"cannot write the report: a value has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for converting "
+            "an int to a string\n"
+        )
+
     def test_out_is_a_directory_exits_2(self, tmp_path):
         result = runner.invoke(main, ["hoeffding", "1/2", "1/3", "--out", str(tmp_path)])
         assert result.exit_code == 2

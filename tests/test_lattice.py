@@ -45,7 +45,6 @@ from convexorder import (
 from convexorder.lattice import (
     LatticeLaw,
     bernstein_numerators,
-    cauchy_power,
     cauchy_product,
     dot,
     gap_verdict,
@@ -53,7 +52,7 @@ from convexorder.lattice import (
     stop_loss_numerators,
     uniform_mixture,
 )
-from convexorder import lattice, rasa, sweep
+from convexorder import rasa, sweep
 from convexorder.distributions import binomial_numerators
 from convexorder.rasa import lattice_point
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, grid_tasks, run_sweep
@@ -66,6 +65,15 @@ from oracles import (
     rasa_form_by_cauchy,
     stop_loss_by_atoms,
 )
+
+
+def self_power(law: LatticeLaw, m: int) -> LatticeLaw:
+    """The law of the sum of m independent draws from law, m >= 1, by
+    m - 1 Cauchy products, independent of the package's binomial builder."""
+    out = law
+    for _ in range(m - 1):
+        out = cauchy_product(out, law)
+    return out
 
 
 def as_distribution(law: LatticeLaw) -> DiscreteDistribution:
@@ -143,6 +151,27 @@ def test_binomial_numerators_match_fractions(n, q):
         assert nums == [math.comb(n, k) * a**k * (q - a) ** (n - k) for k in range(n + 1)]
 
 
+@st.composite
+def binomial_parameters(draw):
+    """(n, m, p, q) with p/q in [0, 1], not always reduced, the ends
+    p = 0 and p = q drawn often."""
+    q = draw(st.integers(1, 7))
+    p = draw(st.one_of(st.sampled_from([0, q]), st.integers(0, q)))
+    return draw(st.integers(1, 8)), draw(st.integers(1, 4)), p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=binomial_parameters())
+def test_self_power_is_the_degree_mn_binomial(case):
+    # The mixture's parts are built as binomial(mn, p/q): the m-fold i.i.d.
+    # sum of binomial(n, p/q), with the same numerators over q^(mn).
+    n, m, p, q = case
+    power = self_power(bernstein_numerators(n, p, q), m)
+    binomial_mn = bernstein_numerators(m * n, p, q)
+    assert power.nums == binomial_mn.nums, case
+    assert power.den == binomial_mn.den == q ** (m * n), case
+
+
 def test_products_and_mixture_match_distribution_algebra():
     a = bernstein_numerators(2, 1, 3)
     b = bernstein_numerators(3, 0, 4)
@@ -150,7 +179,7 @@ def test_products_and_mixture_match_distribution_algebra():
     assert as_distribution(cauchy_product(a, b)) == convolve(
         binomial(2, F(1, 3)), binomial(3, F(0))
     )
-    assert as_distribution(cauchy_power(a, 3)) == binomial(6, F(1, 3))
+    assert as_distribution(self_power(a, 3)) == binomial(6, F(1, 3))
     assert as_distribution(uniform_mixture([a, b, c])) == mixture(
         [F(1, 3)] * 3, [binomial(2, F(1, 3)), binomial(3, F(0)), binomial(1, F(1))]
     )
@@ -452,8 +481,8 @@ def test_sweep_rows_match_reference_for_each_function_group():
 
 def uncached_laws(n, xs) -> tuple[LatticeLaw, LatticeLaw, LatticeLaw]:
     """The sum, pooled law and mixture at (n, xs) built from scratch over
-    the least common denominator: every binomial, self power and product
-    made anew."""
+    the least common denominator: every binomial and product made anew,
+    each self sum as m - 1 Cauchy products."""
     xs = [F(x) for x in xs]
     den = math.lcm(*(x.denominator for x in xs))
     numerators = tuple(x.numerator * (den // x.denominator) for x in xs)
@@ -461,7 +490,7 @@ def uncached_laws(n, xs) -> tuple[LatticeLaw, LatticeLaw, LatticeLaw]:
     the_sum = parts[0]
     for part in parts[1:]:
         the_sum = cauchy_product(the_sum, part)
-    mixed = uniform_mixture([cauchy_power(part, len(parts)) for part in parts])
+    mixed = uniform_mixture([self_power(part, len(parts)) for part in parts])
     pooled = bernstein_numerators(len(xs) * n, sum(numerators), len(xs) * den)
     return the_sum, pooled, mixed
 
@@ -496,25 +525,35 @@ def test_cached_point_equals_uncached_laws(point):
 
 
 def test_grid_point_costs_one_cauchy_product(monkeypatch):
-    """On the m = 3 grid every point pays one Cauchy product, every prefix
-    of two parameters one, and every (n, x) m - 1 for its self power."""
-    calls = []
-    product = lattice.cauchy_product
+    """On the m = 3 grid every point pays one Cauchy product and every
+    prefix of two parameters one; binomial laws are built once per
+    (degree, x) key, at the degrees n and mn, plus one pooled law per point."""
+    products = []
+    binomials = []
+    product = rasa.cauchy_product
+    build = rasa.bernstein_numerators
 
     def counting_product(a, b):
-        calls.append(None)
+        products.append(None)
         return product(a, b)
 
-    monkeypatch.setattr(lattice, "cauchy_product", counting_product)
+    def counting_build(n, a, q):
+        binomials.append(None)
+        return build(n, a, q)
+
     monkeypatch.setattr(rasa, "cauchy_product", counting_product)
-    for cached in (rasa._binomial, rasa._self_power, rasa._prefix_sum):
+    monkeypatch.setattr(rasa, "bernstein_numerators", counting_build)
+    for cached in (rasa._binomial, rasa._prefix_sum):
         cached.cache_clear()
     config = RunConfig(n_values=(1, 2, 3), m_values=(3,), denominator=5, seed=0)
     tasks = grid_tasks(config)
     rows, ok = run_sweep(config)
     assert ok and len(rows) == len(tasks) == 858
     prefixes = {(n, xs[:-1]) for n, _, xs, *_ in tasks}
-    values = {(n, x) for n, _, xs, *_ in tasks for x in xs}
-    bound = len(tasks) + len(prefixes) + (3 - 1) * len(values)
-    assert bound == 1122
-    assert len(calls) <= bound
+    bound = len(tasks) + len(prefixes)
+    assert bound == 1056
+    assert len(products) <= bound
+    # Degree 3 is n at n = 3 and mn at n = 1: one key, one law.
+    keys = {(d, x) for n, m, xs, *_ in tasks for x in xs for d in (n, m * n)}
+    assert len(keys) == 55
+    assert len(binomials) <= len(keys) + len(tasks)
