@@ -18,6 +18,12 @@ format.  A sweep's rows, most of a ``verify-rasa`` report, are written
 through one row template (``_json_rows_payload``) with the bytes
 ``json.dumps`` would write.
 
+Each command is one ``argparse`` parser, built only for the command named
+first on the command line and run through ``parse_intermixed_args``, so
+positionals may stand between options (``psi-pattern 1/3 --n 3 1/2``).  A
+usage error prints the usage and an error line and exits 2; every other
+error is one line on stderr (``_fail``), under the exit codes above.
+
 Each subcommand imports the modules it runs inside its own body, and each
 report writer the codec it writes with, so `--help` and every command pay
 at start-up only for what they use: `--help` loads only this module,
@@ -28,11 +34,11 @@ commands that read or report laws add ``distributions`` and ``cx_order``.
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import sys
-
-import click
+from typing import NoReturn
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, ConvexTestFunction
 from .exact import FormatError, ParameterError, as_rational
@@ -53,6 +59,8 @@ the n-th power of the lcm of the drawn denominators: at n = 1000 one
 instance took 0.9 s and 33 MB with denominators up to 20, 4.2 s and 92 MB up
 to 100, and 99 s and 657 MB up to 1000 on one 2-core x86-64 host."""
 
+_DEFAULT = "[default: %(default)s]"
+
 _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 _RANGE_DIGITS = 18  # keeps the length of a range within a C ssize_t
 
@@ -62,15 +70,13 @@ def _parse_range(text: str, name: str) -> range:
     grid from the range's length before anything iterates it."""
     match = _RANGE_RE.match(text.strip())
     if not match:
-        raise click.UsageError(f"--{name} expects N or A..B, got {text!r}")
+        _fail(2, f"--{name} expects N or A..B, got {text!r}")
     if any(len(bound) > _RANGE_DIGITS for bound in match.groups() if bound):
-        raise click.UsageError(
-            f"--{name} bounds have at most {_RANGE_DIGITS} digits, got {text!r}"
-        )
+        _fail(2, f"--{name} bounds have at most {_RANGE_DIGITS} digits, got {text!r}")
     lo = int(match.group(1))
     hi = int(match.group(2)) if match.group(2) else lo
     if hi < lo:
-        raise click.UsageError(f"--{name} range is empty: {text!r}")
+        _fail(2, f"--{name} range is empty: {text!r}")
     return range(lo, hi + 1)
 
 
@@ -78,25 +84,24 @@ def _range_echo(values: range) -> str:
     return str(values[0]) if len(values) == 1 else f"{values[0]}..{values[-1]}"
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _fail(code: int, message: str) -> NoReturn:
+    """End the command with exit code ``code`` and ``message`` as one stderr line."""
+    print(message, file=sys.stderr, flush=True)
+    sys.exit(code)
 
 
-def _emit(payload: str, out_path: str | None) -> None:
-    if out_path is None:
-        click.echo(payload, nl=False)
+def _emit(payload: str, out: str | None) -> None:
+    """Write the report to stdout, or to the path ``out``; a relative path is
+    taken under ``$CONVEXORDER_OUT_DIR`` when that is set."""
+    if out is None:
+        print(payload, end="", flush=True)
         return
+    out_path = os.path.join(os.environ.get(OUT_DIR_ENV, ""), out)
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)
     except OSError as exc:
-        click.echo(f"cannot write the report to {out_path}: {exc.strerror}", err=True)
-        sys.exit(2)
+        _fail(2, f"cannot write the report to {out_path}: {exc.strerror}")
 
 
 def report_data(obj):
@@ -114,13 +119,9 @@ def report_data(obj):
         try:
             return str(obj)
         except ValueError:
-            click.echo(
-                "cannot write the report: a value has more than "
-                f"{sys.get_int_max_str_digits()} digits, Python's limit for "
-                "converting an int to a string",
-                err=True,
-            )
-            sys.exit(2)
+            limit = sys.get_int_max_str_digits()
+            _fail(2, f"cannot write the report: a value has more than {limit} digits, "
+                  "Python's limit for converting an int to a string")
     if isinstance(obj, DiscreteDistribution):
         return distribution_to_json_obj(obj)["atoms"]
     if isinstance(obj, ConvexTestFunction):
@@ -190,21 +191,81 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-@click.group()
-def main() -> None:
-    """Exact convex-order decisions and inequality verification."""
+_COMMANDS: dict[str, tuple] = {}
 
 
-@main.command("verify-rasa")
-@click.option("--n", "n_range", required=True, help="Degree n or range A..B.")
-@click.option("--m", "m_range", required=True, help="Variable count m or range A..B.")
-@click.option("--denom", required=True, type=int, help="Grid denominator bound (>= 2).")
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--jobs", default=1, type=int, show_default=True)
-@click.option("--functions", default=",".join(KNOWN_FUNCTION_GROUPS), show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--out", default=None, help="Report path (stdout when omitted).")
-def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out):
+def _command(name: str, *arguments: tuple[tuple, dict]):
+    """Register the decorated function as the command ``name``: ``_COMMANDS``
+    maps each name to its function and the ``add_argument`` calls of its
+    parser."""
+
+    def register(func):
+        _COMMANDS[name] = (func, arguments)
+        return func
+
+    return register
+
+
+def _arg(*names: str, **options) -> tuple[tuple, dict]:
+    return names, options
+
+
+_OUT = _arg("--out", help="Report path (stdout when omitted).")
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """Help under a ``Usage:`` header, with the docstring's own line breaks."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+def main(args=None, prog_name: str | None = None, **_) -> None:
+    """Run the command that ``args`` names, by default ``sys.argv[1:]``.
+
+    ``main.name`` and ``main.main`` are what ``click.testing.CliRunner``
+    calls, so tests can run the commands in-process.
+    """
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or main.name
+    if args[:1] in ([], ["-h"], ["--help"]):
+        out = sys.stdout if args else sys.stderr
+        print(f"Usage: {prog} COMMAND [ARGS]...\n\nCommands:", file=out)
+        for name, (func, _) in _COMMANDS.items():
+            summary = (func.__doc__ or "").partition("\n")[0]
+            print(f"  {name:<16}{summary}", file=out)
+        sys.exit(0 if args else 2)
+    if args[0] not in _COMMANDS:
+        _fail(2, f"no such command {args[0]!r}; '{prog} --help' lists them")
+    func, arguments = _COMMANDS[args[0]]
+    doc = "\n".join(line.strip() for line in (func.__doc__ or "").splitlines())
+    parser = argparse.ArgumentParser(
+        f"{prog} {args[0]}", description=doc, formatter_class=_Formatter, allow_abbrev=False
+    )
+    # argparse takes a token that starts with "-" for an option unless it
+    # matches this pattern: a "-" and a digit is a value, as in ``--a -1/2``.
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    func(**vars(parser.parse_intermixed_args(args[1:])))
+
+
+main.name = "convexorder"
+main.main = main
+
+
+@_command(
+    "verify-rasa",
+    _arg("--n", required=True, help="Degree n or range A..B."),
+    _arg("--m", required=True, help="Variable count m or range A..B."),
+    _arg("--denom", required=True, type=int, help="Grid denominator bound (>= 2)."),
+    _arg("--seed", default=0, type=int, help=_DEFAULT),
+    _arg("--jobs", default=1, type=int, help=_DEFAULT),
+    _arg("--functions", default=",".join(KNOWN_FUNCTION_GROUPS), help=_DEFAULT),
+    _arg("--format", dest="fmt", choices=["json", "csv"], default="json"),
+    _OUT,
+)
+def cmd_verify_rasa(n, m, denom, seed, jobs, functions, fmt, out):
     """Sweep the inequality verifiers over a rational parameter grid.
 
     Exits 0 only if every order relation holds and every form value is
@@ -214,15 +275,15 @@ def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out):
 
     try:
         config = RunConfig(
-            n_values=_parse_range(n_range, "n"),
-            m_values=_parse_range(m_range, "m"),
+            n_values=_parse_range(n, "n"),
+            m_values=_parse_range(m, "m"),
             denominator=denom,
             seed=seed,
             jobs=jobs,
             functions=tuple(f.strip() for f in functions.split(",") if f.strip()),
         )
     except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+        _fail(2, str(exc))
     rows, ok = run_sweep(config)
     if fmt == "csv":
         columns = ["n", "m", "xs", "verdict_a", "verdict_b", "verdict_c", "min_form", "ok"]
@@ -240,32 +301,29 @@ def cmd_verify_rasa(n_range, m_range, denom, seed, jobs, functions, fmt, out):
             },
             rows,
         )
-    _emit(payload, _resolve_out(out))
+    _emit(payload, out)
     if not ok:
         bad = next(row for row in rows if not row["ok"])
-        click.echo(f"verification failed at n={bad['n']} m={bad['m']} xs={bad['xs']}", err=True)
-        sys.exit(1)
+        _fail(1, f"verification failed at n={bad['n']} m={bad['m']} xs={bad['xs']}")
 
 
-@main.command("cx-compare")
-@click.argument("file_a", type=click.Path(exists=True, dir_okay=False))
-@click.argument("file_b", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--method",
-    type=click.Choice(["oracle", "ohlin", "szostok", "levin-steckin"]),
-    default="oracle",
-    show_default=True,
+@_command(
+    "cx-compare",
+    _arg("file_a", metavar="FILE_A"),
+    _arg("file_b", metavar="FILE_B"),
+    _arg("--method", default="oracle", help=_DEFAULT,
+         choices=["oracle", "ohlin", "szostok", "levin-steckin"]),
+    _arg("--a", dest="lower", metavar="A", help="Left endpoint for interval methods."),
+    _arg("--b", dest="upper", metavar="B", help="Right endpoint for interval methods."),
+    _OUT,
 )
-@click.option("--a", "lower", default=None, help="Left endpoint for interval methods.")
-@click.option("--b", "upper", default=None, help="Right endpoint for interval methods.")
-@click.option("--out", default=None)
 def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
     """Decide `lhs <=_cx rhs` for two distribution files.
 
     The interval methods default to the supports' hull, widened to [c, c + 1]
     when it is the single point c.  Exits 0 when the chosen method confirms
-    the order, 1 when it does not, 2 on parse failure, 3 when the method's
-    preconditions are unmet.
+    the order, 1 when it does not, 2 on a file that cannot be read or
+    parsed, 3 when the method's preconditions are unmet.
     """
     from .cx_order import (
         StandingHypothesisError,
@@ -281,16 +339,16 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
             lhs = parse_distribution(fa.read())
         with open(file_b, encoding="utf-8") as fb:
             rhs = parse_distribution(fb.read())
+    except OSError as exc:
+        _fail(2, f"cannot read {exc.filename}: {exc.strerror}")
     except (FormatError, UnicodeDecodeError) as exc:
-        click.echo(f"cannot parse distribution: {exc}", err=True)
-        sys.exit(2)
+        _fail(2, f"cannot parse distribution: {exc}")
 
     try:
         a = as_rational(lower) if lower is not None else min(lhs.min_support, rhs.min_support)
         b = as_rational(upper) if upper is not None else max(lhs.max_support, rhs.max_support)
     except FormatError as exc:
-        click.echo(f"invalid endpoint: {exc}", err=True)
-        sys.exit(2)
+        _fail(2, f"invalid endpoint: {exc}")
     if lower is None and upper is None and a == b:
         b = a + 1  # a wider interval changes no bounded report
 
@@ -302,8 +360,7 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
             holds = verdict.holds
         elif method == "ohlin":
             if lhs.mean() != rhs.mean():
-                click.echo("ohlin requires equal means", err=True)
-                sys.exit(3)
+                _fail(3, "ohlin requires equal means")
             ohlin = ohlin_check(lhs, rhs)
             report = report_data(ohlin)
             holds = ohlin.applies
@@ -316,38 +373,37 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
             report = report_data(sz)
             holds = sz.decision
     except StandingHypothesisError as exc:
-        click.echo(f"standing hypotheses unmet: {exc}", err=True)
-        sys.exit(3)
+        _fail(3, f"standing hypotheses unmet: {exc}")
     except ParameterError as exc:
-        click.echo(f"method preconditions unmet: {exc}", err=True)
-        sys.exit(3)
+        _fail(3, f"method preconditions unmet: {exc}")
 
-    _emit(_json_payload({"method": method, **report}), _resolve_out(out))
+    _emit(_json_payload({"method": method, **report}), out)
     sys.exit(0 if holds else 1)
 
 
-@main.command("counterexample")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--json", "force_json", is_flag=True, help="Alias for --format json.")
-@click.option("--out", default=None)
-@click.option(
-    "--scan", default=0, type=click.IntRange(min=0, max=MAX_SCAN_PAIRS),
-    help="Also scan N random equal-mean pairs (JSON only).",
+@_command(
+    "counterexample",
+    _arg("--format", dest="fmt", choices=["json", "csv"], default="json"),
+    _arg("--json", dest="force_json", action="store_true", help="Alias for --format json."),
+    _OUT,
+    _arg("--scan", metavar="N", default=0, type=int,
+         help="Also scan N random equal-mean pairs (JSON only)."),
+    _arg("--seed", default=0, type=int, help=_DEFAULT),
 )
-@click.option("--seed", default=0, type=int, show_default=True)
 def cmd_counterexample(fmt, force_json, out, scan, seed):
     """Reproduce the four-atom counterexample and certify every exact value."""
     from .counterexample import VerificationError, analyze_counterexample
 
+    if not 0 <= scan <= MAX_SCAN_PAIRS:
+        _fail(2, f"--scan: {scan} is not in the range 0<=x<={MAX_SCAN_PAIRS}")
     if force_json:
         fmt = "json"
     if fmt == "csv" and scan:
-        raise click.UsageError("--scan is reported only in JSON; use --format json")
+        _fail(2, "--scan is reported only in JSON; use --format json")
     try:
         report = analyze_counterexample()
     except VerificationError as exc:
-        click.echo(f"counterexample verification failed: {exc}", err=True)
-        sys.exit(1)
+        _fail(1, f"counterexample verification failed: {exc}")
     data = report_data(report)
     data["holds"] = report.oracle_verdict.holds
     if fmt == "csv":
@@ -365,7 +421,7 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
         if scan > 0:
             data["scan"] = report_data(_scan_for_violations(scan, seed))
         payload = _json_payload(data)
-    _emit(payload, _resolve_out(out))
+    _emit(payload, out)
 
 
 def _scan_for_violations(count: int, seed: int) -> dict:
@@ -387,17 +443,16 @@ def _scan_for_violations(count: int, seed: int) -> dict:
     return {"pairs": count, "violations": violations, "examples": examples}
 
 
-@main.command("hoeffding")
-@click.argument("ps", nargs=-1)
-@click.option(
-    "--random", "random_count", default=0,
-    type=click.IntRange(min=0, max=MAX_RANDOM_INSTANCES),
-    help="Check N random instances.",
+@_command(
+    "hoeffding",
+    _arg("ps", nargs="*", metavar="PS"),
+    _arg("--random", dest="random_count", metavar="N", default=0, type=int,
+         help="Check N random instances."),
+    _arg("--seed", default=0, type=int, help=_DEFAULT),
+    _arg("--n-max", default=8, type=int, help=_DEFAULT),
+    _arg("--denom", default=20, type=int, help=_DEFAULT),
+    _OUT,
 )
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--n-max", default=8, type=int, show_default=True)
-@click.option("--denom", default=20, type=int, show_default=True)
-@click.option("--out", default=None)
 def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     """Check sums of independent Bernoulli draws against the pooled binomial.
 
@@ -409,17 +464,17 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     from .randomgen import random_probability
     from .rasa import MAX_LATTICE_LENGTH, verify_hoeffding
 
+    if not 0 <= random_count <= MAX_RANDOM_INSTANCES:
+        _fail(2, f"--random: {random_count} is not in the range 0<=x<={MAX_RANDOM_INSTANCES}")
     if len(ps) > MAX_LATTICE_LENGTH:
-        raise click.UsageError(
-            f"{len(ps)} probabilities given, above the limit of {MAX_LATTICE_LENGTH}"
-        )
+        _fail(2, f"{len(ps)} probabilities given, above the limit of {MAX_LATTICE_LENGTH}")
     if random_count:
         for name, value, limit in (
             ("--n-max", n_max, MAX_LATTICE_LENGTH),
             ("--denom", denom, MAX_HOEFFDING_DENOM),
         ):
             if value > limit:
-                raise click.UsageError(f"{name} is {value}, above the limit of {limit}")
+                _fail(2, f"{name} is {value}, above the limit of {limit}")
     instances = []
     try:
         if ps:
@@ -432,7 +487,7 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
                 n = rng.randint(1, n_max)
                 instances.append([random_probability(rng, denom) for _ in range(n)])
         if not instances:
-            raise click.UsageError("pass probabilities or --random N")
+            _fail(2, "pass probabilities or --random N")
         rows = []
         all_hold = True
         for inst in instances:
@@ -440,20 +495,18 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
             all_hold = all_hold and verdict.holds
             rows.append({"ps": ";".join(map(report_data, inst)), "holds": verdict.holds})
     except (FormatError, ParameterError) as exc:
-        click.echo(f"invalid probability: {exc}", err=True)
-        sys.exit(2)
-    _emit(
-        _json_payload({"command": "hoeffding", "all_hold": all_hold, "instances": rows}),
-        _resolve_out(out),
-    )
+        _fail(2, f"invalid probability: {exc}")
+    _emit(_json_payload({"command": "hoeffding", "all_hold": all_hold, "instances": rows}), out)
     if not all_hold:
         sys.exit(1)
 
 
-@main.command("psi-pattern")
-@click.option("--n", required=True, type=int)
-@click.argument("xs", nargs=-1, required=True)
-@click.option("--out", default=None)
+@_command(
+    "psi-pattern",
+    _arg("--n", required=True, type=int, help="Degree n."),
+    _arg("xs", nargs="+", metavar="XS"),
+    _OUT,
+)
 def cmd_psi_pattern(n, xs, out):
     """Sign pattern of the mass gap between mixture and pooled binomial.
 
@@ -465,17 +518,13 @@ def cmd_psi_pattern(n, xs, out):
     try:
         pattern = psi_sign_pattern(n, [as_rational(x) for x in xs])
     except (FormatError, ParameterError) as exc:
-        click.echo(f"invalid input: {exc}", err=True)
-        sys.exit(2)
+        _fail(2, f"invalid input: {exc}")
     shape_ok = (
         pattern.change_count == 2
         and pattern.values[0] > 0
         and pattern.values[-1] > 0
     )
-    _emit(
-        _json_payload({"command": "psi-pattern", "n": n, **report_data(pattern)}),
-        _resolve_out(out),
-    )
+    _emit(_json_payload({"command": "psi-pattern", "n": n, **report_data(pattern)}), out)
     if not shape_ok:
         sys.exit(1)
 

@@ -100,8 +100,8 @@ def as_rational(value: RationalLike) -> Fraction:
 _QUOTED_BITS = 200
 
 
-def _quoted(value: Fraction) -> str:
-    """A value as an error message quotes it, in one short line.
+def _quoted(value: Fraction | int) -> str:
+    """A value (a Fraction or an int) as an error message quotes it, in one short line.
 
     Its ``p/q`` text when both terms have at most 200 bits (about 60
     digits); otherwise six significant digits, rounded toward zero, and the

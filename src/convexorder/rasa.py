@@ -375,7 +375,7 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
         raise ParameterError("degenerate input: all parameters equal, psi == 0")
     mn = m * n
     if mn > MAX_LATTICE_LENGTH:
-        raise ParameterError(f"m * n is {mn}, above the limit of {MAX_LATTICE_LENGTH}")
+        raise ParameterError(f"m * n is {_quoted(mn)}, above the limit of {MAX_LATTICE_LENGTH}")
     # With x_i = a_i / q over the least common denominator q and A = sum a_i,
     # psi_k = (m^(mn-1) sum_i a_i^k (q - a_i)^(mn-k) - A^k (mq - A)^(mn-k))
     # over (mq)^mn; the ints below are those numerators.

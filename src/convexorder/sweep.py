@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement, repeat
 from typing import Sequence
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, _Value, builtin_family
-from .exact import ParameterError
+from .exact import ParameterError, _quoted
 from .lattice import dot, probe_table
 from .rasa import MAX_LATTICE_LENGTH, point_from_pairs
 
@@ -91,7 +91,7 @@ class RunConfig(_Value):
         points = grid_size(self)
         if points > MAX_GRID_POINTS:
             raise ParameterError(
-                f"the grid has at least {points} points, "
+                f"the grid has at least {_quoted(points)} points, "
                 f"above the limit of {MAX_GRID_POINTS}"
             )
         if any(n < 1 for n in self.n_values):

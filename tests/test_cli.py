@@ -11,10 +11,11 @@ from fractions import Fraction as F
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexorder import (
@@ -113,6 +114,17 @@ class TestVerifyRasa:
         assert result.exit_code == 2
         assert "the grid has at least " in result.output
         assert f"points, above the limit of {sweep.MAX_GRID_POINTS}" in result.output
+
+    def test_denominator_past_digit_limit_exits_2_with_one_line(self):
+        # A 4300-digit bound parses, but the grid's lower bound, one more
+        # than it, has 4301 digits: too many to print as an int.
+        argv = ["verify-rasa", "--n", "1", "--m", "2", "--denom", "9" * 4300]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.output == (
+            "the grid has at least about 1.00000e4300 points, "
+            f"above the limit of {sweep.MAX_GRID_POINTS}\n"
+        )
 
     @pytest.mark.parametrize(
         "n_values, m_values, denominator",
@@ -567,6 +579,26 @@ class TestCxCompare:
             "about -2.76248e-2 (a 16329-bit denominator), not 0\n"
         )
 
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [("missing", "No such file or directory"), ("directory", "Is a directory")],
+    )
+    def test_unreadable_file_exits_2_with_one_line(self, tmp_path, kind, reason):
+        _, b = write_pair(tmp_path)
+        path = tmp_path / "missing.txt" if kind == "missing" else tmp_path
+        for args in ([str(path), b], [b, str(path)]):
+            result = runner.invoke(main, ["cx-compare", *args])
+            assert result.exit_code == 2
+            assert result.output == f"cannot read {path}: {reason}\n"
+
+    def test_negative_rational_endpoint_is_a_value(self, tmp_path):
+        a, b = write_pair(tmp_path)
+        args = ["cx-compare", a, b, "--method", "szostok"]
+        spaced = runner.invoke(main, [*args, "--a", "-1/2", "--b", "9"])
+        joined = runner.invoke(main, [*args, "--a=-1/2", "--b=9"])
+        assert spaced.exit_code == joined.exit_code == 1, spaced.output
+        assert spaced.stdout == joined.stdout
+
     def test_file_not_utf8_exits_2(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -821,6 +853,149 @@ class TestPsiPatternCommand:
         assert result.exit_code == 2
         message = f"m * n is {2 * int(n)}, above the limit of {MAX_LATTICE_LENGTH}\n"
         assert message in result.output
+
+    def test_lattice_length_past_digit_limit_exits_2_with_one_line(self):
+        # A 4300-digit n parses, but m * n has 4301 digits.
+        result = runner.invoke(main, ["psi-pattern", "--n", "9" * 4300, "1/2", "1/3"])
+        assert result.exit_code == 2
+        assert result.output == (
+            "invalid input: m * n is about 1.99999e4300, "
+            f"above the limit of {MAX_LATTICE_LENGTH}\n"
+        )
+
+
+COMMANDS = ["verify-rasa", "cx-compare", "counterexample", "hoeffding", "psi-pattern"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in COMMANDS)])
+def test_help_exits_0(argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("Usage:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["psi-pattern", "--help"], ["counterexample"]])
+def test_commands_run_without_docstrings(argv):
+    # ``python -OO`` strips the docstrings that the help text is built from.
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "convexorder", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["counterexample", "--no-such-option"],
+        ["psi-pattern", "1/3", "1/2"],
+        ["verify-rasa", "--n", "1", "--m", "2", "--denom", "two"],
+        ["counterexample", "--format", "xml"],
+        ["counterexample", "--scan", str(cli.MAX_SCAN_PAIRS + 1)],
+    ],
+    ids=["no-arguments", "unknown-command", "unknown-option", "missing-option", "bad-int",
+         "bad-choice", "scan-over-limit"],
+)
+def test_usage_errors_exit_2(argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr
+
+
+@pytest.mark.parametrize(
+    "interspersed, contiguous",
+    [
+        (["psi-pattern", "1/3", "--n", "3", "1/2"], ["psi-pattern", "--n", "3", "1/3", "1/2"]),
+        (["hoeffding", "1/2", "--seed", "3", "1/3"], ["hoeffding", "--seed", "3", "1/2", "1/3"]),
+    ],
+)
+def test_positionals_may_stand_between_options(interspersed, contiguous):
+    result = runner.invoke(main, interspersed)
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == runner.invoke(main, contiguous).stdout_bytes
+
+
+# Each command's option names and a valid argv to build on, and the values
+# an argv fuzz draws: small ints and ranges, rationals, choices, a law file,
+# and hostile values: ints at Python's 4300-digit limit for int-to-string
+# conversion, a rational past the parse limit, a negative int, an empty
+# range, range bounds of 19 digits, the empty string, an unknown option, a
+# missing file and a directory given as a file.  Every grid a draw can
+# admit has n <= 3, m <= 3 and denominators <= 3.
+_ARGV_OPTIONS = {
+    "verify-rasa": [
+        "--n", "--m", "--denom", "--seed", "--jobs", "--functions", "--format", "--out",
+    ],
+    "cx-compare": ["--method", "--a", "--b", "--out"],
+    "counterexample": ["--format", "--json", "--out", "--scan", "--seed"],
+    "hoeffding": ["--random", "--seed", "--n-max", "--denom", "--out"],
+    "psi-pattern": ["--n", "--out"],
+}
+_ARGV_BASES = {
+    "verify-rasa": ["--n", "1", "--m", "2", "--denom", "2"],
+    "cx-compare": ["LAW", "LAW"],
+    "counterexample": [],
+    "hoeffding": ["1/2"],
+    "psi-pattern": ["--n", "1", "1/3", "1/2"],
+}
+_ARGV_VALUES = st.one_of(
+    st.integers(0, 3).map(str),
+    st.sampled_from(
+        ["1..2", "2..3", "1/2", "1/3", "2/3", "json", "csv", "oracle", "szostok", "angles", "LAW"]
+    ),
+    st.sampled_from(["9" * 4300, "-" + "9" * 4300]),
+    st.sampled_from(
+        [
+            "1e-999999", "-1", "1..0", "1..1" + "0" * 18, "", "--no-such-option",
+            "MISSING", "DIRECTORY",
+        ]
+    ),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command, maybe its valid base argv, each of its options at most once
+    with a value, and stray values, in a drawn order."""
+    command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    parts = [[value] for value in draw(st.lists(_ARGV_VALUES, max_size=3))]
+    for name in _ARGV_OPTIONS[command]:
+        parts += [[name, value] for value in draw(st.lists(_ARGV_VALUES, max_size=1))]
+    base = _ARGV_BASES[command] if draw(st.booleans()) else []
+    order = draw(st.permutations(parts))
+    return [command, *base, *(token for part in order for token in part)]
+
+
+# The explicit examples, whose messages once quoted a 4301-digit int, need a
+# conjunction of draws that 300 examples seldom make.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argvs())
+@example(argv=["psi-pattern", "--n", "9" * 4300, "1/2", "1/3"])
+@example(argv=["verify-rasa", "--n", "1", "--m", "2", "--denom", "9" * 4300])
+def test_argv_fuzz_ends_with_a_defined_exit_code(tmp_path_factory, argv):
+    folder = tmp_path_factory.getbasetemp() / "argv-fuzz"
+    folder.mkdir(exist_ok=True)
+    law = folder / "law.txt"
+    law.write_text("0 1/2\n2 1/2\n")
+    paths = {
+        "LAW": str(law), "MISSING": str(folder / "missing" / "law.txt"), "DIRECTORY": str(folder),
+    }
+    argv = [paths.get(token, token) for token in argv]
+    # Reports go under the folder, and no draw forks more than one child.
+    with mock.patch.object(sweep, "_available_cpus", lambda: 2):
+        result = runner.invoke(main, argv, env={"CONVEXORDER_OUT_DIR": str(folder)})
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        [token[:20] for token in argv], repr(result.exception)[:200]
+    )
+    assert result.exit_code in {0, 1, 2, 3}, result.output[-500:]
+    assert "Traceback" not in result.stderr
 
 
 # Row values of every kind the row template writes: ints past 64 bits and

@@ -2,7 +2,7 @@
 
 Every case runs in a fresh interpreter, because this test session has long
 since imported every module.  The probe prints the loaded module names at
-exit, after the command itself has run (or exited through click).
+exit, after the command itself has run or exited.
 """
 
 import json
@@ -96,6 +96,7 @@ def test_sweep_loads_only_the_lattice_route(fmt):
     proc, modules = _run_cli(*SWEEP_ARGS, "--format", fmt)
     assert proc.returncode == 0, proc.stderr
     assert _submodules(modules) == SWEEP_MODULES
+    assert "click" not in modules
     # Each report writer imports only the codec it writes with.
     assert ("csv" in modules) == (fmt == "csv")
     assert ("json" in modules) == (fmt == "json")
@@ -130,12 +131,13 @@ def test_compare_import_loads_no_dataclasses_or_inspect():
     ],
 )
 def test_commands_load_no_dataclasses(tmp_path, args):
-    # Click itself imports ``inspect``, so only ``dataclasses`` is checked.
+    # Neither the package nor ``argparse`` imports ``dataclasses`` or ``inspect``.
     law = tmp_path / "law.txt"
     law.write_text("0 1/2\n1 1/2\n")
     proc, modules = _run_cli(*(arg.format(law=law) for arg in args))
     assert proc.returncode == 0, proc.stderr
     assert "dataclasses" not in modules
+    assert "inspect" not in modules
 
 
 def test_every_export_is_its_modules_object():
@@ -221,6 +223,7 @@ def test_help_imports_no_kernel(args):
     assert "Usage:" in proc.stdout
     loaded = {m.split(".")[1] for m in _submodules(modules)}
     assert loaded.isdisjoint(KERNELS), sorted(loaded)
+    assert "click" not in modules
     assert "json" not in modules
     assert "csv" not in modules
     assert "multiprocessing" not in modules
