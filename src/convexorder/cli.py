@@ -59,6 +59,19 @@ the n-th power of the lcm of the drawn denominators: at n = 1000 one
 instance took 0.9 s and 33 MB with denominators up to 20, 4.2 s and 92 MB up
 to 100, and 99 s and 657 MB up to 1000 on one 2-core x86-64 host."""
 
+MAX_FILE_BYTES = 64 << 20
+"""The largest distribution file ``cx-compare`` reads, in bytes.
+
+A file is read whole and decoded before its lines are counted, which takes
+about twice its size in memory, so without a bound a huge file or a device
+such as ``/dev/zero`` would exhaust memory before the parse limits stop it.
+At ``distributions.MAX_ATOMS`` atoms, ``MAX_LAW_BITS`` admits common
+denominators of 500 bits (151 digits); a line that writes a support and a
+mass as numerators and denominators of that length takes about 610 bytes,
+so 64 MiB admits every such file (about 61 MB).  A file of comment lines
+at the bound peaked at 143 MB and exited 2 in about 2 s on one 2-core
+x86-64 host with Python 3.11."""
+
 _DEFAULT = "[default: %(default)s]"
 
 _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
@@ -88,6 +101,15 @@ def _fail(code: int, message: str) -> NoReturn:
     """End the command with exit code ``code`` and ``message`` as one stderr line."""
     print(message, file=sys.stderr, flush=True)
     sys.exit(code)
+
+
+def _read_text(path: str) -> str:
+    """The file at ``path`` decoded as UTF-8, read through ``MAX_FILE_BYTES``."""
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        _fail(2, f"cannot read {path}: more than the limit of {MAX_FILE_BYTES} bytes")
+    return data.decode("utf-8")
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -173,22 +195,24 @@ def _json_rows_payload(head: dict, rows: list[dict]) -> str:
     return text[:-5] + "[\n" + body + "\n  ]\n}\n"
 
 
-def _csv_payload(rows: list[dict], columns: list[str]) -> str:
+def _csv_payload(rows: list[dict]) -> str:
+    """The rows as CSV: the first row's keys are the header, and every row
+    has those keys in that order."""
     import csv
     import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        writer.writerow(map(_csv_cell, row.values()))
     return buffer.getvalue()
 
 
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return "" if value is None else str(value)
+    return str(value)
 
 
 _COMMANDS: dict[str, tuple] = {}
@@ -247,7 +271,31 @@ def main(args=None, prog_name: str | None = None, **_) -> None:
     parser._negative_number_matcher = re.compile(r"-\.?\d")
     for names, options in arguments:
         parser.add_argument(*names, **options)
+    # argparse reports missing required arguments before unknown options.
+    unknown = _unknown_options(parser, args[1:])
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     func(**vars(parser.parse_intermixed_args(args[1:])))
+
+
+def _unknown_options(parser: argparse.ArgumentParser, tokens: list[str]) -> list[str]:
+    """The tokens before any ``--`` that argparse reads as options and
+    ``parser`` does not define: a "-" and more, with no space, no number and
+    no defined name before any "="."""
+    known = parser._option_string_actions
+    unknown = []
+    for token in tokens:
+        if token == "--":
+            break
+        if (
+            token[:1] == "-"
+            and len(token) > 1
+            and " " not in token
+            and not parser._negative_number_matcher.match(token)
+            and token.partition("=")[0] not in known
+        ):
+            unknown.append(token)
+    return unknown
 
 
 main.name = "convexorder"
@@ -286,8 +334,7 @@ def cmd_verify_rasa(n, m, denom, seed, jobs, functions, fmt, out):
         _fail(2, str(exc))
     rows, ok = run_sweep(config)
     if fmt == "csv":
-        columns = ["n", "m", "xs", "verdict_a", "verdict_b", "verdict_c", "min_form", "ok"]
-        payload = _csv_payload(rows, columns)
+        payload = _csv_payload(rows)
     else:
         payload = _json_rows_payload(
             {
@@ -335,10 +382,8 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
     from .distributions import parse_distribution
 
     try:
-        with open(file_a, encoding="utf-8") as fa:
-            lhs = parse_distribution(fa.read())
-        with open(file_b, encoding="utf-8") as fb:
-            rhs = parse_distribution(fb.read())
+        lhs = parse_distribution(_read_text(file_a))
+        rhs = parse_distribution(_read_text(file_b))
     except OSError as exc:
         _fail(2, f"cannot read {exc.filename}: {exc.strerror}")
     except (FormatError, UnicodeDecodeError) as exc:
@@ -416,7 +461,7 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
             "holds": data["holds"],
             "witness_function": data["witness_function"],
         }
-        payload = _csv_payload([flat], list(flat.keys()))
+        payload = _csv_payload([flat])
     else:
         if scan > 0:
             data["scan"] = report_data(_scan_for_violations(scan, seed))

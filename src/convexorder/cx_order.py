@@ -33,8 +33,8 @@ Conventions shared by all procedures:
   itself belongs to neither strict region).
 
 All four procedures and ``crossing_points`` read one segment table per
-ordered pair, built on the union of supports: a single pass (``_scan``) over
-that grid gives F_rhs - F_lhs on every segment and its running integral from
+ordered pair, built on the union of supports: a single pass over that grid
+(``_segments``) gives F_rhs - F_lhs on every segment and its running integral from
 the left end, in ints over common denominators.  Once means agree, that
 running integral at t is the stop-loss gap E(rhs - t)_+ - E(lhs - t)_+, and
 its total is mean(lhs) - mean(rhs).  The interval procedures first check
@@ -201,17 +201,11 @@ def _segments(dl: DiscreteDistribution, dr: DiscreteDistribution) -> _Segments:
             key = p * stretch
             jumps[key] = jumps.get(key, 0) + v * factor
     grid = sorted(jumps)
-    return _scan(grid, [jumps[key] for key in grid], den, scale)
-
-
-def _scan(grid: list[int], jumps: Sequence[int], den: int, scale: int) -> _Segments:
-    """The segment table of F_rhs - F_lhs from its jumps times ``den`` at
-    increasing grid points times ``scale``; every segment table is built here."""
     diffs = []
     running = [0]
     diff = 0
-    for key, jump, following in zip(grid, jumps, grid[1:]):
-        diff += jump
+    for key, following in zip(grid, grid[1:]):
+        diff += jumps[key]
         diffs.append(diff)
         running.append(running[-1] + diff * (following - key))
     return _Segments(grid, diffs, running, den * scale, scale)
@@ -264,10 +258,9 @@ def ohlin_check(lhs: DiscreteDistribution, rhs: DiscreteDistribution) -> OhlinRe
 
     A step CDF is constant on each grid segment, so the segment signs of
     F_rhs - F_lhs are exhaustive: the condition holds when no negative
-    segment precedes a positive one.
+    segment precedes a positive one.  The laws are identical exactly when
+    the difference is zero on every segment.
     """
-    if lhs == rhs:
-        return OhlinReport(applies=True, crossing=None, identical=True)
     table = _segments(lhs, rhs)
     if table.running[-1]:  # unequal means
         return OhlinReport(applies=False, crossing=None, identical=False)
@@ -278,7 +271,7 @@ def ohlin_check(lhs: DiscreteDistribution, rhs: DiscreteDistribution) -> OhlinRe
     # strictly positive, after which it stays nonnegative.  With equal,
     # non-identical distributions both strict signs occur.
     crossing = next((table.point(i) for i, v in enumerate(table.diffs) if v < 0), None)
-    return OhlinReport(applies=True, crossing=crossing, identical=False)
+    return OhlinReport(applies=True, crossing=crossing, identical=first_sign == 0)
 
 
 def crossing_points(

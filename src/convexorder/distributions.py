@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import (
     MAX_RATIONAL_DIGITS,
@@ -186,7 +187,7 @@ class DiscreteDistribution:
             s = as_rational(support)
             m = as_rational(mass)
             if m < 0:
-                raise ParameterError(f"mass {m} at {s} is negative")
+                raise ParameterError(f"mass {_quoted(m)} at {_quoted(s)} is negative")
             merged[s] = merged.get(s, Fraction(0)) + m
         atoms = tuple(
             (s, m) for s, m in sorted(merged.items()) if m != 0
@@ -401,7 +402,7 @@ def mixture(
     if any(w <= 0 for w in ws):
         raise ParameterError("mixture weights must be positive")
     if sum(ws) != 1:
-        raise ParameterError(f"mixture weights must sum to 1, got {sum(ws)}")
+        raise ParameterError(f"mixture weights must sum to 1, got {_quoted(sum(ws))}")
     unit = math.lcm(*(part.support_numerators[1] for part in parts))
     den = math.lcm(
         *(w.denominator * part.mass_numerators[1] for w, part in zip(ws, parts))
@@ -462,9 +463,24 @@ def _parsed_law(pairs: Iterable[tuple[Fraction, Fraction]]) -> DiscreteDistribut
         raise FormatError(str(exc)) from exc
 
 
+# The line boundaries ``str.splitlines`` splits at.
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, one at a time, so that a file of
+    many lines is never held as a list of them."""
+    start = 0
+    for match in _LINE_BREAK.finditer(text):
+        yield text[start:match.start()]
+        start = match.end()
+    if start < len(text):
+        yield text[start:]
+
+
 def _parse_text(text: str) -> DiscreteDistribution:
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append((lineno, raw, line))

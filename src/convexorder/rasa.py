@@ -36,9 +36,11 @@ point's one Cauchy-product work.  Its binomial laws, at degrees n and mn,
 and the independent sum of all its parameters but the last depend on few
 of its values, so each process caches them over their own denominators
 (see ``LAW_CACHE_SIZE``) and :func:`point_from_pairs` brings them to the
-point's common denominator with integer factors.  :func:`lattice_point`
-checks its input and calls that one builder, which grid sweeps call
-directly with reduced int pairs.
+point's common denominator with integer factors.  Grid sweeps call that
+one builder directly, uncached, with reduced int pairs.  Library calls go
+through :func:`lattice_point`, which checks its input once and keeps the
+last 64 tables it built, so the forms and the verifiers of one point share
+one table; the tables it returns are shared and only ever read.
 
 Boundary parameters x_i in {0, 1} are handled directly through the Dirac
 degeneration of the binomial law, so no limiting argument is required
@@ -52,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .convex_functions import ConvexTestFunction, builtin_family
+from .convex_functions import ConvexTestFunction
 from .exact import (
     CxVerdict,
     ParameterError,
@@ -60,6 +62,7 @@ from .exact import (
     _power_products,
     _quoted,
     as_rational,
+    binomial_numerators,
 )
 from .lattice import (
     LatticeLaw,
@@ -91,7 +94,6 @@ __all__ = [
     "poisson_binomial",
     "verify_hoeffding",
     "psi_sign_pattern",
-    "builtin_family",
 ]
 
 MAX_LATTICE_LENGTH = 1000
@@ -109,19 +111,17 @@ as its sums of int power products also grow with m.
 
 
 def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
-    """All basis values (b_{n,0}(x), ..., b_{n,n}(x)); the binomial(n, x) masses."""
+    """All basis values (b_{n,0}(x), ..., b_{n,n}(x)); the binomial(n, x) masses.
+
+    They are the binomial numerators of x = p/q over q^n, as Fractions.
+    """
     if n < 1:
         raise ParameterError(f"degree must be >= 1, got {n}")
     if not 0 <= x <= 1:
         raise ParameterError(f"argument must lie in [0, 1], got {_quoted(x)}")
-    y = 1 - x
-    x_powers = [Fraction(1)]
-    y_powers = [Fraction(1)]
-    for _ in range(n):
-        x_powers.append(x_powers[-1] * x)
-        y_powers.append(y_powers[-1] * y)
+    den = x.denominator**n
     return tuple(
-        math.comb(n, i) * x_powers[i] * y_powers[n - i] for i in range(n + 1)
+        Fraction(v, den) for v in binomial_numerators(n, x.numerator, x.denominator)
     )
 
 
@@ -167,7 +167,13 @@ class StopLossTable(NamedTuple):
 
 
 def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
-    """The laws, form and gaps at (n, x_1..x_m); m >= 2, n >= 1, x_i in [0, 1]."""
+    """The laws, form and gaps at (n, x_1..x_m); m >= 2, n >= 1, x_i in [0, 1].
+
+    Library callers probe one point with many test functions and decide its
+    relations too, so the last 64 tables are kept per process, keyed by n
+    and the parameters' reduced pairs: every spelling of one value reads one
+    table.  A returned table is shared; its lists are only ever read.
+    """
     xs = [as_rational(x) for x in xs]
     if len(xs) < 2:
         raise ParameterError("need at least two parameters")
@@ -176,7 +182,7 @@ def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
     for x in xs:
         if not 0 <= x <= 1:
             raise ParameterError(f"parameters must lie in [0, 1], got {_quoted(x)}")
-    return point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
+    return _cached_point(n, tuple((x.numerator, x.denominator) for x in xs))
 
 
 LAW_CACHE_SIZE = 1024
@@ -218,11 +224,12 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
     """The laws, form and gaps at (n, p_1/q_1 .. p_m/q_m), from reduced pairs.
 
     The caller guarantees n >= 1, m >= 2 and 0 <= p_i <= q_i in lowest
-    terms; :func:`lattice_point` checks that and calls this.  The binomial
-    laws at degrees n and mn and the sum of the first m - 1 parameters come
-    from the per-process caches, each over its own denominators, and are
-    brought to L^(mn), L the least common denominator, by integer factors
-    (L/q)^(mn).  The sum's last factor is its one Cauchy product.
+    terms; :func:`lattice_point` checks that and reads this through its
+    cache.  The binomial laws at degrees n and mn and the sum of the first
+    m - 1 parameters come from the per-process caches, each over its own
+    denominators, and are brought to L^(mn), L the least common
+    denominator, by integer factors (L/q)^(mn).  The sum's last factor is
+    its one Cauchy product.
 
     The stop-loss map pi is linear, so two passes give all three gaps.
     With S, P and M the numerators of the sum, the pooled law and the
@@ -261,25 +268,14 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
     )
 
 
+_cached_point = lru_cache(maxsize=64)(point_from_pairs)
+
+
 @lru_cache(maxsize=256)
 def _probe_row(points: int, f: ConvexTestFunction) -> tuple[list[int], int]:
     # Callers evaluate one form at many points with the same few probes.
     rows, den = probe_table(points, (f,))
     return rows[0], den
-
-
-def _point_key(xs: Sequence[RationalLike]) -> tuple[tuple[int, int], ...]:
-    # Each parameter as its (numerator, denominator) pair, which hashes
-    # faster than a Fraction; every spelling of one value gives one key.
-    return tuple((x.numerator, x.denominator) for x in map(as_rational, xs))
-
-
-@lru_cache(maxsize=64)
-def _cached_point(n: int, xs: tuple[tuple[int, int], ...]) -> StopLossTable:
-    # Library callers probe one point with many test functions and decide
-    # its relations too, so the forms and the verifiers share one table per
-    # key.  Its lists are only ever read.
-    return lattice_point(n, [Fraction(p, q) for p, q in xs])
 
 
 def rasa_form(
@@ -298,7 +294,7 @@ def rasa_form_general(
     to k, the m same-parameter products minus m times the cross product;
     the point's :class:`StopLossTable` holds them as integers.
     """
-    table = _cached_point(n, _point_key(xs))
+    table = lattice_point(n, xs)
     row, den = _probe_row(len(table.form) - 1, f)
     return Fraction(dot(table.form, row), table.the_sum.den * den)
 
@@ -422,4 +418,4 @@ class GeneralizedVerdicts(NamedTuple):
 
 def verify_generalized(n: int, xs: Sequence[RationalLike]) -> GeneralizedVerdicts:
     """Oracle verdicts for the three unscaled relations at (n, x_1..x_m)."""
-    return _cached_point(n, _point_key(xs)).verdicts()
+    return lattice_point(n, xs).verdicts()

@@ -64,9 +64,10 @@ class RunConfig(_Value):
     """Configuration of one sweep: ranges, grid bound, probe functions.
 
     ``n_values`` and ``m_values`` ascend and may be ``range`` objects: the
-    grid is counted from their lengths before any check iterates them, so a
-    huge range is rejected without being built, and the largest m * n is read
-    from their ends.  A configuration is immutable and compares by value.
+    grid is counted from their lengths and no check iterates them, so a huge
+    range is rejected without being built, and the least n and m and the
+    largest m * n are read from their ends.  A configuration is immutable and
+    compares by value.
     """
 
     __slots__ = ("n_values", "m_values", "denominator", "seed", "jobs", "functions")
@@ -85,19 +86,22 @@ class RunConfig(_Value):
             raise ParameterError("n and m ranges must be nonempty")
         if self.denominator < 2:
             raise ParameterError("denominator bound must be >= 2")
-        # Counted before the checks below iterate the values, and after the
-        # denominator check: with 3 or more parameter values the count of a
-        # huge m passes the limit within a few hundred factors.
+        # Both ranges ascend, so their first values are their least.  Checked
+        # before the grid is counted: m = 0 counts one tuple per n whatever
+        # the bound, so the count would go on to sieve a huge Farey set.
+        if self.n_values[0] < 1:
+            raise ParameterError("n values must be >= 1")
+        if self.m_values[0] < 2:
+            raise ParameterError("m values must be >= 2")
+        # Counted after the denominator check: with 3 or more parameter
+        # values the count of a huge m passes the limit within a few hundred
+        # factors.
         points = grid_size(self)
         if points > MAX_GRID_POINTS:
             raise ParameterError(
                 f"the grid has at least {_quoted(points)} points, "
                 f"above the limit of {MAX_GRID_POINTS}"
             )
-        if any(n < 1 for n in self.n_values):
-            raise ParameterError("n values must be >= 1")
-        if any(m < 2 for m in self.m_values):
-            raise ParameterError("m values must be >= 2")
         length = self.m_values[-1] * self.n_values[-1]
         if length > MAX_LATTICE_LENGTH:
             raise ParameterError(
@@ -347,16 +351,15 @@ def run_sweep(config: RunConfig) -> tuple[list[dict], bool]:
     """Evaluate the whole grid; rows come back in grid order.
 
     ``config.jobs`` is clamped to the CPUs this process may use and to the
-    task count.  When that leaves more than one job, ``os.fork`` exists and
-    this process runs one thread, the grid is split into ``jobs`` strides:
+    task count, and to one job on a platform without ``os.fork`` or while
+    more than one thread runs.  The grid is split into ``jobs`` strides:
     ``jobs - 1`` forked children evaluate one each and this process the
-    first (see ``_strided_rows``).  Otherwise, on a platform without
-    ``os.fork`` for one, the grid is evaluated here, with the same rows.
+    first (see ``_strided_rows``), so one job forks nothing and gives the
+    same rows.
     """
     tasks = grid_tasks(config)
     jobs = min(config.jobs, _available_cpus(), len(tasks))
-    if jobs > 1 and hasattr(os, "fork") and _single_threaded():
-        rows = _strided_rows(tasks, jobs)
-    else:
-        rows = [evaluate_grid_point(t) for t in tasks]
+    if not (hasattr(os, "fork") and _single_threaded()):
+        jobs = 1
+    rows = _strided_rows(tasks, jobs)
     return rows, all(row["ok"] for row in rows)

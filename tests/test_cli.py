@@ -599,6 +599,20 @@ class TestCxCompare:
         assert spaced.exit_code == joined.exit_code == 1, spaced.output
         assert spaced.stdout == joined.stdout
 
+    def test_file_over_the_byte_limit_exits_2_with_one_line(self, tmp_path, monkeypatch):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0 1/2\n2 1/2\n")
+        b.write_text("1 1\n")
+        size = a.stat().st_size
+        monkeypatch.setattr(cli, "MAX_FILE_BYTES", size)
+        assert runner.invoke(main, ["cx-compare", str(b), str(a)]).exit_code == 0
+        monkeypatch.setattr(cli, "MAX_FILE_BYTES", size - 1)
+        for args in ([str(a), str(b)], [str(b), str(a)]):
+            result = runner.invoke(main, ["cx-compare", *args])
+            assert result.exit_code == 2
+            assert result.output == f"cannot read {a}: more than the limit of {size - 1} bytes\n"
+
     def test_file_not_utf8_exits_2(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -607,6 +621,33 @@ class TestCxCompare:
         result = runner.invoke(main, ["cx-compare", str(a), str(b)])
         assert result.exit_code == 2
         assert result.output.startswith("cannot parse distribution: 'utf-8' codec")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/zero and RLIMIT_AS")
+@pytest.mark.parametrize("source", ["/dev/zero", "lines"])
+def test_huge_file_exits_2_in_bounded_memory(tmp_path, source):
+    """An endless device, and a 20 MB file of 5 000 000 atom lines, each end
+    with exit 2 and one stderr line under a 300 MB address-space limit."""
+    one = tmp_path / "one.txt"
+    one.write_text("0 1\n")
+    if source == "lines":
+        source = tmp_path / "lines.txt"
+        source.write_text("0 1\n" * 5_000_000)
+    limit = 300 << 20
+    # The child limits its own address space, then runs the command.
+    code = (
+        f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        "from convexorder.cli import main; main()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "cx-compare", str(source), str(one)],
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr[-500:]
 
 
 # Hostile file contents: valid laws in both formats, atom lines and JSON
@@ -909,6 +950,26 @@ def test_usage_errors_exit_2(argv):
     assert result.stderr
 
 
+@pytest.mark.parametrize("command", ["psi-pattern", "verify-rasa", "cx-compare"])
+def test_unknown_option_is_named_before_missing_arguments(command):
+    result = runner.invoke(main, [command, "--bogus"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"{command}: error: unrecognized arguments: --bogus\n")
+    missing = runner.invoke(main, [command])
+    assert missing.exit_code == 2
+    assert "error: the following arguments are required: " in missing.stderr
+
+
+@pytest.mark.parametrize("denom", ["30000000", "1000000000000"])
+def test_m_below_two_exits_2_before_the_grid_is_counted(denom):
+    started = time.perf_counter()
+    result = runner.invoke(main, ["verify-rasa", "--n", "1", "--m", "0", "--denom", denom])
+    assert time.perf_counter() - started < 1
+    assert result.exit_code == 2
+    assert result.output == "m values must be >= 2\n"
+
+
 @pytest.mark.parametrize(
     "interspersed, contiguous",
     [
@@ -973,12 +1034,15 @@ def _argvs(draw):
     return [command, *base, *(token for part in order for token in part)]
 
 
-# The explicit examples, whose messages once quoted a 4301-digit int, need a
-# conjunction of draws that 300 examples seldom make.
+# The explicit examples, whose messages once quoted a 4301-digit int or whose
+# m = 0 once sieved a Farey set of the whole bound, need a conjunction of
+# draws that 300 examples seldom make.
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_argvs())
 @example(argv=["psi-pattern", "--n", "9" * 4300, "1/2", "1/3"])
 @example(argv=["verify-rasa", "--n", "1", "--m", "2", "--denom", "9" * 4300])
+@example(argv=["verify-rasa", "--n", "1", "--m", "0", "--denom", "30000000"])
+@example(argv=["verify-rasa", "--n", "1", "--m", "0", "--denom", "1000000000000"])
 def test_argv_fuzz_ends_with_a_defined_exit_code(tmp_path_factory, argv):
     folder = tmp_path_factory.getbasetemp() / "argv-fuzz"
     folder.mkdir(exist_ok=True)

@@ -671,3 +671,25 @@ def test_quoted_values_are_exact_when_short_and_bounded_when_long(p, q):
 def test_quoted_long_values():
     assert distributions._quoted(1 - F(1, 10**80)) == "about 9.99999e-1 (a 266-bit denominator)"
     assert distributions._quoted(F(-(10**4400))) == "about -1.00000e4400"
+
+
+def test_messages_quote_huge_masses_and_weight_sums():
+    with pytest.raises(
+        ParameterError, match=r"^mass about -1\.00000e-5000 \(a 16610-bit denominator\) at 0 "
+    ):
+        DiscreteDistribution.from_pairs([(0, "-1e-5000"), (1, 1)])
+    with pytest.raises(ParameterError, match=r"^mixture weights must sum to 1, got about 5\.0"):
+        mixture(["1e-5000", "1/2"], [dirac(0), dirac(1)])
+
+
+# Text around every line boundary ``str.splitlines`` knows, "\r\n" included.
+_line_texts = st.lists(
+    st.sampled_from(["a", " ", "#", "\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d",
+                     "\x1e", "\x85", "\u2028", "\u2029", "\t", "\x00"])
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_line_texts, st.text()))
+def test_text_lines_are_the_lines_splitlines_numbers(text):
+    assert list(distributions._text_lines(text)) == text.splitlines()
