@@ -9,11 +9,14 @@ degrees n and mn, and of sums over all parameters but the last serve the
 whole grid in that order.  That one integer pass returns the point's
 stop-loss table: its three verdicts, the angles' minimum (gap (c)) and the
 form coefficients that every other probe meets in one dot product.  Each point is evaluated
-by a pure function, so the grid can be split into strides: forked children
-evaluate all but the first, the parent evaluates the first, and the rows
-come back over pipes.  Rows are always put back in grid order, and a stride
-whose child fails is evaluated in the parent, so reports are byte-identical
-for a fixed configuration and seed regardless of the parallelism degree.
+by a pure function into one plain tuple, its values in ``ROW_FIELDS``
+order, so the grid can be split into strides: the tasks are generated
+lazily and each stride reads every ``jobs``-th of them, forked children
+evaluate all strides but the first, the parent evaluates the first, and
+each child's rows come back over a pipe as one ``marshal`` string.  Rows are
+always put back in grid order, and a stride whose child fails is evaluated
+in the parent, so reports are byte-identical for a fixed configuration and
+seed regardless of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, repeat
-from typing import Sequence
+from itertools import combinations_with_replacement, islice, repeat
+from typing import Iterator, Sequence
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, _Value, builtin_family
 from .exact import ParameterError, _quoted
@@ -34,20 +37,30 @@ from .rasa import MAX_LATTICE_LENGTH, point_from_pairs
 __all__ = [
     "RunConfig",
     "MAX_GRID_POINTS",
+    "ROW_FIELDS",
     "farey_fractions",
     "grid_size",
     "run_sweep",
+    "sweep_rows",
     "KNOWN_FUNCTION_GROUPS",
 ]
 
 MAX_GRID_POINTS = 100_000
 """The most grid points one sweep accepts.
 
-Every row is held until the report is written: 73,696 points
-(``--n 1..4 --m 3 --denom 12``, a 13.6 MB report) peak at 90 MB and take
-5.8 to 6.7 s serially on one 2-core x86-64 host with Python 3.11, so this
-bounds a sweep at roughly 120 MB.
+Every row is held as a tuple until the report is written, and the report is
+written in chunks: 73,696 points (``--n 1..4 --m 3 --denom 12``, a 13.6 MB
+report) peak at 34.5 MB with one job and 32 MB with two, and take 5.1 s
+serially and 2.6 s with two jobs (medians of five runs) on one 2-core
+x86-64 host with Python 3.11, so this bounds a sweep at roughly 42 MB and
+7 s of one core.
 """
+
+
+ROW_FIELDS = ("n", "m", "xs", "verdict_a", "verdict_b", "verdict_c", "min_form", "ok")
+"""The fields of a grid point's row, in the order of its tuple: n and m as
+ints, the parameters joined by ";" and the minimal form value as `p/q`
+strings, and the three verdicts and ``ok``, which comes last, as bools."""
 
 
 def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
@@ -175,25 +188,34 @@ def _probe_table(
     return probe_table(points, builtin_family(points, groups=groups, seed=seed))
 
 
-def grid_tasks(config: RunConfig) -> list[tuple]:
-    """All grid points in deterministic lexicographic order."""
+def _tasks(config: RunConfig) -> Iterator[tuple]:
+    """The grid points in deterministic lexicographic order, one at a time."""
     values = farey_fractions(config.denominator)
-    tasks = []
     for n in config.n_values:
         for m in config.m_values:
             for xs in combinations_with_replacement(values, m):
-                tasks.append((n, m, xs, config.functions, config.seed))
-    return tasks
+                yield n, m, xs, config.functions, config.seed
 
 
-def evaluate_grid_point(task: tuple) -> dict:
+def grid_tasks(config: RunConfig) -> list[tuple]:
+    """All grid points in deterministic lexicographic order."""
+    return list(_tasks(config))
+
+
+def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
+    """The rows of every ``jobs``-th grid point from the ``start``-th on."""
+    return [evaluate_grid_point(t) for t in islice(_tasks(config), start, None, jobs)]
+
+
+def evaluate_grid_point(task: tuple) -> tuple:
     """Verdicts and the minimal form value at one grid point (pure).
 
     One stop-loss table holds the point's form coefficients and decides the
     three relations.  By the bridge identity, the form on the angle at
     j / (mn) is relation (c)'s gap at j over mn L^(mn), so the angles'
     minimum is that vector's minimum.  Every other probe is one integer dot
-    product with the form's coefficients.
+    product with the form's coefficients.  Returns the row's values in
+    ``ROW_FIELDS`` order.
     """
     n, m, xs, functions, seed = task
     mn = m * n
@@ -207,17 +229,16 @@ def evaluate_grid_point(task: tuple) -> dict:
     if "angles" in functions:
         minima.append(min(table.sum_vs_mixture) * den)
     min_form = Fraction(min(minima), mn * table.the_sum.den * den)
-    ok = verdicts.all_hold and min_form >= 0
-    return {
-        "n": n,
-        "m": m,
-        "xs": ";".join(map(str, xs)),
-        "verdict_a": verdicts.sum_vs_pooled.holds,
-        "verdict_b": verdicts.pooled_vs_mixture.holds,
-        "verdict_c": verdicts.sum_vs_mixture.holds,
-        "min_form": str(min_form),
-        "ok": ok,
-    }
+    return (
+        n,
+        m,
+        ";".join(map(str, xs)),
+        verdicts.sum_vs_pooled.holds,
+        verdicts.pooled_vs_mixture.holds,
+        verdicts.sum_vs_mixture.holds,
+        str(min_form),
+        verdicts.all_hold and min_form >= 0,
+    )
 
 
 def _available_cpus() -> int:
@@ -242,8 +263,9 @@ def _single_threaded() -> bool:
         return threading.active_count() == 1
 
 
-def _fork_stride(tasks: list[tuple], start: int, jobs: int) -> tuple[int, int]:
-    """Fork a child that writes the rows of ``tasks[start::jobs]`` to a pipe.
+def _fork_stride(config: RunConfig, start: int, jobs: int) -> tuple[int, int]:
+    """Fork a child that writes the rows of ``_stride(config, start, jobs)``
+    to a pipe.
 
     The rows go as one ``marshal`` string; the child leaves through
     ``os._exit``, with status 0 only once all of it is written.  A child
@@ -262,7 +284,7 @@ def _fork_stride(tasks: list[tuple], start: int, jobs: int) -> tuple[int, int]:
         try:
             os.close(read_fd)
             try:
-                payload, done = [evaluate_grid_point(t) for t in tasks[start::jobs]], 0
+                payload, done = _stride(config, start, jobs), 0
             except Exception as exc:
                 text = str(exc).split("\n", 1)[0]
                 payload, done = f"{type(exc).__name__}: {text}".removesuffix(": "), 1
@@ -281,17 +303,17 @@ def _collect_stride(pid: int, read_fd: int, count: int) -> tuple[list | None, st
 
     Returns the ``count`` rows, or ``None`` and why they are unusable.
     """
-    chunks = []
+    data = bytearray()
     try:
         while chunk := os.read(read_fd, 1 << 16):
-            chunks.append(chunk)
+            data += chunk
     finally:
         os.close(read_fd)
         _, status = os.waitpid(pid, 0)
     if os.WIFSIGNALED(status):
         return None, f"the child was killed by signal {os.WTERMSIG(status)}"
     try:
-        rows = marshal.loads(b"".join(chunks))
+        rows = marshal.loads(data)
     except (EOFError, ValueError, TypeError):
         rows = None
     if os.WEXITSTATUS(status) != 0:
@@ -305,28 +327,28 @@ def _collect_stride(pid: int, read_fd: int, count: int) -> tuple[list | None, st
     return rows, ""
 
 
-def _strided_rows(tasks: list[tuple], jobs: int) -> list[dict]:
-    """Evaluate ``tasks[i::jobs]`` in forked children for i >= 1 and stride 0
-    here, then put the rows back in grid order.
+def _strided_rows(config: RunConfig, points: int, jobs: int) -> list[tuple]:
+    """Evaluate the grid's strides i >= 1 of ``jobs`` in forked children and
+    stride 0 here, then put the ``points`` rows back in grid order.
 
     A stride whose child cannot be forked, fails or sends unusable rows is
     evaluated here, and one line on stderr names it and the cause.  Every
     pipe is closed and every child reaped, also when this process raises.
     """
-    rows: list = [None] * len(tasks)
+    rows: list = [None] * points
     children: dict[int, tuple[int, int]] = {}
     unforked: dict[int, str] = {}
     try:
         for start in range(1, jobs):
             try:
-                children[start] = _fork_stride(tasks, start, jobs)
+                children[start] = _fork_stride(config, start, jobs)
             except OSError as exc:
                 unforked[start] = f"fork failed: {exc}"
-        rows[0::jobs] = [evaluate_grid_point(t) for t in tasks[0::jobs]]
+        rows[0::jobs] = _stride(config, 0, jobs)
         for start in range(1, jobs):
             if start in children:
                 pid, read_fd = children.pop(start)
-                stride, cause = _collect_stride(pid, read_fd, len(rows[start::jobs]))
+                stride, cause = _collect_stride(pid, read_fd, len(range(start, points, jobs)))
             else:
                 stride, cause = None, unforked[start]
             if stride is None:
@@ -334,7 +356,7 @@ def _strided_rows(tasks: list[tuple], jobs: int) -> list[dict]:
                     f"convexorder: stride {start} of {jobs} evaluated in the "
                     f"parent: {cause}\n"
                 )
-                stride = [evaluate_grid_point(t) for t in tasks[start::jobs]]
+                stride = _stride(config, start, jobs)
             rows[start::jobs] = stride
     finally:
         if children:
@@ -347,19 +369,26 @@ def _strided_rows(tasks: list[tuple], jobs: int) -> list[dict]:
     return rows
 
 
-def run_sweep(config: RunConfig) -> tuple[list[dict], bool]:
-    """Evaluate the whole grid; rows come back in grid order.
+def sweep_rows(config: RunConfig) -> tuple[list[tuple], bool]:
+    """Evaluate the whole grid: its rows as tuples in ``ROW_FIELDS`` order,
+    in grid order, and whether every row is ok.
 
     ``config.jobs`` is clamped to the CPUs this process may use and to the
-    task count, and to one job on a platform without ``os.fork`` or while
+    grid's size, and to one job on a platform without ``os.fork`` or while
     more than one thread runs.  The grid is split into ``jobs`` strides:
     ``jobs - 1`` forked children evaluate one each and this process the
     first (see ``_strided_rows``), so one job forks nothing and gives the
     same rows.
     """
-    tasks = grid_tasks(config)
-    jobs = min(config.jobs, _available_cpus(), len(tasks))
+    points = grid_size(config)
+    jobs = min(config.jobs, _available_cpus(), points)
     if not (hasattr(os, "fork") and _single_threaded()):
         jobs = 1
-    rows = _strided_rows(tasks, jobs)
-    return rows, all(row["ok"] for row in rows)
+    rows = _strided_rows(config, points, jobs)
+    return rows, all(row[-1] for row in rows)
+
+
+def run_sweep(config: RunConfig) -> tuple[list[dict], bool]:
+    """``sweep_rows``, each row a dict of ``ROW_FIELDS`` to its values."""
+    rows, ok = sweep_rows(config)
+    return [dict(zip(ROW_FIELDS, row)) for row in rows], ok

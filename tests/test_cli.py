@@ -1,3 +1,6 @@
+import csv
+import errno
+import io
 import json
 import marshal
 import os
@@ -26,7 +29,7 @@ from convexorder import (
     mixture,
 )
 from convexorder import cli, sweep
-from convexorder.cli import _json_rows_payload, main
+from convexorder.cli import _json_rows, main
 from convexorder.distributions import MAX_ATOMS, MAX_LAW_BITS
 from convexorder.rasa import MAX_LATTICE_LENGTH
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
@@ -194,7 +197,7 @@ class TestVerifyRasa:
         def failing(task):
             row = evaluate(task)
             if task[:3] == (2, 2, (F(1, 3), F(1, 2))):
-                row.update(verdict_c=False, min_form="-1/7", ok=False)
+                row = row[:5] + (False, "-1/7", False)
             return row
 
         monkeypatch.setattr(sweep, "evaluate_grid_point", failing)
@@ -368,6 +371,192 @@ class TestVerifyRasa:
         )
         assert result.exit_code == 0
         assert (tmp_path / "r.json").exists()
+
+
+# The grid --n 1 --m 2 --denom 2 has six points.
+SIX_POINTS = ["verify-rasa", "--n", "1", "--m", "2", "--denom", "2"]
+
+
+def _six_point_report(fmt: str, rows: list[dict], ok: bool) -> bytes:
+    """The six-point report as ``json.dumps`` or the ``csv`` module writes it."""
+    if fmt == "json":
+        payload = {
+            "command": "verify-rasa",
+            "n": "1",
+            "m": "2",
+            "denominator": 2,
+            "seed": 0,
+            "functions": list(KNOWN_FUNCTION_GROUPS),
+            "ok": ok,
+            "rows": rows,
+        }
+        return (json.dumps(payload, indent=2) + "\n").encode()
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, sweep.ROW_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: str(v).lower() if type(v) is bool else v for k, v in row.items()})
+    return buffer.getvalue().encode()
+
+
+class TestReportChunks:
+    """Reports written ``ROW_CHUNK`` rows at a time, at the chunk boundaries:
+    the six rows fill one chunk but one, exactly one chunk, or one chunk and
+    one row more.  A failing last row, in the last chunk, exits 1 after the
+    whole report is written."""
+
+    @pytest.mark.parametrize("chunk, failing", [(7, False), (6, False), (5, False), (5, True)])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_chunks_write_the_bytes_of_json_and_csv(
+        self, monkeypatch, tmp_path, fmt, chunk, failing
+    ):
+        monkeypatch.setattr(cli, "ROW_CHUNK", chunk)
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+        if failing:
+            evaluate = sweep.evaluate_grid_point
+
+            def failing_last(task):
+                row = evaluate(task)
+                return row[:5] + (False, "-1/3", False) if task[2] == (F(1), F(1)) else row
+
+            monkeypatch.setattr(sweep, "evaluate_grid_point", failing_last)
+        rows, ok = run_sweep(RunConfig(n_values=(1,), m_values=(2,), denominator=2))
+        assert [row["ok"] for row in rows] == [True] * 5 + [not failing]
+        expected = _six_point_report(fmt, rows, ok)
+        code, err = (1, "verification failed at n=1 m=2 xs=1;1\n") if failing else (0, "")
+        for jobs in ("1", "2"):
+            args = [*SIX_POINTS, "--format", fmt, "--jobs", jobs]
+            result = runner.invoke(main, args)
+            assert (result.exit_code, result.stderr) == (code, err)
+            assert result.stdout_bytes == expected
+            out = tmp_path / f"report-{jobs}.{fmt}"
+            result = runner.invoke(main, [*args, "--out", str(out)])
+            assert (result.exit_code, result.output) == (code, err)
+            assert out.read_bytes() == expected
+
+
+class _FullStdout:
+    """A stdout on a full disk: its ``fails_at``-th ``write`` raises, or with
+    ``fails_at`` 0 its ``flush``."""
+
+    def __init__(self, fails_at: int) -> None:
+        self.writes = 0
+        self.fails_at = fails_at
+
+    def _full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes == self.fails_at:
+            self._full()
+        return len(text)
+
+    def flush(self) -> None:
+        if not self.fails_at:
+            self._full()
+
+
+PSI_PATTERN = ["psi-pattern", "--n", "2", "1/3", "1/2"]
+FULL_STDOUT = f"cannot write the report to stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, fails_at",
+    [
+        (SIX_POINTS, 1),
+        (SIX_POINTS, 3),
+        (SIX_POINTS, 0),
+        ([*SIX_POINTS, "--format", "csv"], 2),
+        (PSI_PATTERN, 1),
+        (PSI_PATTERN, 0),
+    ],
+)
+def test_failed_stdout_write_exits_2_with_one_line(capsys, monkeypatch, argv, fails_at):
+    monkeypatch.setattr(cli, "ROW_CHUNK", 2)
+    stdout = _FullStdout(fails_at)
+    with mock.patch.object(sys, "stdout", stdout), pytest.raises(SystemExit) as exit:
+        main(argv)
+    assert exit.value.code == 2
+    assert stdout.writes >= fails_at
+    assert capsys.readouterr().err == FULL_STDOUT
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The report fits stdout's buffer, so the flush fails ...
+        SIX_POINTS,
+        # ... and here a chunk's write does.
+        ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "7"],
+        PSI_PATTERN,
+    ],
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_full_device_as_stdout_exits_2_with_one_line(argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "convexorder", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    # One line: no traceback, and no "Exception ignored" from the flush at exit.
+    assert proc.stderr == FULL_STDOUT
+
+
+# Runs one command in-process under ``tracemalloc`` in a fresh interpreter,
+# its modules imported first, and prints its exit code, report size and peak.
+_PEAK_PROBE = """
+import csv, io, json, sys, tracemalloc
+import convexorder.sweep
+from convexorder.cli import main
+
+class Sink:
+    size = 0
+    def write(self, text):
+        self.size += len(text)
+    def flush(self):
+        pass
+
+sys.stdout = sink = Sink()
+code = 0
+tracemalloc.start()
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+peak = tracemalloc.get_traced_memory()[1]
+sys.stdout = sys.__stdout__
+print(code, sink.size, peak)
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, report_bytes, bound_mb",
+    [("json", 1_259_305, 4.0), ("csv", 258_649, 3.3)],
+)
+def test_sweep_peak_memory_stays_near_the_rows(fmt, report_bytes, bound_mb):
+    """A 6900-point sweep traces a peak well under the report held as one
+    string beside row dicts: that peaked at 7.0 MB (JSON) and 4.3 MB (CSV)
+    on CPython 3.11, tuple rows written in chunks at 2.0 and 2.1 MB."""
+    argv = ["verify-rasa", "--n", "1..3", "--m", "3", "--denom", "8", "--format", fmt]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, size, peak = map(int, proc.stdout.split())
+    assert (code, size) == (0, report_bytes)
+    assert peak < bound_mb * 1e6, peak
 
 
 class TestByteDeterminism:
@@ -1076,32 +1265,38 @@ _row_values = st.one_of(
 
 @st.composite
 def _report_rows(draw):
-    """A head without a "rows" key and rows that share their keys, in order."""
+    """A head without a "rows" key, field names and rows of their values."""
     keys = draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
     rows = draw(
         st.lists(
-            st.lists(_row_values, min_size=len(keys), max_size=len(keys)),
-            max_size=4,
+            st.tuples(*[_row_values] * len(keys)),
+            max_size=7,
         )
     )
     head = draw(st.dictionaries(st.text(max_size=6), _row_values, max_size=3))
     head.pop("rows", None)
-    return head, [dict(zip(keys, values)) for values in rows]
+    return head, tuple(keys), rows
+
+
+def _dumped(head, fields, rows):
+    rows = [dict(zip(fields, row)) for row in rows]
+    return json.dumps({**head, "rows": rows}, indent=2) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
-@given(_report_rows())
-def test_row_writer_matches_json_dumps(report):
-    head, rows = report
-    assert _json_rows_payload(head, rows) == json.dumps({**head, "rows": rows}, indent=2) + "\n"
+@given(_report_rows(), st.integers(1, 4))
+def test_row_writer_matches_json_dumps(report, chunk):
+    head, fields, rows = report
+    with mock.patch.object(cli, "ROW_CHUNK", chunk):
+        assert "".join(_json_rows(head, fields, rows)) == _dumped(head, fields, rows)
 
 
 def test_row_writer_edge_values():
     head = {"command": "verify-rasa", "ok": False}
+    fields = ("n", "m", "xs", "ok")
     rows = [
-        {"n": -3, "m": 2**70, "xs": 'q"b\\c\x01\n\u00e9', "ok": False},
-        {"n": 0, "m": -(2**64) - 1, "xs": "", "ok": True},
+        (-3, 2**70, 'q"b\\c\x01\n\u00e9', False),
+        (0, -(2**64) - 1, "", True),
     ]
     for part in ([], rows[:1], rows):
-        expected = json.dumps({**head, "rows": part}, indent=2) + "\n"
-        assert _json_rows_payload(head, part) == expected
+        assert "".join(_json_rows(head, fields, part)) == _dumped(head, fields, part)
