@@ -165,8 +165,6 @@ def report_data(obj):
     conversion ends the command with exit 2."""
     from fractions import Fraction
 
-    from .distributions import DiscreteDistribution, distribution_to_json_obj
-
     if isinstance(obj, Fraction):
         try:
             return str(obj)
@@ -174,8 +172,11 @@ def report_data(obj):
             limit = sys.get_int_max_str_digits()
             _fail(2, f"cannot write the report: a value has more than {limit} digits, "
                   "Python's limit for converting an int to a string")
-    if isinstance(obj, DiscreteDistribution):
-        return distribution_to_json_obj(obj)["atoms"]
+    # No law exists unless ``distributions`` is loaded, and a report
+    # without one does not load it.
+    laws = sys.modules.get(f"{__package__}.distributions")
+    if laws and isinstance(obj, laws.DiscreteDistribution):
+        return laws.distribution_to_json_obj(obj)["atoms"]
     if isinstance(obj, ConvexTestFunction):
         return obj.describe()
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):
@@ -280,6 +281,14 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
         super().add_usage(usage, actions, groups, prefix)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command's parser, whose help goes out through ``_emit``: argparse
+    would swallow a failed write, or leave it to the flush at exit."""
+
+    def print_help(self, file=None) -> None:
+        _emit(self.format_help(), None)
+
+
 def main(args=None, prog_name: str | None = None, **_) -> None:
     """Run the command that ``args`` names, by default ``sys.argv[1:]``.
 
@@ -289,17 +298,19 @@ def main(args=None, prog_name: str | None = None, **_) -> None:
     args = sys.argv[1:] if args is None else list(args)
     prog = prog_name or main.name
     if args[:1] in ([], ["-h"], ["--help"]):
-        out = sys.stdout if args else sys.stderr
-        print(f"Usage: {prog} COMMAND [ARGS]...\n\nCommands:", file=out)
+        lines = [f"Usage: {prog} COMMAND [ARGS]...", "", "Commands:"]
         for name, (func, _) in _COMMANDS.items():
             summary = (func.__doc__ or "").partition("\n")[0]
-            print(f"  {name:<16}{summary}", file=out)
-        sys.exit(0 if args else 2)
+            lines.append(f"  {name:<16}{summary}")
+        if not args:
+            _fail(2, "\n".join(lines))
+        _emit("\n".join(lines) + "\n", None)
+        sys.exit(0)
     if args[0] not in _COMMANDS:
         _fail(2, f"no such command {args[0]!r}; '{prog} --help' lists them")
     func, arguments = _COMMANDS[args[0]]
     doc = "\n".join(line.strip() for line in (func.__doc__ or "").splitlines())
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         f"{prog} {args[0]}", description=doc, formatter_class=_Formatter, allow_abbrev=False
     )
     # argparse takes a token that starts with "-" for an option unless it

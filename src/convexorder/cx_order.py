@@ -32,27 +32,32 @@ Conventions shared by all procedures:
   first segment on which the difference assumes its new sign (the crossing
   itself belongs to neither strict region).
 
-All four procedures and ``crossing_points`` read one segment table per
-ordered pair, built on the union of supports: a single pass over that grid
-(``_segments``) gives F_rhs - F_lhs on every segment and its running integral from
-the left end, in ints over common denominators.  Once means agree, that
-running integral at t is the stop-loss gap E(rhs - t)_+ - E(lhs - t)_+, and
-its total is mean(lhs) - mean(rhs).  The interval procedures first check
-that both laws live in [a, b]; the running integral from a is then zero left
-of the supports' hull and constant right of it, so a and b add nothing to
-the table.  A pair's table is built once and reused by consecutive calls on
-the same ordered pair, so running every procedure on one pair builds one
-table.
+All four procedures and ``crossing_points`` read one cumulative table per
+ordered pair, built on the union of supports (``_segments``): the running
+integral of F_rhs - F_lhs from the left end to each grid point, in ints over
+common denominators.  The jumps of the difference at the grid points are
+the signed measure rhs - lhs, which ``distributions._weighted_atoms``, the
+merge ``mixture`` runs, sums from the two laws' numerators.  Once means
+agree, the table at t is the stop-loss gap E(rhs - t)_+ - E(lhs - t)_+, and
+its total is mean(lhs) - mean(rhs).  Every segment has positive length, so
+each step of the table has the sign of the difference on its segment: the
+sign runs of Ohlin, Szostok and ``crossing_points`` are runs of steps, and
+a Szostok area is the table's change over one run.  The interval procedures
+first check that both laws live in [a, b]; the running integral from a is
+then zero left of the supports' hull and constant right of it, so a and b
+add nothing to the table.  A pair's table is built once and reused by
+consecutive calls on the same ordered pair, so running every procedure on
+one pair builds one table.
 
-Laws on the integer lattice need no segment table: there the stop-loss gap
+Laws on the integer lattice need no such table: there the stop-loss gap
 at every lattice point comes from two running sums per law
 (``lattice.stop_loss_numerators``), and ``lattice.gap_verdict`` reads it.
 Both routes hand their gaps to ``exact._oracle_verdict``, the one verdict
 reader, so equal laws get equal verdicts, witnesses included.  It and
-``CxVerdict`` live in :mod:`.exact`, so the lattice route loads neither
-this module nor ``distributions``; both names are re-exported here.  This
-module reads laws only through their int numerators and never builds one,
-so it imports ``distributions`` for type annotations alone.
+``CxVerdict`` live in :mod:`.exact`, as does ``sign_changes``, so the
+lattice route and ``rasa.psi_sign_pattern`` load neither this module nor
+``distributions``; all three names are re-exported here.  This module
+reads laws only through their int numerators and never builds one.
 
 The randomized corpora used to exercise these procedures are seeded
 explicitly, so parallel batch runs are reproducible.
@@ -60,15 +65,22 @@ explicitly, so parallel batch runs are reproducible.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from itertools import accumulate
+from operator import mul, sub
+from typing import Iterator, NamedTuple, Optional
 
-from .exact import CxVerdict, ParameterError, _oracle_verdict, _quoted, as_rational
-
-if TYPE_CHECKING:
-    from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _weighted_atoms
+from .exact import (
+    CxVerdict,
+    ParameterError,
+    _oracle_verdict,
+    _quoted,
+    _sign_runs,
+    as_rational,
+    sign_changes,
+)
 
 __all__ = [
     "CxVerdict",
@@ -151,17 +163,16 @@ class SzostokReport(NamedTuple):
 
 
 class _Segments(NamedTuple):
-    """F_rhs - F_lhs on the merged grid g_0 < ... < g_K, and its running integral.
+    """The running integral of F_rhs - F_lhs on the merged grid g_0 < ... < g_K.
 
-    ``grid[i]`` is g_i times ``scale``, the grid's common denominator.
-    ``diffs[i]`` is the constant value of the difference on (g_i, g_{i+1}],
-    i < K, times the common mass denominator.  ``running[i] / den`` is its
-    integral from g_0 to g_i, i <= K, so ``running[0] == 0`` and each step
-    adds ``diffs[i]`` times the segment length in units of ``1 / scale``.
+    ``grid[i]`` is g_i times ``scale``, the grid's common denominator, and
+    ``running[i] / den`` the integral from g_0 to g_i, i <= K, so
+    ``running[0] == 0``.  Every segment (g_i, g_{i+1}] has positive length,
+    so the step ``running[i + 1] - running[i]`` has the sign of the
+    difference on it.
     """
 
     grid: list[int]
-    diffs: list[int]
     running: list[int]
     den: int
     scale: int
@@ -171,69 +182,32 @@ class _Segments(NamedTuple):
         return Fraction(self.grid[i], self.scale)
 
     def value(self, num: int) -> Fraction:
-        """A running-integral entry (or a sum of its steps) as a Fraction."""
+        """A running-integral entry (or a difference of two) as a Fraction."""
         return Fraction(num, self.den)
+
+    def steps(self) -> Iterator[int]:
+        """The running integral's step over each segment, left to right."""
+        return map(sub, self.running[1:], self.running)
 
 
 @lru_cache(maxsize=1)
 def _segments(dl: DiscreteDistribution, dr: DiscreteDistribution) -> _Segments:
-    """The segment table of the pair on the union of supports.
+    """The cumulative table of the pair on the union of supports.
 
-    The laws' int numerators come to the common denominator of their mass
-    denominators and grid points to ints over the least common denominator
-    of all support points, so the pass itself only adds and multiplies ints.
+    The jumps of F_rhs - F_lhs at the grid points are the signed measure
+    rhs - lhs, merged by ``distributions._weighted_atoms`` in ints over
+    common denominators, so the pass itself only adds and multiplies ints:
+    the running sum of the jumps is the difference on each segment, and the
+    running sum of its products with the segment lengths is the table.
 
     Callers run several procedures on one ordered pair in turn, so the last
     table is kept and reused.  Laws are immutable and compare structurally,
     so an equal key means an equal table; its lists are only ever read.
     """
-    (points_l, unit_l), (nums_l, den_l) = dl.support_numerators, dl.mass_numerators
-    (points_r, unit_r), (nums_r, den_r) = dr.support_numerators, dr.mass_numerators
-    den = math.lcm(den_l, den_r)
-    scale = math.lcm(unit_l, unit_r)
-    jumps: dict[int, int] = {}  # grid point * scale -> jump of (F_rhs - F_lhs) * den
-    for points, unit, nums, factor in (
-        (points_l, unit_l, nums_l, -(den // den_l)),
-        (points_r, unit_r, nums_r, den // den_r),
-    ):
-        stretch = scale // unit
-        for p, v in zip(points, nums):
-            key = p * stretch
-            jumps[key] = jumps.get(key, 0) + v * factor
-    grid = sorted(jumps)
-    diffs = []
-    running = [0]
-    diff = 0
-    for key, following in zip(grid, grid[1:]):
-        diff += jumps[key]
-        diffs.append(diff)
-        running.append(running[-1] + diff * (following - key))
-    return _Segments(grid, diffs, running, den * scale, scale)
-
-
-def _sign_runs(values: Sequence) -> tuple[int, list[int]]:
-    """The first nonzero sign of values (0 if none) and the indices where it alternates.
-
-    Zero terms are discarded, so an index is the first term of a run of
-    the new sign.
-    """
-    first = previous = 0
-    changes: list[int] = []
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        sign = 1 if v > 0 else -1
-        if not previous:
-            first = sign
-        elif sign != previous:
-            changes.append(i)
-        previous = sign
-    return first, changes
-
-
-def sign_changes(values: Sequence[Fraction]) -> int:
-    """Number of sign alternations after discarding zero terms."""
-    return len(_sign_runs(values)[1])
+    grid, scale, jumps, den = _weighted_atoms((-1, 1), (dl, dr))
+    lengths = map(sub, grid[1:], grid)
+    running = list(accumulate(map(mul, accumulate(jumps), lengths), initial=0))
+    return _Segments(grid, running, den * scale, scale)
 
 
 def cx_compare_oracle(
@@ -264,13 +238,14 @@ def ohlin_check(lhs: DiscreteDistribution, rhs: DiscreteDistribution) -> OhlinRe
     table = _segments(lhs, rhs)
     if table.running[-1]:  # unequal means
         return OhlinReport(applies=False, crossing=None, identical=False)
-    first_sign, changes = _sign_runs(table.diffs)
+    first_sign, changes = _sign_runs(table.steps())
     if len(changes) > 1 or (changes and first_sign < 0):
         return OhlinReport(applies=False, crossing=None, identical=False)
     # Crossing: left endpoint of the first segment where F_lhs - F_rhs is
-    # strictly positive, after which it stays nonnegative.  With equal,
-    # non-identical distributions both strict signs occur.
-    crossing = next((table.point(i) for i, v in enumerate(table.diffs) if v < 0), None)
+    # strictly positive, the first falling step, after which it stays
+    # nonnegative.  With equal, non-identical distributions both strict
+    # signs occur.
+    crossing = next((table.point(i) for i, v in enumerate(table.steps()) if v < 0), None)
     return OhlinReport(applies=True, crossing=crossing, identical=first_sign == 0)
 
 
@@ -284,7 +259,7 @@ def crossing_points(
     equal sign are discarded, matching the sign-change count convention.
     """
     table = _segments(lhs, rhs)
-    return [table.point(i) for i in _sign_runs(table.diffs)[1]]
+    return [table.point(i) for i in _sign_runs(table.steps())[1]]
 
 
 def _require_interval(
@@ -343,7 +318,7 @@ def szostok_decision(
             f"{_quoted(table.value(table.running[-1]))}, not 0"
         )
 
-    first_sign, changes = _sign_runs(table.diffs)
+    first_sign, changes = _sign_runs(table.steps())
     if first_sign == 0:
         # F vanishes identically: the comparison is an equality, every
         # convex-function inequality is tight, and the lemma's hypotheses
@@ -357,15 +332,12 @@ def szostok_decision(
             decision=True,
         )
 
-    # A_j sums |F| times length over the segments of the j-th sign run,
-    # which are the steps of the running integral.
+    # A_j sums |F| times length over the segments of the j-th sign run; its
+    # steps of the running integral share one sign or are 0, so A_j is the
+    # size of their sum.
     m = len(changes)
-    areas = [0] * (m + 1)
-    run = 0
-    for i in range(len(table.diffs)):
-        if run < m and i == changes[run]:
-            run += 1
-        areas[run] += abs(table.running[i + 1] - table.running[i])
+    ends = [0, *changes, len(table.grid) - 1]
+    areas = [abs(table.running[j] - table.running[i]) for i, j in zip(ends, ends[1:])]
 
     parity_ok = m % 2 == 1
     even_sum = odd_sum = 0

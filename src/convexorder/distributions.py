@@ -403,12 +403,26 @@ def mixture(
         raise ParameterError("mixture weights must be positive")
     if sum(ws) != 1:
         raise ParameterError(f"mixture weights must sum to 1, got {_quoted(sum(ws))}")
+    return DiscreteDistribution._from_ints(*_weighted_atoms(ws, parts))
+
+
+def _weighted_atoms(
+    weights: Sequence[Fraction | int], parts: Sequence[DiscreteDistribution]
+) -> tuple[list[int], int, list[int], int]:
+    """The signed measure sum_i w_i * mu_i as ``(points, unit, nums, den)``:
+    mass nums[i] / den at points[i] / unit, over the least common
+    denominators, at every support point of every part.
+
+    ``mixture`` takes its law from it, and ``cx_order`` the jumps of
+    F_rhs - F_lhs from weights -1 and 1, so a mass that cancels to 0 keeps
+    its point.
+    """
     unit = math.lcm(*(part.support_numerators[1] for part in parts))
     den = math.lcm(
-        *(w.denominator * part.mass_numerators[1] for w, part in zip(ws, parts))
+        *(w.denominator * part.mass_numerators[1] for w, part in zip(weights, parts))
     )
     mix: dict[int, int] = {}
-    for w, part in zip(ws, parts):
+    for w, part in zip(weights, parts):
         points, part_unit = part.support_numerators
         nums, part_den = part.mass_numerators
         stretch = unit // part_unit
@@ -416,7 +430,7 @@ def mixture(
         for t, v in zip(points, nums):
             mix[t * stretch] = mix.get(t * stretch, 0) + v * factor
     keys = sorted(mix)
-    return DiscreteDistribution._from_ints(keys, unit, [mix[k] for k in keys], den)
+    return keys, unit, [mix[k] for k in keys], den
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The exact pieces that both law routes share: errors, rationals, binomial
-numerators and the one convex-order verdict reader.
+numerators, sign runs and the one convex-order verdict reader.
 
 Laws read from files or built by the library are held as
 ``distributions.DiscreteDistribution`` and compared by ``cx_order``; laws
 of a Rasa sweep are held on the integer lattice by ``lattice``.  Both routes
 raise the same errors, coerce parameters with :func:`as_rational`, quote
 values in messages through :func:`_quoted`, build binomial laws from
-:func:`binomial_numerators` and hand their stop-loss gaps to
+:func:`binomial_numerators`, count sign changes with :func:`sign_changes`
+and hand their stop-loss gaps to
 :func:`_oracle_verdict`, so equal laws get equal verdicts, witnesses
 included.  This module imports no other module of the package, so a
 ``verify-rasa`` sweep, which runs only the lattice route, never loads
@@ -25,6 +26,7 @@ __all__ = [
     "MAX_RATIONAL_DIGITS",
     "as_rational",
     "binomial_numerators",
+    "sign_changes",
     "CxVerdict",
 ]
 
@@ -166,6 +168,31 @@ def _power_products(a: int, b: int, n: int) -> list[int]:
         term = term // b * a
         out.append(term)
     return out
+
+
+def _sign_runs(values: Iterable) -> tuple[int, list[int]]:
+    """The first nonzero sign of values (0 if none) and the indices where it alternates.
+
+    Zero terms are discarded, so an index is the first term of a run of
+    the new sign.
+    """
+    first = previous = 0
+    changes: list[int] = []
+    for i, v in enumerate(values):
+        if v == 0:
+            continue
+        sign = 1 if v > 0 else -1
+        if not previous:
+            first = sign
+        elif sign != previous:
+            changes.append(i)
+        previous = sign
+    return first, changes
+
+
+def sign_changes(values: Iterable) -> int:
+    """Number of sign alternations after discarding zero terms."""
+    return len(_sign_runs(values)[1])
 
 
 # The mean gap of every equal-means verdict; a Fraction is immutable.

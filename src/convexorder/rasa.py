@@ -27,8 +27,9 @@ without evaluating a probe, and every other probe is one dot product with
 F.  ``verify_theorem_main`` is relation (c) at m = 2, read from that table.
 Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
 ``DiscreteDistribution``.  ``distributions`` and ``cx_order`` are imported
-only inside them and ``psi_sign_pattern``, the functions that use them, so
-a sweep, which runs only the lattice route, loads neither.
+only inside them, the functions that use them, so a sweep, which runs only
+the lattice route, loads neither.  Nor does ``psi_sign_pattern``: it sums
+int powers and counts its sign changes with ``exact.sign_changes``.
 
 The m-fold i.i.d. sum of binomial(n, x) draws is binomial(mn, x), so every
 law at a point is a binomial law but the independent sum, which is the
@@ -63,6 +64,7 @@ from .exact import (
     _quoted,
     as_rational,
     binomial_numerators,
+    sign_changes,
 )
 from .lattice import (
     LatticeLaw,
@@ -356,8 +358,6 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
     The sequence is summed in ints over one common denominator, and one
     Fraction is built per value.
     """
-    from .cx_order import sign_changes
-
     xs = [as_rational(x) for x in xs]
     m = len(xs)
     if m < 2:

@@ -470,6 +470,9 @@ FULL_STDOUT = f"cannot write the report to stdout: {os.strerror(errno.ENOSPC)}\n
         ([*SIX_POINTS, "--format", "csv"], 2),
         (PSI_PATTERN, 1),
         (PSI_PATTERN, 0),
+        (["--help"], 1),
+        (["verify-rasa", "--help"], 1),
+        (["verify-rasa", "--help"], 0),
     ],
 )
 def test_failed_stdout_write_exits_2_with_one_line(capsys, monkeypatch, argv, fails_at):
@@ -491,6 +494,9 @@ def test_failed_stdout_write_exits_2_with_one_line(capsys, monkeypatch, argv, fa
         # ... and here a chunk's write does.
         ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "7"],
         PSI_PATTERN,
+        # The command list and a command's help go out the same way.
+        ["--help"],
+        ["verify-rasa", "--help"],
     ],
 )
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -31,6 +31,15 @@ SWEEP_MODULES = {
 
 SWEEP_ARGS = ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "3"]
 
+# psi-pattern sums int powers in ``rasa`` and reports no law.
+PSI_MODULES = {
+    "convexorder.cli",
+    "convexorder.convex_functions",
+    "convexorder.exact",
+    "convexorder.lattice",
+    "convexorder.rasa",
+}
+
 # The probe itself imports no module a test looks for, such as ``json``.
 _PROBE = (
     "import atexit, sys\n"
@@ -100,6 +109,13 @@ def test_sweep_loads_only_the_lattice_route(fmt):
     # Each report writer imports only the codec it writes with.
     assert ("csv" in modules) == (fmt == "csv")
     assert ("json" in modules) == (fmt == "json")
+
+
+def test_psi_pattern_loads_neither_distributions_nor_cx_order():
+    proc, modules = _run_cli("psi-pattern", "--n", "2", "1/3", "1/2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["change_count"] == 2
+    assert _submodules(modules) == PSI_MODULES
 
 
 def test_compare_loads_no_lattice_route(tmp_path):

@@ -286,9 +286,13 @@ def test_moved_names_are_one_object_under_every_path():
             "ParameterError", "FormatError", "MAX_RATIONAL_DIGITS", "RationalLike",
             "as_rational", "_quoted", "binomial_numerators", "_power_products",
         ),
-        cx_order: ("CxVerdict", "_oracle_verdict", "ParameterError", "as_rational", "_quoted"),
+        cx_order: (
+            "CxVerdict", "_oracle_verdict", "ParameterError", "as_rational", "_quoted",
+            "sign_changes",
+        ),
         convexorder: (
             "CxVerdict", "FormatError", "MAX_RATIONAL_DIGITS", "ParameterError", "as_rational",
+            "sign_changes",
         ),
     }
     for module, names in moved.items():
