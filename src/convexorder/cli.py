@@ -563,10 +563,12 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     if len(ps) > MAX_LATTICE_LENGTH:
         _fail(2, f"{len(ps)} probabilities given, above the limit of {MAX_LATTICE_LENGTH}")
     if random_count:
-        for name, value, limit in (
-            ("--n-max", n_max, MAX_LATTICE_LENGTH),
-            ("--denom", denom, MAX_HOEFFDING_DENOM),
+        for name, value, least, limit in (
+            ("--n-max", n_max, 1, MAX_LATTICE_LENGTH),
+            ("--denom", denom, 2, MAX_HOEFFDING_DENOM),
         ):
+            if value < least:
+                _fail(2, f"{name} is {value}, below the minimum of {least}")
             if value > limit:
                 _fail(2, f"{name} is {value}, above the limit of {limit}")
     instances = []
@@ -574,8 +576,6 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
         if ps:
             instances.append([as_rational(p) for p in ps])
         if random_count:
-            if n_max < 1 or denom < 2:
-                raise ParameterError("need --n-max >= 1 and --denom >= 2")
             rng = random.Random(seed)
             for _ in range(random_count):
                 n = rng.randint(1, n_max)

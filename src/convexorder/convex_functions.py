@@ -191,14 +191,18 @@ def expectation(d: DiscreteDistribution, f: ConvexTestFunction) -> Fraction:
     return sum((m * f(s) for s, m in d.atoms), Fraction(0))
 
 
-def random_piecewise_linear(
-    rng: random.Random, max_den: int = 8, max_breaks: int = 3
-) -> PiecewiseLinear:
+# The most breaks of a random piecewise-linear function, and the largest
+# denominator of a break.
+_PWL_MAX_BREAKS = 3
+_PWL_MAX_DEN = 8
+
+
+def random_piecewise_linear(rng: random.Random) -> PiecewiseLinear:
     """Seeded random convex piecewise-linear function with breaks in (0, 1)."""
-    k = rng.randint(1, max_breaks)
+    k = rng.randint(1, _PWL_MAX_BREAKS)
     points: set[Fraction] = set()
     while len(points) < k:
-        den = rng.randint(2, max_den)
+        den = rng.randint(2, _PWL_MAX_DEN)
         num = rng.randint(1, den - 1)
         points.add(Fraction(num, den))
     breaks = tuple(sorted(points))

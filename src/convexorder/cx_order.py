@@ -42,12 +42,15 @@ agree, the table at t is the stop-loss gap E(rhs - t)_+ - E(lhs - t)_+, and
 its total is mean(lhs) - mean(rhs).  Every segment has positive length, so
 each step of the table has the sign of the difference on its segment: the
 sign runs of Ohlin, Szostok and ``crossing_points`` are runs of steps, and
-a Szostok area is the table's change over one run.  The interval procedures
-first check that both laws live in [a, b]; the running integral from a is
-then zero left of the supports' hull and constant right of it, so a and b
-add nothing to the table.  A pair's table is built once and reused by
-consecutive calls on the same ordered pair, so running every procedure on
-one pair builds one table.
+a Szostok area is the table's change over one run.  The runs alternate in
+sign, so with s the sign of the first run and c_1 < c_2 < ... the sign
+changes, A_0 - A_1 + ... + A_2k - A_(2k+1) = s * table(c_(2k+2)): Szostok's
+partial-sum chain reads the table at every second change, and Ohlin's
+crossing is the one change.  The interval procedures first check that both
+laws live in [a, b]; the running integral from a is then zero left of the
+supports' hull and constant right of it, so a and b add nothing to the
+table.  A pair's table is built once and reused by consecutive calls on the
+same ordered pair, so running every procedure on one pair builds one table.
 
 Laws on the integer lattice need no such table: there the stop-loss gap
 at every lattice point comes from two running sums per law
@@ -239,14 +242,14 @@ def ohlin_check(lhs: DiscreteDistribution, rhs: DiscreteDistribution) -> OhlinRe
     if table.running[-1]:  # unequal means
         return OhlinReport(applies=False, crossing=None, identical=False)
     first_sign, changes = _sign_runs(table.steps())
-    if len(changes) > 1 or (changes and first_sign < 0):
+    if len(changes) > 1 or first_sign < 0:
         return OhlinReport(applies=False, crossing=None, identical=False)
-    # Crossing: left endpoint of the first segment where F_lhs - F_rhs is
-    # strictly positive, the first falling step, after which it stays
-    # nonnegative.  With equal, non-identical distributions both strict
-    # signs occur.
-    crossing = next((table.point(i) for i, v in enumerate(table.steps()) if v < 0), None)
-    return OhlinReport(applies=True, crossing=crossing, identical=first_sign == 0)
+    # Equal means leave no lone run of one sign: the laws are identical, or
+    # a positive run is followed by one negative run.  The crossing is where
+    # that run starts, the first segment on which F_lhs - F_rhs is strictly
+    # positive.
+    crossing = table.point(changes[0]) if changes else None
+    return OhlinReport(applies=True, crossing=crossing, identical=not changes)
 
 
 def crossing_points(
@@ -318,36 +321,20 @@ def szostok_decision(
             f"{_quoted(table.value(table.running[-1]))}, not 0"
         )
 
-    first_sign, changes = _sign_runs(table.steps())
-    if first_sign == 0:
-        # F vanishes identically: the comparison is an equality, every
-        # convex-function inequality is tight, and the lemma's hypotheses
-        # hold vacuously.
-        return SzostokReport(
-            sign_change_points=(),
-            areas=(Fraction(0),),
-            parity_ok=True,
-            partial_sums_ok=True,
-            first_segment_nonneg=True,
-            decision=True,
-        )
-
     # A_j sums |F| times length over the segments of the j-th sign run; its
     # steps of the running integral share one sign or are 0, so A_j is the
-    # size of their sum.
-    m = len(changes)
+    # size of their sum.  When F vanishes identically there is one run, of
+    # area 0, and every condition holds vacuously.
+    first_sign, changes = _sign_runs(table.steps())
     ends = [0, *changes, len(table.grid) - 1]
     areas = [abs(table.running[j] - table.running[i]) for i, j in zip(ends, ends[1:])]
 
-    parity_ok = m % 2 == 1
-    even_sum = odd_sum = 0
-    partial_sums_ok = True
-    for i in range(0, m - 1, 2):
-        even_sum += areas[i]
-        odd_sum += areas[i + 1]
-        if even_sum < odd_sum:
-            partial_sums_ok = False
-    first_segment_nonneg = first_sign > 0
+    # The runs alternate in sign from first_sign = s, so the chain's k-th
+    # difference A_0 - A_1 + ... - A_(2k+1) telescopes to s times the table
+    # at the (2k+2)-th sign change.
+    parity_ok = len(changes) % 2 == 1 or not changes
+    partial_sums_ok = all(first_sign * table.running[c] >= 0 for c in changes[1::2])
+    first_segment_nonneg = first_sign >= 0
     return SzostokReport(
         sign_change_points=tuple(table.point(i) for i in changes),
         areas=tuple(table.value(area) for area in areas),

@@ -145,8 +145,6 @@ def binomial_numerators(n: int, a: int, q: int) -> list[int]:
     b = q - a
     if not b:
         return [0] * n + [a**n]
-    if not a:
-        return [b**n] + [0] * n
     out = _power_products(a, b, n)
     c = 1
     for k in range(1, n):

@@ -1017,6 +1017,19 @@ class TestHoeffdingCommand:
     def test_no_input_exit_2(self):
         assert runner.invoke(main, ["hoeffding"]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--n-max", "0"], "--n-max is 0, below the minimum of 1\n"),
+            (["--denom", "1"], "--denom is 1, below the minimum of 2\n"),
+        ],
+    )
+    def test_option_below_its_minimum_exits_2(self, option, message):
+        result = runner.invoke(main, ["hoeffding", "--random", "2", *option])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == message
+
     def test_negative_random_exits_2(self):
         result = runner.invoke(main, ["hoeffding", "1/2", "1/3", "--random", "-2"])
         assert result.exit_code == 2
