@@ -112,12 +112,13 @@ def _fail(code: int, message: str) -> NoReturn:
 
 
 def _read_text(path: str) -> str:
-    """The file at ``path`` decoded as UTF-8, read through ``MAX_FILE_BYTES``."""
+    """The file at ``path`` decoded as UTF-8, read through ``MAX_FILE_BYTES``;
+    a leading byte-order mark is dropped."""
     with open(path, "rb") as handle:
         data = handle.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:
         _fail(2, f"cannot read {path}: more than the limit of {MAX_FILE_BYTES} bytes")
-    return data.decode("utf-8")
+    return data.decode("utf-8-sig")
 
 
 def _emit(report: str | Iterable[str], out: str | None) -> None:

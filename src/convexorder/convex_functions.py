@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .exact import ParameterError
@@ -246,13 +245,6 @@ def builtin_family(
     if "affine" in groups:
         family.append(Affine(Fraction(1), Fraction(-2)))
     if "random-pwl" in groups:
-        family.extend(_random_family(random_count, seed))
+        rng = random.Random(seed)
+        family.extend(random_piecewise_linear(rng) for _ in range(random_count))
     return tuple(family)
-
-
-@lru_cache(maxsize=16)
-def _random_family(count: int, seed: int) -> tuple[PiecewiseLinear, ...]:
-    # The random group does not depend on the angle denominator, and a sweep
-    # asks for it once per m * n; its functions are immutable.
-    rng = random.Random(seed)
-    return tuple(random_piecewise_linear(rng) for _ in range(count))

@@ -247,10 +247,8 @@ class DiscreteDistribution:
         return Fraction(points[-1], scale)
 
     def _mass_before(self, i: int) -> Fraction:
-        """The mass of the first i atoms; the ends need no running sums."""
-        nums, den = self.mass_numerators
-        if i == len(nums):
-            return Fraction(1)
+        """The mass of the first i atoms; the last running sum is the denominator."""
+        den = self.mass_numerators[1]
         return Fraction(self._cumulative[i - 1], den) if i else Fraction(0)
 
     def mass_at(self, x: RationalLike) -> Fraction:

@@ -3,11 +3,13 @@
 A lattice law puts mass ``nums[k] / den`` on the integer k, for k = 0 ..
 len(nums) - 1, with Python-int numerators and one positive int denominator.
 The binomial law with parameter a/q has the numerators C(n, k) a^k (q-a)^(n-k)
-over q^n, and independent sums and uniform mixtures of such laws stay on the
+over q^n, and independent sums and mixtures of such laws stay on the
 lattice, so building and comparing them needs no Fraction per step.  The sum
 of m independent binomial(n, a/q) draws is binomial(mn, a/q), the same
 integers over q^(mn), so only a sum of laws with different parameters needs
-:func:`cauchy_product`.
+:func:`cauchy_product`.  A uniform mixture of laws brought to one
+denominator D is the plain sum of their numerators over len(laws) * D;
+``rasa.point_from_pairs`` builds the one a Rasa point needs that way.
 
 A law's stop-loss table is the vector of E(X - j)_+ times its denominator at
 every lattice point j, built by :func:`stop_loss_numerators` in one pass of
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import add, mul, or_
+from operator import mul, or_
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import CxVerdict, _oracle_verdict, binomial_numerators
@@ -41,7 +43,6 @@ __all__ = [
     "LatticeLaw",
     "bernstein_numerators",
     "cauchy_product",
-    "uniform_mixture",
     "stop_loss_numerators",
     "gap_verdict",
     "probe_table",
@@ -69,22 +70,6 @@ def cauchy_product(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
             for j, bj in enumerate(b.nums):
                 out[i + j] += ai * bj
     return LatticeLaw(out, a.den * b.den)
-
-
-def uniform_mixture(laws: Sequence[LatticeLaw]) -> LatticeLaw:
-    """The mixture with weight 1/len(laws) on each law.
-
-    The numerators are brought to the least common denominator D of the
-    parts and summed, over len(laws) * D: when every part shares D, the
-    mixture's numerators are the plain sums of theirs.
-    """
-    den = math.lcm(*(law.den for law in laws))
-    out = [0] * max(len(law.nums) for law in laws)
-    for law in laws:
-        factor = den // law.den
-        nums = law.nums if factor == 1 else [v * factor for v in law.nums]
-        out[: len(nums)] = map(add, out, nums)
-    return LatticeLaw(out, len(laws) * den)
 
 
 def stop_loss_numerators(nums: Sequence[int]) -> list[int]:

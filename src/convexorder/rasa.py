@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .convex_functions import ConvexTestFunction
@@ -74,7 +75,6 @@ from .lattice import (
     gap_verdict,
     probe_table,
     stop_loss_numerators,
-    uniform_mixture,
 )
 
 if TYPE_CHECKING:
@@ -99,7 +99,10 @@ __all__ = [
 ]
 
 MAX_LATTICE_LENGTH = 1000
-"""The largest m * n a sweep or a psi pattern accepts.
+"""The largest m * n a sweep, a psi pattern or a library point accepts.
+
+:func:`lattice_point`, the entry of the forms and the verifiers, checks it
+before its cache is read, with the message ``psi_sign_pattern`` gives.
 
 The lattice 0..m*n carries every law, form and psi sequence, and its cost
 grows fast with it: one ``verify-rasa`` grid point with all probe groups
@@ -169,7 +172,8 @@ class StopLossTable(NamedTuple):
 
 
 def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
-    """The laws, form and gaps at (n, x_1..x_m); m >= 2, n >= 1, x_i in [0, 1].
+    """The laws, form and gaps at (n, x_1..x_m); m >= 2, n >= 1, x_i in [0, 1]
+    and m * n at most ``MAX_LATTICE_LENGTH``.
 
     Library callers probe one point with many test functions and decide its
     relations too, so the last 64 tables are kept per process, keyed by n
@@ -184,6 +188,9 @@ def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
     for x in xs:
         if not 0 <= x <= 1:
             raise ParameterError(f"parameters must lie in [0, 1], got {_quoted(x)}")
+    mn = len(xs) * n
+    if mn > MAX_LATTICE_LENGTH:
+        raise ParameterError(f"m * n is {_quoted(mn)}, above the limit of {MAX_LATTICE_LENGTH}")
     return _cached_point(n, tuple((x.numerator, x.denominator) for x in xs))
 
 
@@ -206,20 +213,21 @@ on a lattice shorter than the point's, so at most about 11 MB.
 """
 
 
-@lru_cache(maxsize=LAW_CACHE_SIZE)
-def _binomial(n: int, p: int, q: int) -> LatticeLaw:
-    # binomial(n, p/q) over q^n, keyed by the degree and the reduced pair.
-    return bernstein_numerators(n, p, q)
+# binomial(n, p/q) over q^n, keyed by the degree and the reduced pair.
+_binomial = lru_cache(maxsize=LAW_CACHE_SIZE)(bernstein_numerators)
 
 
 @lru_cache(maxsize=16)
 def _prefix_sum(n: int, pairs: tuple[tuple[int, int], ...]) -> LatticeLaw:
     # The independent sum over all parameters but the last, over the product
     # of their own q^n: lexicographic grids share it along each run of points.
-    law = _binomial(n, *pairs[0])
-    for p, q in pairs[1:]:
-        law = cauchy_product(law, _binomial(n, p, q))
-    return law
+    return reduce(cauchy_product, (_binomial(n, p, q) for p, q in pairs))
+
+
+def _over(law: LatticeLaw, den: int) -> list[int]:
+    # The law's numerators over den, a multiple of its denominator.
+    factor = den // law.den
+    return law.nums if factor == 1 else [v * factor for v in law.nums]
 
 
 def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTable:
@@ -229,9 +237,10 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
     terms; :func:`lattice_point` checks that and reads this through its
     cache.  The binomial laws at degrees n and mn and the sum of the first
     m - 1 parameters come from the per-process caches, each over its own
-    denominators, and are brought to L^(mn), L the least common
-    denominator, by integer factors (L/q)^(mn).  The sum's last factor is
-    its one Cauchy product.
+    denominators.  The sum's last factor is its one Cauchy product.  One
+    step, ``_over``, brings the sum and each mixture part to L^(mn), L the
+    least common denominator, by an integer factor; the mixture adds its m
+    parts there one at a time and is taken over m L^(mn).
 
     The stop-loss map pi is linear, so two passes give all three gaps.
     With S, P and M the numerators of the sum, the pooled law and the
@@ -242,25 +251,23 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
     m = len(pairs)
     mn = m * n
     common_den = math.lcm(*(q for _, q in pairs))
-    the_sum = cauchy_product(_prefix_sum(n, pairs[:-1]), _binomial(n, *pairs[-1]))
     full_den = common_den**mn
-    factor = full_den // the_sum.den
-    if factor != 1:
-        the_sum = LatticeLaw([v * factor for v in the_sum.nums], full_den)
+    the_sum = cauchy_product(_prefix_sum(n, pairs[:-1]), _binomial(n, *pairs[-1]))
+    s = _over(the_sum, full_den)
     # The m-fold self sum of binomial(n, p/q) is binomial(mn, p/q) over
-    # q^(mn); those denominators have least common multiple L^(mn), so the
-    # mixture comes out over m L^(mn), as the sum over L^(mn).
-    mixed = uniform_mixture([_binomial(mn, p, q) for p, q in pairs])
+    # q^(mn), which divides L^(mn); one rescaled part is held at a time.
+    mixed = LatticeLaw([0] * (mn + 1), m * full_den)
+    for p, q in pairs:
+        mixed.nums[:] = map(add, mixed.nums, _over(_binomial(mn, p, q), full_den))
     total = sum(p * (common_den // q) for p, q in pairs)
     pooled = bernstein_numerators(mn, total, m * common_den)
-    s = the_sum.nums
     form = [c - m * a for a, c in zip(s, mixed.nums)]
     sum_vs_mixture = stop_loss_numerators(form)
     scale = m ** (mn - 1)
     full = m * scale
     sum_vs_pooled = stop_loss_numerators([b - full * a for a, b in zip(s, pooled.nums)])
     return StopLossTable(
-        the_sum,
+        LatticeLaw(s, full_den),
         pooled,
         mixed,
         form,

@@ -808,6 +808,41 @@ class TestCxCompare:
             assert result.exit_code == 2
             assert result.output == f"cannot read {a}: more than the limit of {size - 1} bytes\n"
 
+    @pytest.mark.parametrize("spelling", ["text", "json"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, spelling):
+        # Windows editors may start a UTF-8 file with U+FEFF.
+        lhs, rhs = build_counterexample()
+        text = (
+            distribution_to_text(lhs)
+            if spelling == "text"
+            else json.dumps(distribution_to_json_obj(lhs))
+        )
+        plain = tmp_path / "plain"
+        marked = tmp_path / "marked"
+        other = tmp_path / "other.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        other.write_text(distribution_to_text(rhs))
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+
+        def report(method, *paths):
+            result = runner.invoke(main, ["cx-compare", *map(str, paths), "--method", method])
+            return result.exit_code, result.stdout
+
+        for method in ("oracle", "ohlin"):
+            assert report(method, plain, other)[0] in (0, 1)
+            assert report(method, marked, other) == report(method, plain, other)
+            assert report(method, other, marked) == report(method, other, plain)
+
+    def test_file_holding_only_a_byte_order_mark_exits_2(self, tmp_path):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_bytes(b"\xef\xbb\xbf")
+        b.write_text("0 1\n")
+        result = runner.invoke(main, ["cx-compare", str(a), str(b)])
+        assert result.exit_code == 2
+        assert result.output == "cannot parse distribution: no atoms found in distribution text\n"
+
     def test_file_not_utf8_exits_2(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

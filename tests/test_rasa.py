@@ -30,6 +30,7 @@ from convexorder import (
     verify_hoeffding,
     verify_theorem_main,
 )
+from convexorder import rasa
 from oracles import bernstein, pair_by_fractions, psi_values_by_fractions
 
 HALF = F(1, 2)
@@ -260,6 +261,19 @@ class TestGeneralized:
     def test_needs_two_parameters(self):
         with pytest.raises(ParameterError):
             verify_generalized(1, [HALF])
+
+    def test_lattice_length_over_the_limit_raises_before_the_cache_is_read(self):
+        # m * n = 1002: the message psi_sign_pattern gives, and no table built.
+        message = f"m * n is 1002, above the limit of {rasa.MAX_LATTICE_LENGTH}"
+        lookups = rasa._cached_point.cache_info()
+        for call in (
+            lambda: verify_generalized(501, ["1/3", "1/2"]),
+            lambda: rasa_form_general(501, ["1/3", "1/2"], Monomial(2)),
+        ):
+            with pytest.raises(ParameterError) as raised:
+                call()
+            assert str(raised.value) == message
+        assert rasa._cached_point.cache_info() == lookups
 
 
 class TestGeneralForm:
