@@ -27,24 +27,30 @@ positionals may stand between options (``psi-pattern 1/3 --n 3 1/2``).  A
 usage error prints the usage and an error line and exits 2; every other
 error is one line on stderr (``_fail``), under the exit codes above.
 
-Each subcommand imports the modules it runs inside its own body, and each
-report writer the codec it writes with, so `--help` and every command pay
-at start-up only for what they use: `--help` loads only this module,
-``convex_functions`` and ``exact`` of the package, and neither ``json`` nor
-``csv``; ``verify-rasa`` adds ``sweep``, ``rasa`` and ``lattice``, and the
-commands that read or report laws add ``distributions`` and ``cx_order``.
+This module imports no other module of the package at start, and not
+``argparse``.  Each subcommand imports, inside its own body, the modules it
+runs and the names it catches or calls (``ParameterError``,
+``as_rational``); each report writer imports the codec it writes with; and
+``_parser`` imports ``argparse`` when it builds the one parser a command
+line needs.  So the command list (``--help``), no arguments and an unknown
+command load this module alone of the package, and neither ``argparse``
+nor ``fractions``.  A command's ``--help`` adds ``argparse``, and for
+``verify-rasa`` ``convex_functions`` and ``exact``, where ``--functions``
+takes its default.  ``verify-rasa`` runs on ``sweep``, ``rasa``,
+``lattice``, ``convex_functions`` and ``exact``, ``psi-pattern`` on
+``rasa``, ``lattice`` and ``exact``, and the commands that read or report
+laws add ``distributions`` and ``cx_order``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
-from typing import Iterable, Iterator, NoReturn
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn
 
-from .convex_functions import KNOWN_FUNCTION_GROUPS, ConvexTestFunction
-from .exact import FormatError, ParameterError, as_rational
+if TYPE_CHECKING:
+    import argparse
 
 OUT_DIR_ENV = "CONVEXORDER_OUT_DIR"
 
@@ -178,7 +184,9 @@ def report_data(obj):
     laws = sys.modules.get(f"{__package__}.distributions")
     if laws and isinstance(obj, laws.DiscreteDistribution):
         return laws.distribution_to_json_obj(obj)["atoms"]
-    if isinstance(obj, ConvexTestFunction):
+    # Nor does a test function exist unless ``convex_functions`` is loaded.
+    functions = sys.modules.get(f"{__package__}.convex_functions")
+    if functions and isinstance(obj, functions.ConvexTestFunction):
         return obj.describe()
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):
         return {name: report_data(value) for name, value in zip(obj._fields, obj)}
@@ -256,10 +264,11 @@ def _csv_cell(value) -> str:
 _COMMANDS: dict[str, tuple] = {}
 
 
-def _command(name: str, *arguments: tuple[tuple, dict]):
+def _command(name: str, *arguments):
     """Register the decorated function as the command ``name``: ``_COMMANDS``
     maps each name to its function and the ``add_argument`` calls of its
-    parser."""
+    parser, each a pair from ``_arg`` or a function that returns one when
+    the parser is built."""
 
     def register(func):
         _COMMANDS[name] = (func, arguments)
@@ -275,19 +284,12 @@ def _arg(*names: str, **options) -> tuple[tuple, dict]:
 _OUT = _arg("--out", help="Report path (stdout when omitted).")
 
 
-class _Formatter(argparse.RawDescriptionHelpFormatter):
-    """Help under a ``Usage:`` header, with the docstring's own line breaks."""
+def _functions_arg() -> tuple[tuple, dict]:
+    # Resolved when verify-rasa's parser is built, which loads
+    # ``convex_functions``; the command list and the other commands do not.
+    from .convex_functions import KNOWN_FUNCTION_GROUPS
 
-    def add_usage(self, usage, actions, groups, prefix="Usage: "):
-        super().add_usage(usage, actions, groups, prefix)
-
-
-class _Parser(argparse.ArgumentParser):
-    """A command's parser, whose help goes out through ``_emit``: argparse
-    would swallow a failed write, or leave it to the flush at exit."""
-
-    def print_help(self, file=None) -> None:
-        _emit(self.format_help(), None)
+    return _arg("--functions", default=",".join(KNOWN_FUNCTION_GROUPS), help=_DEFAULT)
 
 
 def main(args=None, prog_name: str | None = None, **_) -> None:
@@ -310,20 +312,38 @@ def main(args=None, prog_name: str | None = None, **_) -> None:
     if args[0] not in _COMMANDS:
         _fail(2, f"no such command {args[0]!r}; '{prog} --help' lists them")
     func, arguments = _COMMANDS[args[0]]
-    doc = "\n".join(line.strip() for line in (func.__doc__ or "").splitlines())
-    parser = _Parser(
-        f"{prog} {args[0]}", description=doc, formatter_class=_Formatter, allow_abbrev=False
-    )
-    # argparse takes a token that starts with "-" for an option unless it
-    # matches this pattern: a "-" and a digit is a value, as in ``--a -1/2``.
-    parser._negative_number_matcher = re.compile(r"-\.?\d")
-    for names, options in arguments:
-        parser.add_argument(*names, **options)
+    parser = _parser(f"{prog} {args[0]}", func, arguments)
     # argparse reports missing required arguments before unknown options.
     unknown = _unknown_options(parser, args[1:])
     if unknown:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     func(**vars(parser.parse_intermixed_args(args[1:])))
+
+
+def _parser(prog: str, func, arguments) -> argparse.ArgumentParser:
+    """The parser of one command: its docstring as the description, with
+    its own line breaks, under a ``Usage:`` header, and its help written
+    through ``_emit``, since argparse would swallow a failed write or leave
+    it to the flush at exit."""
+    import argparse
+
+    class Formatter(argparse.RawDescriptionHelpFormatter):
+        def add_usage(self, usage, actions, groups, prefix="Usage: "):
+            super().add_usage(usage, actions, groups, prefix)
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None) -> None:
+            _emit(self.format_help(), None)
+
+    doc = "\n".join(line.strip() for line in (func.__doc__ or "").splitlines())
+    parser = Parser(prog, description=doc, formatter_class=Formatter, allow_abbrev=False)
+    # argparse takes a token that starts with "-" for an option unless it
+    # matches this pattern: a "-" and a digit is a value, as in ``--a -1/2``.
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
+    for argument in arguments:
+        names, options = argument() if callable(argument) else argument
+        parser.add_argument(*names, **options)
+    return parser
 
 
 def _unknown_options(parser: argparse.ArgumentParser, tokens: list[str]) -> list[str]:
@@ -357,7 +377,7 @@ main.main = main
     _arg("--denom", required=True, type=int, help="Grid denominator bound (>= 2)."),
     _arg("--seed", default=0, type=int, help=_DEFAULT),
     _arg("--jobs", default=1, type=int, help=_DEFAULT),
-    _arg("--functions", default=",".join(KNOWN_FUNCTION_GROUPS), help=_DEFAULT),
+    _functions_arg,
     _arg("--format", dest="fmt", choices=["json", "csv"], default="json"),
     _OUT,
 )
@@ -367,6 +387,7 @@ def cmd_verify_rasa(n, m, denom, seed, jobs, functions, fmt, out):
     Exits 0 only if every order relation holds and every form value is
     nonnegative on the whole grid.
     """
+    from .exact import ParameterError
     from .sweep import ROW_FIELDS, RunConfig, sweep_rows
 
     try:
@@ -430,6 +451,7 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
         szostok_decision,
     )
     from .distributions import parse_distribution
+    from .exact import FormatError, ParameterError, as_rational
 
     try:
         lhs = parse_distribution(_read_text(file_a))
@@ -491,6 +513,7 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
 
     if not 0 <= scan <= MAX_SCAN_PAIRS:
         _fail(2, f"--scan: {scan} is not in the range 0<=x<={MAX_SCAN_PAIRS}")
+    _check_seed(seed)
     if force_json:
         fmt = "json"
     if fmt == "csv" and scan:
@@ -517,6 +540,15 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
             data["scan"] = report_data(_scan_for_violations(scan, seed))
         payload = _json_payload(data)
     _emit(payload, out)
+
+
+def _check_seed(seed: int) -> None:
+    """Exit 2 on a negative seed: ``random.Random`` seeds from its absolute
+    value, so ``--seed -7`` would draw what ``--seed 7`` draws."""
+    from .exact import _quoted
+
+    if seed < 0:
+        _fail(2, f"--seed is {_quoted(seed)}, below the minimum of 0")
 
 
 def _scan_for_violations(count: int, seed: int) -> dict:
@@ -556,6 +588,7 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     """
     import random
 
+    from .exact import FormatError, ParameterError, as_rational
     from .randomgen import random_probability
     from .rasa import MAX_LATTICE_LENGTH, verify_hoeffding
 
@@ -563,6 +596,7 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
         _fail(2, f"--random: {random_count} is not in the range 0<=x<={MAX_RANDOM_INSTANCES}")
     if len(ps) > MAX_LATTICE_LENGTH:
         _fail(2, f"{len(ps)} probabilities given, above the limit of {MAX_LATTICE_LENGTH}")
+    _check_seed(seed)
     if random_count:
         for name, value, least, limit in (
             ("--n-max", n_max, 1, MAX_LATTICE_LENGTH),
@@ -608,6 +642,7 @@ def cmd_psi_pattern(n, xs, out):
     Exits 0 when the pattern has the expected +,-,+ shape with exactly two
     sign changes; 2 on invalid or degenerate input.
     """
+    from .exact import FormatError, ParameterError, as_rational
     from .rasa import psi_sign_pattern
 
     try:

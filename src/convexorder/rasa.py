@@ -29,7 +29,12 @@ Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
 ``DiscreteDistribution``.  ``distributions`` and ``cx_order`` are imported
 only inside them, the functions that use them, so a sweep, which runs only
 the lattice route, loads neither.  Nor does ``psi_sign_pattern``: it sums
-int powers and counts its sign changes with ``exact.sign_changes``.
+int powers and counts its sign changes with ``exact.sign_changes``.  Test
+functions appear here only in annotations, so this module loads ``exact``
+and ``lattice`` of the package and not ``convex_functions``:
+``psi-pattern`` runs on ``rasa``, ``exact`` and ``lattice`` alone,
+``hoeffding`` adds ``distributions`` and ``cx_order``, and a sweep loads
+``convex_functions`` through ``sweep``, which builds the probes.
 
 The m-fold i.i.d. sum of binomial(n, x) draws is binomial(mn, x), so every
 law at a point is a binomial law but the independent sum, which is the
@@ -56,7 +61,6 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .convex_functions import ConvexTestFunction
 from .exact import (
     CxVerdict,
     ParameterError,
@@ -78,6 +82,7 @@ from .lattice import (
 )
 
 if TYPE_CHECKING:
+    from .convex_functions import ConvexTestFunction
     from .distributions import DiscreteDistribution
 
 __all__ = [
@@ -99,10 +104,14 @@ __all__ = [
 ]
 
 MAX_LATTICE_LENGTH = 1000
-"""The largest m * n a sweep, a psi pattern or a library point accepts.
+"""The largest m * n a sweep, a psi pattern or a library point accepts,
+and the most parameters a Hoeffding check accepts.
 
 :func:`lattice_point`, the entry of the forms and the verifiers, checks it
-before its cache is read, with the message ``psi_sign_pattern`` gives.
+before its cache is read, with the message ``psi_sign_pattern`` gives;
+:func:`poisson_binomial` and :func:`verify_hoeffding` check their parameter
+count before they read a parameter.  A Hoeffding check of 1000 parameters
+took 0.17 s in-process on one 2-core x86-64 host, and of 2000 about 0.9 s.
 
 The lattice 0..m*n carries every law, form and psi sequence, and its cost
 grows fast with it: one ``verify-rasa`` grid point with all probe groups
@@ -313,12 +322,20 @@ def verify_theorem_main(n: int, x: RationalLike, y: RationalLike) -> CxVerdict:
     return verify_generalized(n, (x, y)).sum_vs_mixture
 
 
+def _check_count(ps: Sequence[RationalLike]) -> None:
+    if not ps:
+        raise ParameterError("need at least one parameter")
+    if len(ps) > MAX_LATTICE_LENGTH:
+        raise ParameterError(
+            f"{len(ps)} parameters given, above the limit of {MAX_LATTICE_LENGTH}"
+        )
+
+
 def poisson_binomial(ps: Sequence[RationalLike]) -> DiscreteDistribution:
     """Exact law of a sum of independent Bernoulli draws with parameters ps."""
     from .distributions import bernoulli, convolve_many
 
-    if not ps:
-        raise ParameterError("need at least one parameter")
+    _check_count(ps)
     parts = [bernoulli(p) for p in ps]
     return convolve_many(parts)
 
@@ -333,9 +350,8 @@ def verify_hoeffding(ps: Sequence[RationalLike]) -> CxVerdict:
     from .cx_order import cx_compare_oracle
     from .distributions import binomial
 
+    _check_count(ps)
     ps = [as_rational(p) for p in ps]
-    if not ps:
-        raise ParameterError("need at least one parameter")
     for p in ps:
         if not 0 < p < 1:
             raise ParameterError(f"parameters must lie in (0, 1), got {_quoted(p)}")

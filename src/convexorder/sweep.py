@@ -122,6 +122,9 @@ class RunConfig(_Value):
             )
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
+        # random.Random seeds from the absolute value: -7 would draw as 7.
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {_quoted(self.seed)}")
         if not self.functions:
             raise ParameterError("at least one test-function group is required")
         unknown = set(self.functions) - set(KNOWN_FUNCTION_GROUPS)

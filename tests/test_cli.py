@@ -1019,6 +1019,35 @@ def test_size_argument_over_limit_exits_2_at_once(argv, message):
     assert message in result.output
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify-rasa", "--n", "1", "--m", "2", "--denom", "3", "--seed", "-7"],
+            "seed must be >= 0, got -7\n",
+        ),
+        (["hoeffding", "--random", "3", "--seed", "-7"], "--seed is -7, below the minimum of 0\n"),
+        (
+            ["counterexample", "--scan", "3", "--seed", "-7"],
+            "--seed is -7, below the minimum of 0\n",
+        ),
+    ],
+)
+def test_negative_seed_exits_2(argv, message):
+    # random.Random seeds from the absolute value, so -7 would draw as 7.
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == message
+
+
+def test_negative_seed_of_4300_digits_is_quoted_in_one_short_line():
+    result = runner.invoke(main, ["hoeffding", "--random", "3", "--seed", "-" + "9" * 4300])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "--seed is about -9.99999e4299, below the minimum of 0\n"
+
+
 class TestHoeffdingCommand:
     def test_explicit_parameters(self):
         result = runner.invoke(main, ["hoeffding", "1/4", "3/4"])

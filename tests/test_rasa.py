@@ -191,6 +191,20 @@ class TestHoeffding:
             ps = [random_probability(rng, 20) for _ in range(n)]
             assert verify_hoeffding(ps).holds
 
+    @pytest.mark.parametrize("call", [verify_hoeffding, poisson_binomial])
+    def test_parameter_count_over_the_limit_raises_before_any_parameter_is_read(self, call):
+        # Reading any of these would raise FormatError instead.
+        ps = [object()] * (rasa.MAX_LATTICE_LENGTH + 1)
+        with pytest.raises(ParameterError) as raised:
+            call(ps)
+        assert str(raised.value) == (
+            f"{rasa.MAX_LATTICE_LENGTH + 1} parameters given, "
+            f"above the limit of {rasa.MAX_LATTICE_LENGTH}"
+        )
+
+    def test_parameter_count_at_the_limit_verifies(self):
+        assert verify_hoeffding(["1/3", "1/2"] * (rasa.MAX_LATTICE_LENGTH // 2)).holds
+
 
 class TestPsiPattern:
     def test_two_parameter_values(self):

@@ -2,7 +2,8 @@
 
 Each case runs one command line and compares its stdout, byte for byte, with
 the file of the same name under ``tests/reports/``, and its exit code with
-the one listed here.  The inputs of ``cx-compare`` are the two laws of the
+the one listed here.  The help of the command list and of every command is
+pinned the same way, at a width of 80 columns.  The inputs of ``cx-compare`` are the two laws of the
 four-atom counterexample, written out literally.
 """
 
@@ -65,6 +66,15 @@ CASES = [
 ]
 
 
+HELP_CASES = [
+    ("help.txt", ["--help"]),
+    *(
+        (f"help-{command}.txt", [command, "--help"])
+        for command in ("verify-rasa", "cx-compare", "counterexample", "hoeffding", "psi-pattern")
+    ),
+]
+
+
 @pytest.mark.parametrize("name, args, exit_code", CASES, ids=[c[0] for c in CASES])
 def test_report_bytes(tmp_path, name, args, exit_code):
     lhs = tmp_path / "lhs.txt"
@@ -74,4 +84,13 @@ def test_report_bytes(tmp_path, name, args, exit_code):
     argv = [{"LHS": str(lhs), "RHS": str(rhs)}.get(a, a) for a in args]
     result = CliRunner().invoke(main, argv)
     assert result.exit_code == exit_code, result.output
+    assert result.stdout_bytes == (REPORTS / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, args", HELP_CASES, ids=[c[0] for c in HELP_CASES])
+def test_help_bytes(monkeypatch, name, args):
+    # argparse wraps help to the terminal's width, read from $COLUMNS first.
+    monkeypatch.setenv("COLUMNS", "80")
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (REPORTS / name).read_bytes()

@@ -31,10 +31,10 @@ SWEEP_MODULES = {
 
 SWEEP_ARGS = ["verify-rasa", "--n", "1..2", "--m", "2", "--denom", "3"]
 
-# psi-pattern sums int powers in ``rasa`` and reports no law.
+# psi-pattern sums int powers in ``rasa``, reports no law and probes with
+# no test function.
 PSI_MODULES = {
     "convexorder.cli",
-    "convexorder.convex_functions",
     "convexorder.exact",
     "convexorder.lattice",
     "convexorder.rasa",
@@ -126,6 +126,31 @@ def test_compare_loads_no_lattice_route(tmp_path):
     loaded = {m.split(".")[1] for m in _submodules(modules)}
     assert {"distributions", "cx_order", "exact"} <= loaded
     assert loaded.isdisjoint({"lattice", "rasa", "sweep"}), sorted(loaded)
+    assert "convex_functions" not in loaded
+
+
+def test_hoeffding_loads_no_test_functions():
+    proc, modules = _run_cli("hoeffding", "1/2", "1/3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_hold"] is True
+    assert "convexorder.rasa" in modules
+    assert "convexorder.convex_functions" not in modules
+
+
+@pytest.mark.parametrize(
+    "args, code, text",
+    [(["--help"], 0, "Usage:"), ([], 2, "Usage:"), (["no-such-command"], 2, "no such command")],
+)
+def test_dispatch_loads_cli_alone(args, code, text):
+    # The command list and an unknown command build no parser.
+    proc, modules = _run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    assert text in proc.stdout + proc.stderr
+    assert {m for m in modules if m.startswith("convexorder")} == {
+        "convexorder", "convexorder.cli",
+    }
+    assert "argparse" not in modules
+    assert "fractions" not in modules
 
 
 def test_compare_import_loads_no_dataclasses_or_inspect():
