@@ -513,7 +513,7 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
 
     if not 0 <= scan <= MAX_SCAN_PAIRS:
         _fail(2, f"--scan: {scan} is not in the range 0<=x<={MAX_SCAN_PAIRS}")
-    _check_seed(seed)
+    _check_bounds("--seed", seed, 0)
     if force_json:
         fmt = "json"
     if fmt == "csv" and scan:
@@ -542,13 +542,19 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
     _emit(payload, out)
 
 
-def _check_seed(seed: int) -> None:
-    """Exit 2 on a negative seed: ``random.Random`` seeds from its absolute
-    value, so ``--seed -7`` would draw what ``--seed 7`` draws."""
+def _check_bounds(name: str, value: int, least: int, limit: int | None = None) -> None:
+    """Exit 2 with one line unless ``least <= value``, and ``value <= limit``
+    when a limit is given; the value is quoted through ``exact._quoted``.
+
+    A seed's least value is 0: ``random.Random`` seeds from its absolute
+    value, so ``--seed -7`` would draw what ``--seed 7`` draws.
+    """
     from .exact import _quoted
 
-    if seed < 0:
-        _fail(2, f"--seed is {_quoted(seed)}, below the minimum of 0")
+    if value < least:
+        _fail(2, f"{name} is {_quoted(value)}, below the minimum of {least}")
+    if limit is not None and value > limit:
+        _fail(2, f"{name} is {_quoted(value)}, above the limit of {limit}")
 
 
 def _scan_for_violations(count: int, seed: int) -> dict:
@@ -596,16 +602,10 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
         _fail(2, f"--random: {random_count} is not in the range 0<=x<={MAX_RANDOM_INSTANCES}")
     if len(ps) > MAX_LATTICE_LENGTH:
         _fail(2, f"{len(ps)} probabilities given, above the limit of {MAX_LATTICE_LENGTH}")
-    _check_seed(seed)
+    _check_bounds("--seed", seed, 0)
     if random_count:
-        for name, value, least, limit in (
-            ("--n-max", n_max, 1, MAX_LATTICE_LENGTH),
-            ("--denom", denom, 2, MAX_HOEFFDING_DENOM),
-        ):
-            if value < least:
-                _fail(2, f"{name} is {value}, below the minimum of {least}")
-            if value > limit:
-                _fail(2, f"{name} is {value}, above the limit of {limit}")
+        _check_bounds("--n-max", n_max, 1, MAX_LATTICE_LENGTH)
+        _check_bounds("--denom", denom, 2, MAX_HOEFFDING_DENOM)
     instances = []
     try:
         if ps:

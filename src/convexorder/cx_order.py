@@ -61,9 +61,6 @@ reader, so equal laws get equal verdicts, witnesses included.  It and
 lattice route and ``rasa.psi_sign_pattern`` load neither this module nor
 ``distributions``; all three names are re-exported here.  This module
 reads laws only through their int numerators and never builds one.
-
-The randomized corpora used to exercise these procedures are seeded
-explicitly, so parallel batch runs are reproducible.
 """
 
 from __future__ import annotations
@@ -265,10 +262,11 @@ def crossing_points(
     return [table.point(i) for i in _sign_runs(table.steps())[1]]
 
 
-def _require_interval(
+def _interval_segments(
     lhs: DiscreteDistribution, rhs: DiscreteDistribution, a: Fraction, b: Fraction
-) -> None:
-    """Raise ParameterError unless a < b and both laws live in [a, b]."""
+) -> _Segments:
+    """The pair's cumulative table (``_segments``), once a < b and both laws
+    live in [a, b]; ParameterError otherwise."""
     a = as_rational(a)
     b = as_rational(b)
     if a >= b:
@@ -279,6 +277,7 @@ def _require_interval(
                 f"distribution escapes [{_quoted(a)}, {_quoted(b)}]: support "
                 f"spans [{_quoted(d.min_support)}, {_quoted(d.max_support)}]"
             )
+    return _segments(lhs, rhs)
 
 
 def levin_steckin_check(
@@ -291,8 +290,7 @@ def levin_steckin_check(
     which suffices because the partial integrals are piecewise linear in the
     upper limit and constant outside the supports' hull.
     """
-    _require_interval(lhs, rhs, a, b)
-    table = _segments(lhs, rhs)
+    table = _interval_segments(lhs, rhs, a, b)
     return LevinSteckinReport(
         endpoint_match=True,
         integral_match=table.running[-1] == 0,
@@ -313,8 +311,7 @@ def szostok_decision(
     the reported decision, not a hard hypothesis: when it fails the order
     fails with it.
     """
-    _require_interval(lhs, rhs, a, b)
-    table = _segments(lhs, rhs)
+    table = _interval_segments(lhs, rhs, a, b)
     if table.running[-1]:
         raise StandingHypothesisError(
             f"total integral of the CDF difference is "

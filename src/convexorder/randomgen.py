@@ -54,9 +54,9 @@ def _random_atoms(
 
 
 def _as_distribution(supports: list[int], weights: list[int], total: int):
-    return DiscreteDistribution.from_pairs(
-        [(Fraction(s), Fraction(w, total)) for s, w in zip(supports, weights)]
-    )
+    """The law with mass w / total at each support s: the supports are sorted
+    and distinct, and the weights positive with sum ``total``."""
+    return DiscreteDistribution._from_ints(supports, 1, weights, total)
 
 
 def random_equal_mean_pair(

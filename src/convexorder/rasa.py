@@ -107,8 +107,9 @@ MAX_LATTICE_LENGTH = 1000
 """The largest m * n a sweep, a psi pattern or a library point accepts,
 and the most parameters a Hoeffding check accepts.
 
-:func:`lattice_point`, the entry of the forms and the verifiers, checks it
-before its cache is read, with the message ``psi_sign_pattern`` gives;
+:func:`lattice_point`, the entry of the forms and the verifiers, and
+``psi_sign_pattern`` read a point through one reader, which checks it, with
+one message, before a cache is read or a law built;
 :func:`poisson_binomial` and :func:`verify_hoeffding` check their parameter
 count before they read a parameter.  A Hoeffding check of 1000 parameters
 took 0.17 s in-process on one 2-core x86-64 host, and of 2000 about 0.9 s.
@@ -181,26 +182,43 @@ class StopLossTable(NamedTuple):
 
 
 def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
-    """The laws, form and gaps at (n, x_1..x_m); m >= 2, n >= 1, x_i in [0, 1]
-    and m * n at most ``MAX_LATTICE_LENGTH``.
+    """The laws, form and gaps at (n, x_1..x_m); n an int >= 1, m >= 2,
+    m * n at most ``MAX_LATTICE_LENGTH`` and x_i in [0, 1].
+
+    The point is read by ``_read_point``, which checks all but the
+    interval, so m * n is checked before the parameters' interval.
 
     Library callers probe one point with many test functions and decide its
     relations too, so the last 64 tables are kept per process, keyed by n
     and the parameters' reduced pairs: every spelling of one value reads one
     table.  A returned table is shared; its lists are only ever read.
     """
-    xs = [as_rational(x) for x in xs]
-    if len(xs) < 2:
-        raise ParameterError("need at least two parameters")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    xs = _read_point(n, xs)
     for x in xs:
         if not 0 <= x <= 1:
             raise ParameterError(f"parameters must lie in [0, 1], got {_quoted(x)}")
+    return _cached_point(n, tuple((x.numerator, x.denominator) for x in xs))
+
+
+def _read_point(n: int, xs: Sequence[RationalLike]) -> list[Fraction]:
+    """The parameters of the point (n, x_1..x_m) as Fractions, once n is an
+    int, n >= 1, m >= 2 and m * n is at most ``MAX_LATTICE_LENGTH``.
+
+    The one reader of a point for :func:`lattice_point` and
+    :func:`psi_sign_pattern`; each caller checks the interval its
+    parameters must lie in.
+    """
+    xs = [as_rational(x) for x in xs]
+    if len(xs) < 2:
+        raise ParameterError("need at least two parameters")
+    if not isinstance(n, int):
+        raise ParameterError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {_quoted(n)}")
     mn = len(xs) * n
     if mn > MAX_LATTICE_LENGTH:
         raise ParameterError(f"m * n is {_quoted(mn)}, above the limit of {MAX_LATTICE_LENGTH}")
-    return _cached_point(n, tuple((x.numerator, x.denominator) for x in xs))
+    return xs
 
 
 LAW_CACHE_SIZE = 1024
@@ -376,25 +394,20 @@ class PsiPattern(NamedTuple):
 def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
     """Compute psi_0..psi_mn and its sign-change structure.
 
-    Parameters must be strictly inside (0, 1) and not all equal; the all
-    equal input makes psi identically zero and is rejected as degenerate.
+    The point is read as :func:`lattice_point` reads it (``_read_point``).
+    Parameters must then be strictly inside (0, 1) and not all equal; the
+    all equal input makes psi identically zero and is rejected as degenerate.
     The sequence is summed in ints over one common denominator, and one
     Fraction is built per value.
     """
-    xs = [as_rational(x) for x in xs]
-    m = len(xs)
-    if m < 2:
-        raise ParameterError("need at least two parameters")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    xs = _read_point(n, xs)
     for x in xs:
         if not 0 < x < 1:
             raise ParameterError(f"parameters must lie in (0, 1), got {_quoted(x)}")
     if all(x == xs[0] for x in xs):
         raise ParameterError("degenerate input: all parameters equal, psi == 0")
+    m = len(xs)
     mn = m * n
-    if mn > MAX_LATTICE_LENGTH:
-        raise ParameterError(f"m * n is {_quoted(mn)}, above the limit of {MAX_LATTICE_LENGTH}")
     # With x_i = a_i / q over the least common denominator q and A = sum a_i,
     # psi_k = (m^(mn-1) sum_i a_i^k (q - a_i)^(mn-k) - A^k (mq - A)^(mn-k))
     # over (mq)^mn; the ints below are those numerators.

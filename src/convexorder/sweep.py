@@ -64,9 +64,20 @@ strings, and the three verdicts and ``ok``, which comes last, as bools."""
 
 
 def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
-    """All reduced fractions in [0, 1] with denominator <= max_den, sorted."""
+    """All reduced fractions in [0, 1] with denominator <= max_den, sorted.
+
+    The set is built from its O(max_den^2) candidates, so a bound whose set
+    has more than ``MAX_GRID_POINTS`` values, more than any sweep can use,
+    is rejected: 572 is the largest bound accepted (99 645 values).  The
+    set has at least max_den + 1 values, so a bound of ``MAX_GRID_POINTS``
+    or more is rejected before its size is sieved.
+    """
     if max_den < 1:
         raise ParameterError("denominator bound must be >= 1")
+    if max_den >= MAX_GRID_POINTS or _farey_size(max_den) > MAX_GRID_POINTS:
+        raise ParameterError(
+            f"denominator bound {_quoted(max_den)} gives more than {MAX_GRID_POINTS} fractions"
+        )
     values = {Fraction(p, q) for q in range(1, max_den + 1) for p in range(q + 1)}
     if not include_ends:
         values -= {Fraction(0), Fraction(1)}
@@ -76,11 +87,12 @@ def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
 class RunConfig(_Value):
     """Configuration of one sweep: ranges, grid bound, probe functions.
 
-    ``n_values`` and ``m_values`` ascend and may be ``range`` objects: the
-    grid is counted from their lengths and no check iterates them, so a huge
-    range is rejected without being built, and the least n and m and the
-    largest m * n are read from their ends.  A configuration is immutable and
-    compares by value.
+    ``n_values`` and ``m_values`` may be ``range`` objects: the grid is
+    counted from their lengths before any check iterates them, so a huge
+    range is rejected without being built.  Both must strictly ascend, which
+    is checked once the count has bounded their lengths, so the least n and
+    m and the largest m * n are read from their ends.  A configuration is
+    immutable and compares by value.
     """
 
     __slots__ = ("n_values", "m_values", "denominator", "seed", "jobs", "functions")
@@ -99,7 +111,7 @@ class RunConfig(_Value):
             raise ParameterError("n and m ranges must be nonempty")
         if self.denominator < 2:
             raise ParameterError("denominator bound must be >= 2")
-        # Both ranges ascend, so their first values are their least.  Checked
+        # Read as the least values, which they are once both ascend; checked
         # before the grid is counted: m = 0 counts one tuple per n whatever
         # the bound, so the count would go on to sieve a huge Farey set.
         if self.n_values[0] < 1:
@@ -115,6 +127,9 @@ class RunConfig(_Value):
                 f"the grid has at least {_quoted(points)} points, "
                 f"above the limit of {MAX_GRID_POINTS}"
             )
+        for name, values in (("n", self.n_values), ("m", self.m_values)):
+            if any(a >= b for a, b in zip(values, values[1:])):
+                raise ParameterError(f"{name} values must strictly ascend")
         length = self.m_values[-1] * self.n_values[-1]
         if length > MAX_LATTICE_LENGTH:
             raise ParameterError(
@@ -270,10 +285,11 @@ def _fork_stride(config: RunConfig, start: int, jobs: int) -> tuple[int, int]:
     """Fork a child that writes the rows of ``_stride(config, start, jobs)``
     to a pipe.
 
-    The rows go as one ``marshal`` string; the child leaves through
-    ``os._exit``, with status 0 only once all of it is written.  A child
-    whose evaluation raises writes the exception's one-line summary instead
-    and exits with status 1.  Returns the child's pid and the pipe's read end.
+    The rows go as one ``marshal`` string, written through a file object on
+    the pipe's write end; the child leaves through ``os._exit``, with
+    status 0 only once all of it is written.  A child whose evaluation
+    raises writes the exception's one-line summary instead and exits with
+    status 1.  Returns the child's pid and the pipe's read end.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -291,9 +307,8 @@ def _fork_stride(config: RunConfig, start: int, jobs: int) -> tuple[int, int]:
             except Exception as exc:
                 text = str(exc).split("\n", 1)[0]
                 payload, done = f"{type(exc).__name__}: {text}".removesuffix(": "), 1
-            data = memoryview(marshal.dumps(payload))
-            while data:
-                data = data[os.write(write_fd, data):]
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(payload))
             status = done
         finally:
             os._exit(status)
@@ -302,16 +317,15 @@ def _fork_stride(config: RunConfig, start: int, jobs: int) -> tuple[int, int]:
 
 
 def _collect_stride(pid: int, read_fd: int, count: int) -> tuple[list | None, str]:
-    """Read a child's rows to the end of its pipe, close the pipe and reap it.
+    """Read a child's rows to the end of its pipe through a file object,
+    which closes the pipe, and reap the child.
 
     Returns the ``count`` rows, or ``None`` and why they are unusable.
     """
-    data = bytearray()
     try:
-        while chunk := os.read(read_fd, 1 << 16):
-            data += chunk
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
     finally:
-        os.close(read_fd)
         _, status = os.waitpid(pid, 0)
     if os.WIFSIGNALED(status):
         return None, f"the child was killed by signal {os.WTERMSIG(status)}"

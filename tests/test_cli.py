@@ -31,6 +31,7 @@ from convexorder import (
 from convexorder import cli, sweep
 from convexorder.cli import _json_rows, main
 from convexorder.distributions import MAX_ATOMS, MAX_LAW_BITS
+from convexorder.exact import ParameterError
 from convexorder.rasa import MAX_LATTICE_LENGTH
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
 from helpers import distribution_to_text
@@ -176,6 +177,16 @@ class TestVerifyRasa:
     def test_lattice_length_at_limit_accepted(self):
         config = RunConfig(n_values=range(1, 501), m_values=range(2, 3), denominator=2)
         assert config.m_values[-1] * config.n_values[-1] == MAX_LATTICE_LENGTH
+
+    @pytest.mark.parametrize(
+        "n_values, m_values, name",
+        [((700, 1), (2,), "n"), ((1,), (2, 1), "m"), ((1, 1), (2,), "n")],
+    )
+    def test_values_that_do_not_strictly_ascend_are_rejected(self, n_values, m_values, name):
+        # (700, 1) would pass the m * n check on its last n and build m * n = 1400.
+        with pytest.raises(ParameterError) as raised:
+            RunConfig(n_values=n_values, m_values=m_values, denominator=2)
+        assert str(raised.value) == f"{name} values must strictly ascend"
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -1046,6 +1057,15 @@ def test_negative_seed_of_4300_digits_is_quoted_in_one_short_line():
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "--seed is about -9.99999e4299, below the minimum of 0\n"
+
+
+def test_n_max_of_4300_digits_is_quoted_in_one_short_line():
+    result = runner.invoke(main, ["hoeffding", "--random", "1", "--n-max", "9" * 4300])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"--n-max is about 9.99999e4299, above the limit of {MAX_LATTICE_LENGTH}\n"
+    )
 
 
 class TestHoeffdingCommand:

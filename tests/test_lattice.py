@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -29,6 +30,7 @@ from convexorder import (
     CxVerdict,
     DiscreteDistribution,
     Monomial,
+    ParameterError,
     binomial,
     builtin_family,
     convolve,
@@ -214,6 +216,20 @@ def test_sparse_support_points():
         for xs in ((F(0), F(1)), (F(0), F(1, 2), F(1)), (F(0), F(0), F(1), F(1))):
             witnesses += assert_point_matches(n, xs, builtin_family(len(xs) * n))
     assert witnesses > 0
+
+
+def test_farey_bound_far_over_the_grid_limit_raises_at_once():
+    started = time.perf_counter()
+    with pytest.raises(ParameterError):
+        farey_fractions(10**12)
+    assert time.perf_counter() - started < 1
+
+
+def test_farey_set_is_bounded_by_the_grid_limit():
+    assert len(farey_fractions(572)) == 99_645 <= sweep.MAX_GRID_POINTS
+    with pytest.raises(ParameterError) as raised:
+        farey_fractions(573)
+    assert str(raised.value) == "denominator bound 573 gives more than 100000 fractions"
 
 
 def test_criterion_2_grid():

@@ -289,6 +289,38 @@ class TestGeneralized:
             assert str(raised.value) == message
         assert rasa._cached_point.cache_info() == lookups
 
+    @pytest.mark.parametrize("n", [1.5, 2.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: rasa.lattice_point(n, ["1/3", "1/2"]),
+            lambda n: verify_generalized(n, ["1/3", "1/2"]),
+            lambda n: rasa_form(n, "1/3", "1/2", Monomial(2)),
+            lambda n: psi_sign_pattern(n, ["1/3", "1/2"]),
+        ],
+    )
+    def test_degree_that_is_not_an_int_raises_and_caches_nothing(self, call, n):
+        # The table of n = 2 is cached first: 2.0 keys it too, but reads nothing.
+        verify_generalized(2, ["1/3", "1/2"])
+        lookups = rasa._cached_point.cache_info()
+        with pytest.raises(ParameterError) as raised:
+            call(n)
+        assert str(raised.value) == f"n must be an int, got {n!r}"
+        assert rasa._cached_point.cache_info() == lookups
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: verify_generalized(501, ["3/2", "1/2"]),
+            lambda: psi_sign_pattern(501, ["3/2", "1/2"]),
+            lambda: psi_sign_pattern(501, ["1/3", "1/3"]),
+        ],
+    )
+    def test_lattice_length_is_checked_before_the_parameters_interval(self, call):
+        with pytest.raises(ParameterError) as raised:
+            call()
+        assert str(raised.value) == f"m * n is 1002, above the limit of {rasa.MAX_LATTICE_LENGTH}"
+
 
 class TestGeneralForm:
     def test_all_equal_vanishes(self):
