@@ -33,7 +33,7 @@ Conventions shared by all procedures:
   itself belongs to neither strict region).
 
 All four procedures and ``crossing_points`` read one cumulative table per
-ordered pair, built on the union of supports (``_segments``): the running
+pair, built on the union of supports (``_segments``): the running
 integral of F_rhs - F_lhs from the left end to each grid point, in ints over
 common denominators.  The jumps of the difference at the grid points are
 the signed measure rhs - lhs, which ``distributions._weighted_atoms``, the
@@ -49,8 +49,10 @@ partial-sum chain reads the table at every second change, and Ohlin's
 crossing is the one change.  The interval procedures first check that both
 laws live in [a, b]; the running integral from a is then zero left of the
 supports' hull and constant right of it, so a and b add nothing to the
-table.  A pair's table is built once and reused by consecutive calls on the
-same ordered pair, so running every procedure on one pair builds one table.
+table.  The table of (rhs, lhs) is that of (lhs, rhs) negated, so a pair's
+table is built once, in one orientation, and reused by consecutive calls on
+the pair in either: running every procedure on one pair in both
+orientations builds one table.
 
 Laws on the integer lattice need no such table: there the stop-loss gap
 at every lattice point comes from two running sums per law
@@ -190,7 +192,7 @@ class _Segments(NamedTuple):
         return map(sub, self.running[1:], self.running)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _segments(dl: DiscreteDistribution, dr: DiscreteDistribution) -> _Segments:
     """The cumulative table of the pair on the union of supports.
 
@@ -200,10 +202,17 @@ def _segments(dl: DiscreteDistribution, dr: DiscreteDistribution) -> _Segments:
     the running sum of the jumps is the difference on each segment, and the
     running sum of its products with the segment lengths is the table.
 
-    Callers run several procedures on one ordered pair in turn, so the last
-    table is kept and reused.  Laws are immutable and compare structurally,
-    so an equal key means an equal table; its lists are only ever read.
+    The table of (rhs, lhs) has the same grid, denominator and scale, and
+    its running integral is this one negated.  So only one orientation of
+    a pair is built, the one whose lhs has the smaller hash, and the other
+    is that table negated.  Callers run several procedures on a pair in
+    both orientations, so the tables of the last two ordered pairs are kept
+    and reused.  Laws are immutable and compare structurally, so an equal
+    key means an equal table; its lists are only ever read.
     """
+    if hash(dr) < hash(dl):
+        mirror = _segments(dr, dl)
+        return mirror._replace(running=[-r for r in mirror.running])
     grid, scale, jumps, den = _weighted_atoms((-1, 1), (dl, dr))
     lengths = map(sub, grid[1:], grid)
     running = list(accumulate(map(mul, accumulate(jumps), lengths), initial=0))

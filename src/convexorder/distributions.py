@@ -3,7 +3,9 @@
 Every support point, mass, mean, integral and stop-loss value this package
 hands out is a :class:`fractions.Fraction`; nothing is ever rounded.  A law
 itself is held as int numerators over common denominators, and Fractions
-are built only for the values read from it.  The distribution function
+are built only for the values read from it.  A sum of independent laws is
+folded in those ints too, as one packed int with a slot per lattice point
+while the lattice fits in :data:`MAX_PACKED_BYTES`.  The distribution function
 convention is left-continuous throughout:
 
     F(x) = P(X < x)
@@ -145,7 +147,8 @@ class DiscreteDistribution:
         self, points: Sequence[int], scale: int, nums: Sequence[int], den: int
     ) -> None:
         """Check the law on its ints, as the Fraction constructor promises, and
-        store both pairs with their common factors divided out."""
+        store both pairs with their common factors divided out; a pair whose
+        gcd is 1 is stored as it comes, with no pass to divide it."""
         if not points:
             raise ParameterError("a distribution needs at least one atom")
         previous = None
@@ -162,16 +165,17 @@ class DiscreteDistribution:
             raise ParameterError(
                 f"masses must sum to 1 exactly, got {_quoted(Fraction(total, den))}"
             )
-        g = math.gcd(scale, *points)
         # gcd(*nums) divides den, their sum, so it equals gcd(den, *nums); a
         # reduced binomial's den and first numerator are already coprime.
+        # Most laws come reduced, and a gcd of 1 leaves nothing to divide.
+        g = math.gcd(scale, *points)
+        if g > 1:
+            points, scale = [p // g for p in points], scale // g
         h = math.gcd(den, *nums)
-        object.__setattr__(
-            self, "support_numerators", (tuple(p // g for p in points), scale // g)
-        )
-        object.__setattr__(
-            self, "mass_numerators", (tuple(v // h for v in nums), den // h)
-        )
+        if h > 1:
+            nums, den = [v // h for v in nums], den // h
+        object.__setattr__(self, "support_numerators", (tuple(points), scale))
+        object.__setattr__(self, "mass_numerators", (tuple(nums), den))
 
     @classmethod
     def from_pairs(
@@ -315,13 +319,11 @@ def dirac(c: RationalLike) -> DiscreteDistribution:
 def bernoulli(p: RationalLike) -> DiscreteDistribution:
     """Bernoulli law on {0, 1}; p in {0, 1} degenerates to a point mass."""
     p = as_rational(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"bernoulli parameter must lie in [0, 1], got {_quoted(p)}")
-    if p == 0:
-        return dirac(0)
-    if p == 1:
-        return dirac(1)
     a, q = p.numerator, p.denominator
+    if not 0 <= a <= q:
+        raise ParameterError(f"bernoulli parameter must lie in [0, 1], got {_quoted(p)}")
+    if a in (0, q):  # p = 0, or p = 1 = a / q with a = q = 1
+        return dirac(a)
     return DiscreteDistribution._from_ints((0, 1), 1, (q - a, a), q)
 
 
@@ -330,18 +332,19 @@ def binomial(n: int, p: RationalLike) -> DiscreteDistribution:
 
     For p = a/q the masses are C(n, k) a^k (q-a)^(n-k) over q^n, in ints
     with arbitrary-precision binomial coefficients.  p = 0 or 1 degenerates
-    to a point mass at 0 or n.
+    to a point mass at 0 or n.  n must be an int, as ``rasa`` reads a
+    degree.
     """
+    if not isinstance(n, int):
+        raise ParameterError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ParameterError(f"binomial needs n >= 1, got {n}")
     p = as_rational(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"binomial parameter must lie in [0, 1], got {_quoted(p)}")
-    if p == 0:
-        return dirac(0)
-    if p == 1:
-        return dirac(n)
     a, q = p.numerator, p.denominator
+    if not 0 <= a <= q:
+        raise ParameterError(f"binomial parameter must lie in [0, 1], got {_quoted(p)}")
+    if a in (0, q):
+        return dirac(a * n)
     return DiscreteDistribution._from_ints(
         range(n + 1), 1, binomial_numerators(n, a, q), q**n
     )
@@ -359,30 +362,100 @@ def convolve(
     return convolve_many((a, b))
 
 
+MAX_PACKED_BYTES = 65_536
+"""The largest lattice ``convolve_many`` folds as one packed int, in bytes:
+lattice points times the byte length of the mass denominator.
+
+Below it one int multiply-and-shift per atom of a part replaces a dict
+update per pair of atoms; above it the int's own passes cost more than the
+dict's.  On n Bernoulli(k/q) parts, q cycling through 2..q_max, the packed
+fold took 0.37 of the dict fold's time at n = 150 and q_max = 20 (8 kB),
+0.68 at n = 400 and q_max = 20 (59 kB) and 0.80 at n = 300 and q_max = 100
+(54 kB); it took 1.04 of it at n = 400 and q_max = 100 (95 kB), 1.03 at
+n = 500 and q_max = 37 (110 kB) and 1.66 at n = 1000 (439 kB) (medians of
+five to nine runs, Python 3.11, one 2-core x86-64 host).
+"""
+
+
 def convolve_many(parts: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
     """Law of the sum of independent draws from one or more distributions.
 
-    Supports are brought to ints over their least common denominator, and a
-    dict of partial sums of the parts' int mass numerators is folded part by
-    part: the first atom of a part fills the next dict in one comprehension,
-    and only the others look their sums up.  No Fraction is built.
+    Each part's support is shifted to start at 0 over the parts' least
+    common denominator, and divided by the gcd of all shifted points, so the
+    sum lives on the lattice 0, 1, ..., length - 1 and its masses are
+    products of the parts' int mass numerators over the product of their
+    denominators.  No Fraction is built.
+
+    When the lattice, at one slot of the denominator's byte length per
+    point, fits in :data:`MAX_PACKED_BYTES` and the parts have at least as
+    many atom combinations as it has points, the numerators are folded as
+    one int holding a slot per point: every partial product's coefficient
+    is at most the final denominator, so no slot ever carries into the
+    next.  The int is read back once, through its bytes, and empty slots
+    are dropped.  Otherwise a dict of partial sums is folded part by part:
+    a lattice with more points than atom combinations is sure to have empty
+    slots, and the dict holds only the sums that occur.
     """
     if not parts:
         raise ParameterError("convolve_many needs at least one distribution")
     unit = math.lcm(*(part.support_numerators[1] for part in parts))
     den = math.prod(part.mass_numerators[1] for part in parts)
-    sums = {0: 1}
+    low = 0
+    shifted = []
     for part in parts:
         points, part_unit = part.support_numerators
         stretch = unit // part_unit
-        (t, w), *rest = zip([p * stretch for p in points], part.mass_numerators[0])
+        low += points[0] * stretch
+        shifted.append([(p - points[0]) * stretch for p in points])
+    step = math.gcd(*(o for offsets in shifted for o in offsets[1:])) or 1
+    length = sum(offsets[-1] for offsets in shifted) // step + 1
+    slot = (den.bit_length() + 7) // 8
+    folded = [
+        ([o // step for o in offsets], part.mass_numerators[0])
+        for offsets, part in zip(shifted, parts)
+    ]
+    if length * slot <= MAX_PACKED_BYTES and math.prod(map(len, shifted)) >= length:
+        keys, nums = _packed_fold(folded, length, slot)
+    else:
+        keys, nums = _dict_fold(folded)
+    return DiscreteDistribution._from_ints(
+        [low + k * step for k in keys], unit, nums, den
+    )
+
+
+def _packed_fold(
+    parts: list[tuple[list[int], Sequence[int]]], length: int, slot: int
+) -> tuple[list[int], list[int]]:
+    """The lattice points and numerators of the sum of the (offsets, nums)
+    parts, folded in one int of ``length`` slots of ``slot`` bytes."""
+    bits = 8 * slot
+    packed = 1
+    for offsets, nums in parts:
+        packed = sum((packed * v) << (bits * o) for o, v in zip(offsets, nums))
+    raw = packed.to_bytes(length * slot, "little")
+    values = [
+        int.from_bytes(raw[i:i + slot], "little") for i in range(0, len(raw), slot)
+    ]
+    keys = [k for k, v in enumerate(values) if v]
+    return keys, [values[k] for k in keys]
+
+
+def _dict_fold(
+    parts: list[tuple[list[int], Sequence[int]]],
+) -> tuple[list[int], list[int]]:
+    """The lattice points and numerators of the sum of the (offsets, nums)
+    parts, folded in a dict: the first atom of a part fills the next dict in
+    one comprehension, and only the others look their sums up."""
+    sums = {0: 1}
+    for offsets, nums in parts:
+        (t, w), *rest = zip(offsets, nums)
         out = {s + t: v * w for s, v in sums.items()}
         for t, w in rest:
             for s, v in sums.items():
                 out[s + t] = out.get(s + t, 0) + v * w
         sums = out
     keys = sorted(sums)
-    return DiscreteDistribution._from_ints(keys, unit, [sums[k] for k in keys], den)
+    return keys, [sums[k] for k in keys]
 
 
 def mixture(

@@ -130,6 +130,8 @@ def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
 
     They are the binomial numerators of x = p/q over q^n, as Fractions.
     """
+    if not isinstance(n, int):
+        raise ParameterError(f"degree must be an int, got {n!r}")
     if n < 1:
         raise ParameterError(f"degree must be >= 1, got {n}")
     if not 0 <= x <= 1:

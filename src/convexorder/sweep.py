@@ -66,11 +66,12 @@ strings, and the three verdicts and ``ok``, which comes last, as bools."""
 def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
     """All reduced fractions in [0, 1] with denominator <= max_den, sorted.
 
-    The set is built from its O(max_den^2) candidates, so a bound whose set
-    has more than ``MAX_GRID_POINTS`` values, more than any sweep can use,
-    is rejected: 572 is the largest bound accepted (99 645 values).  The
-    set has at least max_den + 1 values, so a bound of ``MAX_GRID_POINTS``
-    or more is rejected before its size is sieved.
+    The Farey sequence comes in order from its next-term recurrence: after
+    a/b and c/d comes (k c - a) / (k d - b) with k = (max_den + b) // d.  A
+    bound whose set has more than ``MAX_GRID_POINTS`` values, more than any
+    sweep can use, is rejected: 572 is the largest bound accepted (99 645
+    values).  The set has at least max_den + 1 values, so a bound of
+    ``MAX_GRID_POINTS`` or more is rejected before its size is sieved.
     """
     if max_den < 1:
         raise ParameterError("denominator bound must be >= 1")
@@ -78,10 +79,13 @@ def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
         raise ParameterError(
             f"denominator bound {_quoted(max_den)} gives more than {MAX_GRID_POINTS} fractions"
         )
-    values = {Fraction(p, q) for q in range(1, max_den + 1) for p in range(q + 1)}
-    if not include_ends:
-        values -= {Fraction(0), Fraction(1)}
-    return sorted(values)
+    a, b, c, d = 0, 1, 1, max_den
+    values = [Fraction(0)]
+    while a < b:
+        k = (max_den + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        values.append(Fraction(a, b))
+    return values if include_ends else values[1:-1]
 
 
 class RunConfig(_Value):

@@ -28,7 +28,7 @@ from convexorder import (
     szostok_decision,
 )
 from convexorder.cli import report_data
-from convexorder.cx_order import _segments
+from convexorder.cx_order import _segments, _weighted_atoms
 from oracles import (
     cdf_integral_by_midpoints,
     convex_order_by_probing,
@@ -479,7 +479,7 @@ def test_bounded_procedures_reject_like_references():
 
 
 # ---------------------------------------------------------------------------
-# One segment table per ordered pair, reused by consecutive calls
+# One segment table per pair, reused by consecutive calls in either orientation
 # ---------------------------------------------------------------------------
 
 
@@ -525,17 +525,57 @@ def test_reused_tables_give_fresh_reports(pair, calls):
         assert warm == _outcome(procedure, *args) == _outcome(reference, *args)
 
 
-def test_compare_large_calls_build_two_tables():
+def test_compare_large_calls_build_one_table_per_unordered_pair(monkeypatch):
     """The four procedures on both orientations of one Poisson-binomial and
-    binomial pair, in the benchmark's order, build one table per orientation."""
+    binomial pair, in the benchmark's order, build one table: the second
+    orientation negates the first's."""
     ps = [F(1 + i % 6, 7 + i % 5) for i in range(60)]
     pb = poisson_binomial(ps)
     bn = binomial(60, sum(ps, F(0)) / 60)
     _segments.cache_clear()
+    # Each build merges the pair's atoms once.
+    builds = []
+    monkeypatch.setattr(
+        "convexorder.cx_order._weighted_atoms",
+        lambda *args: builds.append(args) or _weighted_atoms(*args),
+    )
     for lhs, rhs in ((pb, bn), (bn, pb)):
         cx_compare_oracle(lhs, rhs)
         levin_steckin_check(lhs, rhs, F(0), F(60))
         szostok_decision(lhs, rhs, F(0), F(60))
         ohlin_check(lhs, rhs)
-    info = _segments.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
+    assert len(builds) == 1
+    assert _segments.cache_info().currsize == 2
+    forward, backward = _segments(pb, bn), _segments(bn, pb)
+    assert forward.grid is backward.grid
+    assert backward.running == [-r for r in forward.running]
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (poisson_binomial([F(1, 3), F(1, 2), F(3, 4)]), binomial(3, F(19, 36))),
+        build_counterexample(),
+        spread_pair(),
+        (dirac(0), dirac(1)),
+    ],
+)
+def test_both_orientations_and_identical_laws_give_fresh_reports(pair):
+    """Calls on (a, b), (b, a), (a, b) and (a, a) in turn, each of every
+    procedure: every report equals the one from an empty table cache."""
+    a_law, b_law = pair
+    a = min(a_law.min_support, b_law.min_support)
+    b = max(a_law.max_support, b_law.max_support) + 1
+    calls = [
+        (procedure, (x, y, a, b) if bounded else (x, y))
+        for x, y in ((a_law, b_law), (b_law, a_law), (a_law, b_law), (a_law, a_law))
+        for procedure, _, bounded in PROCEDURES.values()
+    ]
+    _segments.cache_clear()
+    warm = [_outcome(procedure, *args) for procedure, args in calls]
+    fresh = []
+    for procedure, args in calls:
+        _segments.cache_clear()
+        fresh.append(_outcome(procedure, *args))
+    assert warm == fresh

@@ -2,6 +2,8 @@ import json
 import math
 import time
 from fractions import Fraction as F
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -510,6 +512,112 @@ class TestIntHeldLaw:
         for p in ps[1:]:
             expected = convolve_by_fractions(expected, bernoulli(p))
         assert convolve_many([bernoulli(p) for p in ps]) == expected
+
+
+def _law(*atoms):
+    return DiscreteDistribution.from_pairs(atoms)
+
+
+# Parts that leave holes in the lattice, step by more than 1, sit on
+# negative or rational points, hold one atom, or lie far apart.
+SHAPED_PARTS = [
+    _law((0, F(1, 2)), (2, F(1, 3)), (5, F(1, 6))),
+    _law((0, F(1, 4)), (2, F(3, 4))),
+    _law((0, F(2, 5)), (4, F(3, 5))),
+    _law((F(-3, 2), F(1, 3)), (F(1, 4), F(2, 3))),
+    _law((F(-7, 3), F(1, 2)), (F(0), F(1, 4)), (F(5, 6), F(1, 4))),
+    dirac(F(-5, 3)),
+    dirac(4),
+    _law((0, F(1, 3)), (10**6, F(2, 3))),
+]
+
+interior_probabilities = st.fractions(
+    min_value=F(1, 20), max_value=F(19, 20), max_denominator=20
+)
+
+
+def _fraction_route(parts):
+    """The sum by the pairwise Fraction route of ``oracles``."""
+    return reduce(convolve_by_fractions, parts)
+
+
+def _folded_packed(parts):
+    """convolve_many(parts), and whether it took the packed fold."""
+    with mock.patch.object(
+        distributions, "_packed_fold", wraps=distributions._packed_fold
+    ) as packed:
+        law = convolve_many(parts)
+    return law, packed.called
+
+
+class TestPackedConvolution:
+    """``convolve_many`` folds one packed int below ``MAX_PACKED_BYTES`` on
+    dense lattices and a dict otherwise; both give the Fraction route's law."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        st.lists(interior_probabilities, max_size=60),
+        st.lists(
+            st.one_of(st.sampled_from(SHAPED_PARTS), rational_distributions(max_atoms=3)),
+            max_size=2,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_fraction_route(self, ps, shaped, rng):
+        parts = [bernoulli(p) for p in ps] + shaped
+        if not parts:
+            parts = [SHAPED_PARTS[0]]
+        rng.shuffle(parts)
+        law = convolve_many(parts)
+        expected = _fraction_route(parts)
+        assert law == expected
+        assert law.atoms == expected.atoms
+
+    @pytest.mark.parametrize(
+        "parts, packed",
+        [
+            ([bernoulli(F(1 + i % 6, 7 + i % 5)) for i in range(2)], True),
+            ([bernoulli(F(1 + i % 6, 7 + i % 5)) for i in range(60)], True),
+            ([SHAPED_PARTS[0]] * 3, True),
+            (SHAPED_PARTS[1:3], True),
+            (SHAPED_PARTS[1:3] * 2, True),
+            (SHAPED_PARTS[3:5] + [bernoulli(F(1, 3))] * 5, True),
+            (SHAPED_PARTS[5:7], True),
+            ([SHAPED_PARTS[0]], False),
+            ([SHAPED_PARTS[0], _law((0, F(1, 2)), (40, F(1, 2)))], False),
+            ([SHAPED_PARTS[7]] + [bernoulli(F(2, 7))] * 30, False),
+        ],
+    )
+    def test_route_and_law(self, parts, packed):
+        """Dense lattices under the bound take the packed fold, single atoms
+        included; a lattice with more points than atom combinations, as
+        one part with holes has, and far-apart supports take the dict
+        fold."""
+        law, took_packed = _folded_packed(parts)
+        expected = _fraction_route(parts)
+        assert took_packed == packed
+        assert law == expected
+        assert law.atoms == expected.atoms
+
+    @pytest.mark.parametrize("n, packed", [(150, True), (440, False)])
+    def test_iterated_bernoulli_on_both_sides_of_the_bound(self, n, packed):
+        """n Bernoulli(7/19) laws: at n = 150 the lattice takes 12 kB, at
+        440 it passes the bound at 103 kB; both folds give the binomial."""
+        p = F(7, 19)
+        slot = ((19**n).bit_length() + 7) // 8
+        assert ((n + 1) * slot <= distributions.MAX_PACKED_BYTES) == packed
+        law, took_packed = _folded_packed([bernoulli(p)] * n)
+        assert took_packed == packed
+        assert law == binomial(n, p)
+
+    def test_mixed_denominators_above_the_bound(self):
+        """440 Bernoulli(k/q) laws, q cycling through 2..20, pass the bound;
+        the dict fold agrees with the packed folds of both halves, summed."""
+        parts = [bernoulli(F(1 + i % (1 + i % 19), 2 + i % 19)) for i in range(440)]
+        law, took_packed = _folded_packed(parts)
+        halves = [_folded_packed(parts[:220]), _folded_packed(parts[220:])]
+        assert not took_packed and all(packed for _, packed in halves)
+        assert law == convolve(halves[0][0], halves[1][0])
 
 
 class TestRationalLimit:

@@ -232,6 +232,15 @@ def test_farey_set_is_bounded_by_the_grid_limit():
     assert str(raised.value) == "denominator bound 573 gives more than 100000 fractions"
 
 
+@pytest.mark.parametrize("include_ends", [True, False])
+def test_farey_recurrence_matches_the_sorted_set(include_ends):
+    for max_den in range(1, 81):
+        values = {F(p, q) for q in range(1, max_den + 1) for p in range(q + 1)}
+        if not include_ends:
+            values -= {F(0), F(1)}
+        assert farey_fractions(max_den, include_ends) == sorted(values)
+
+
 def test_criterion_2_grid():
     grid = farey_fractions(10)
     witnesses = 0

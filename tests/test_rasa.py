@@ -309,6 +309,19 @@ class TestGeneralized:
         assert rasa._cached_point.cache_info() == lookups
 
     @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: binomial(1.5, "1/3"), "n must be an int, got 1.5"),
+            (lambda: binomial(2.0, "1/3"), "n must be an int, got 2.0"),
+            (lambda: bernstein_vector(1.5, F(1, 3)), "degree must be an int, got 1.5"),
+        ],
+    )
+    def test_binomial_degree_that_is_not_an_int_raises_one_line(self, call, message):
+        with pytest.raises(ParameterError) as raised:
+            call()
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda: verify_generalized(501, ["3/2", "1/2"]),
