@@ -50,8 +50,6 @@ _MODULE_EXPORTS = {
     ),
     "distributions": (
         "DiscreteDistribution",
-        "MAX_ATOMS",
-        "MAX_LAW_BITS",
         "Rational",
         "bernoulli",
         "binomial",
@@ -60,7 +58,6 @@ _MODULE_EXPORTS = {
         "dirac",
         "distribution_to_json_obj",
         "mixture",
-        "parse_distribution",
     ),
     "exact": (
         "CxVerdict",
@@ -69,6 +66,7 @@ _MODULE_EXPORTS = {
         "ParameterError",
         "as_rational",
     ),
+    "lawtext": ("MAX_ATOMS", "MAX_LAW_BITS", "parse_distribution"),
     "randomgen": (
         "random_equal_mean_pair",
         "random_probability",

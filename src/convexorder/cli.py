@@ -74,7 +74,7 @@ MAX_FILE_BYTES = 64 << 20
 A file is read whole and decoded before its lines are counted, which takes
 about twice its size in memory, so without a bound a huge file or a device
 such as ``/dev/zero`` would exhaust memory before the parse limits stop it.
-At ``distributions.MAX_ATOMS`` atoms, ``MAX_LAW_BITS`` admits common
+At ``lawtext.MAX_ATOMS`` atoms, ``MAX_LAW_BITS`` admits common
 denominators of 500 bits (151 digits); a line that writes a support and a
 mass as numerators and denominators of that length takes about 610 bytes,
 so 64 MiB admits every such file (about 61 MB).  A file of comment lines
@@ -450,7 +450,7 @@ def cmd_cx_compare(file_a, file_b, method, lower, upper, out):
         ohlin_check,
         szostok_decision,
     )
-    from .distributions import parse_distribution
+    from .lawtext import parse_distribution
     from .exact import FormatError, ParameterError, as_rational
 
     try:

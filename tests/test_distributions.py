@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexorder import distributions
+from convexorder import distributions, lawtext
 from convexorder import (
     DiscreteDistribution,
     MAX_ATOMS,
@@ -552,7 +552,8 @@ def _folded_packed(parts):
 
 class TestPackedConvolution:
     """``convolve_many`` folds one packed int below ``MAX_PACKED_BYTES`` on
-    dense lattices and a dict otherwise; both give the Fraction route's law."""
+    lattices the parts' sums can fill, and a dict otherwise; both give the
+    Fraction route's law."""
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(
@@ -578,21 +579,27 @@ class TestPackedConvolution:
         [
             ([bernoulli(F(1 + i % 6, 7 + i % 5)) for i in range(2)], True),
             ([bernoulli(F(1 + i % 6, 7 + i % 5)) for i in range(60)], True),
-            ([SHAPED_PARTS[0]] * 3, True),
+            ([SHAPED_PARTS[0]] * 2 + [bernoulli(F(1, 3))], True),
             (SHAPED_PARTS[1:3], True),
             (SHAPED_PARTS[1:3] * 2, True),
-            (SHAPED_PARTS[3:5] + [bernoulli(F(1, 3))] * 5, True),
+            ([SHAPED_PARTS[3]] * 4 + [dirac(F(-1, 6))], True),
+            (SHAPED_PARTS[3:5] + [bernoulli(F(1, 3))] * 5, False),
             (SHAPED_PARTS[5:7], True),
             ([SHAPED_PARTS[0]], False),
             ([SHAPED_PARTS[0], _law((0, F(1, 2)), (40, F(1, 2)))], False),
+            ([_law((0, F(1, 2)), (100, F(1, 2)))] * 50 + [bernoulli(F(1, 2))], False),
+            ([bernoulli(F(1, 3)), _law((0, F(1, 2)), (60_000, F(1, 2)))], False),
             ([SHAPED_PARTS[7]] + [bernoulli(F(2, 7))] * 30, False),
         ],
     )
     def test_route_and_law(self, parts, packed):
-        """Dense lattices under the bound take the packed fold, single atoms
-        included; a lattice with more points than atom combinations, as
-        one part with holes has, and far-apart supports take the dict
-        fold."""
+        """Lattices under the bound take the packed fold, single atoms and
+        an empty slot (9 in {0, 2, 5} twice plus {0, 1}) included.  A
+        lattice with more points than the parts can have distinct sums
+        takes the dict fold: one part with holes, 50 equal parts on
+        {0, 100} with one Bernoulli law (5002 points, at most 102 sums),
+        negative and rational parts (120 points, at most 36 sums), a far
+        atom under the bound; far-apart supports pass the bound."""
         law, took_packed = _folded_packed(parts)
         expected = _fraction_route(parts)
         assert took_packed == packed
@@ -741,7 +748,7 @@ class TestLawSizeLimit:
     @pytest.mark.parametrize("spelling", ["text", "json"])
     def test_mass_denominators_count(self, monkeypatch, spelling):
         # Integer supports, masses 1 / 2^k and 1 - 1 / 2^k: k + 1 bits twice.
-        monkeypatch.setattr(distributions, "MAX_LAW_BITS", 200)
+        monkeypatch.setattr(lawtext, "MAX_LAW_BITS", 200)
         for k, admitted in ((99, True), (100, False)):
             atoms = [["0", f"1/{2**k}"], ["1", f"{2**k - 1}/{2**k}"]]
             text = (
@@ -800,4 +807,19 @@ _line_texts = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(text=st.one_of(_line_texts, st.text()))
 def test_text_lines_are_the_lines_splitlines_numbers(text):
-    assert list(distributions._text_lines(text)) == text.splitlines()
+    assert list(lawtext._text_lines(text)) == text.splitlines()
+
+
+def test_parser_names_read_through_distributions():
+    """The parsers live in ``lawtext``; ``distributions`` and the package
+    hand out the same objects, and an unknown name is still an error."""
+    import convexorder
+
+    for name in ("MAX_ATOMS", "MAX_LAW_BITS", "parse_distribution"):
+        assert getattr(distributions, name) is getattr(lawtext, name)
+        assert getattr(convexorder, name) is getattr(lawtext, name)
+    namespace = {}
+    exec("from convexorder.distributions import *", namespace)
+    assert set(distributions.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'parse'"):
+        distributions.parse

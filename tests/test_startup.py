@@ -124,7 +124,7 @@ def test_compare_loads_no_lattice_route(tmp_path):
     proc, modules = _run_cli("cx-compare", str(law), str(law))
     assert proc.returncode == 0, proc.stderr
     loaded = {m.split(".")[1] for m in _submodules(modules)}
-    assert {"distributions", "cx_order", "exact"} <= loaded
+    assert {"distributions", "lawtext", "cx_order", "exact"} <= loaded
     assert loaded.isdisjoint({"lattice", "rasa", "sweep"}), sorted(loaded)
     assert "convex_functions" not in loaded
 
@@ -135,6 +135,8 @@ def test_hoeffding_loads_no_test_functions():
     assert json.loads(proc.stdout)["all_hold"] is True
     assert "convexorder.rasa" in modules
     assert "convexorder.convex_functions" not in modules
+    # It builds its laws and reads none from a file.
+    assert "convexorder.lawtext" not in modules
 
 
 @pytest.mark.parametrize(
