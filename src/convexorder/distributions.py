@@ -43,6 +43,7 @@ from .exact import (
     RationalLike,
     _power_products,  # noqa: F401  (re-exported)
     _quoted,
+    _slots,
     as_rational,
     binomial_numerators,
 )
@@ -410,10 +411,7 @@ def _packed_fold(
     packed = 1
     for offsets, nums in parts:
         packed = sum((packed * v) << (bits * o) for o, v in zip(offsets, nums))
-    raw = packed.to_bytes(length * slot, "little")
-    values = [
-        int.from_bytes(raw[i:i + slot], "little") for i in range(0, len(raw), slot)
-    ]
+    values = _slots(packed, length, slot)
     keys = [k for k, v in enumerate(values) if v]
     return keys, [values[k] for k in keys]
 

@@ -1,12 +1,14 @@
 """The exact pieces that both law routes share: errors, rationals, binomial
-numerators, sign runs and the one convex-order verdict reader.
+numerators, the packed-int slot reader, sign runs and the one convex-order
+verdict reader.
 
 Laws read from files or built by the library are held as
 ``distributions.DiscreteDistribution`` and compared by ``cx_order``; laws
 of a Rasa sweep are held on the integer lattice by ``lattice``.  Both routes
 raise the same errors, coerce parameters with :func:`as_rational`, quote
 values in messages through :func:`_quoted`, build binomial laws from
-:func:`binomial_numerators`, count sign changes with :func:`sign_changes`
+:func:`binomial_numerators`, read the polynomial products they pack into
+one int with :func:`_slots`, count sign changes with :func:`sign_changes`
 and hand their stop-loss gaps to
 :func:`_oracle_verdict`, so equal laws get equal verdicts, witnesses
 included.  This module imports no other module of the package, so a
@@ -166,6 +168,18 @@ def _power_products(a: int, b: int, n: int) -> list[int]:
         term = term // b * a
         out.append(term)
     return out
+
+
+def _slots(packed: int, count: int, slot: int) -> list[int]:
+    """The ``count`` slots of ``slot`` bytes each of a nonnegative int, lowest first.
+
+    The one reader of the Kronecker layout that both packed routes write, a
+    polynomial's coefficient c_k at bit 8 * slot * k: the int is read back
+    once through its little-endian bytes.  It holds the coefficients
+    exactly when each is below 2^(8 * slot).
+    """
+    raw = packed.to_bytes(count * slot, "little")
+    return [int.from_bytes(raw[i:i + slot], "little") for i in range(0, len(raw), slot)]
 
 
 def _sign_runs(values: Iterable) -> tuple[int, list[int]]:

@@ -6,8 +6,12 @@ The binomial law with parameter a/q has the numerators C(n, k) a^k (q-a)^(n-k)
 over q^n, and independent sums and mixtures of such laws stay on the
 lattice, so building and comparing them needs no Fraction per step.  The sum
 of m independent binomial(n, a/q) draws is binomial(mn, a/q), the same
-integers over q^(mn), so only a sum of laws with different parameters needs
-:func:`cauchy_product`.  A uniform mixture of laws brought to one
+integers over q^(mn).  The sum of independent binomial(n, p_i/q_i) draws
+has the generating function (prod_i ((q_i - p_i) + p_i z))^n over
+(prod_i q_i)^n, so :func:`binomial_sum` takes it as one int power by
+Kronecker substitution (Harvey, J. Symb. Comput. 2009), the packing
+``distributions.convolve_many`` also folds its parts in; ``exact._slots``
+reads both back.  A uniform mixture of laws brought to one
 denominator D is the plain sum of their numerators over len(laws) * D;
 ``rasa.point_from_pairs`` builds the one a Rasa point needs that way.
 
@@ -37,12 +41,12 @@ from itertools import accumulate, compress
 from operator import mul, or_
 from typing import Callable, NamedTuple, Sequence
 
-from .exact import CxVerdict, _oracle_verdict, binomial_numerators
+from .exact import CxVerdict, _oracle_verdict, _slots, binomial_numerators
 
 __all__ = [
     "LatticeLaw",
     "bernstein_numerators",
-    "cauchy_product",
+    "binomial_sum",
     "stop_loss_numerators",
     "gap_verdict",
     "probe_table",
@@ -62,14 +66,24 @@ def bernstein_numerators(n: int, a: int, q: int) -> LatticeLaw:
     return LatticeLaw(binomial_numerators(n, a, q), q**n)
 
 
-def cauchy_product(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
-    """The law of the sum of independent draws from a and b."""
-    out = [0] * (len(a.nums) + len(b.nums) - 1)
-    for i, ai in enumerate(a.nums):
-        if ai:
-            for j, bj in enumerate(b.nums):
-                out[i + j] += ai * bj
-    return LatticeLaw(out, a.den * b.den)
+def binomial_sum(n: int, pairs: Sequence[tuple[int, int]]) -> LatticeLaw:
+    """The law of the sum of independent binomial(n, p_i/q_i) draws, over
+    (prod_i q_i)^n, for 0 <= p_i <= q_i.
+
+    Its numerators are the coefficients of the polynomial power
+    (prod_i ((q_i - p_i) + p_i z))^n, which Kronecker substitution makes one
+    int power: z is packed as 2^(8 slot), for slot the byte length of the
+    denominator.  Every coefficient is at most the denominator, so no slot
+    carries into the next, and ``exact._slots`` reads them back.
+    """
+    den = math.prod(q for _, q in pairs) ** n
+    slot = (den.bit_length() + 7) // 8
+    packed = [(q - p) + (p << 8 * slot) for p, q in pairs]
+    # A balanced product tree: a running product would multiply its growing
+    # int by each factor in turn, quadratic in the number of parameters.
+    while len(packed) > 1:
+        packed = [math.prod(packed[i:i + 2]) for i in range(0, len(packed), 2)]
+    return LatticeLaw(_slots(packed[0] ** n, len(pairs) * n + 1, slot), den)
 
 
 def stop_loss_numerators(nums: Sequence[int]) -> list[int]:

@@ -37,12 +37,13 @@ and ``lattice`` of the package and not ``convex_functions``:
 ``convex_functions`` through ``sweep``, which builds the probes.
 
 The m-fold i.i.d. sum of binomial(n, x) draws is binomial(mn, x), so every
-law at a point is a binomial law but the independent sum, which is the
-point's one Cauchy-product work.  Its binomial laws, at degrees n and mn,
-and the independent sum of all its parameters but the last depend on few
-of its values, so each process caches them over their own denominators
-(see ``LAW_CACHE_SIZE``) and :func:`point_from_pairs` brings them to the
-point's common denominator with integer factors.  Grid sweeps call that
+law at a point is a binomial law but the independent sum.  Its generating
+function, (prod_i ((1 - x_i) + x_i z))^n, is one polynomial power, which
+``lattice.binomial_sum`` takes as one packed int power.  Each binomial(mn,
+x_i) part of the mixture depends on one value, so each process caches those
+laws over their own denominators (see ``LAW_CACHE_SIZE``), and
+:func:`point_from_pairs` brings the sum and the parts to the point's common
+denominator with integer factors.  Grid sweeps call that
 one builder directly, uncached, with reduced int pairs.  Library calls go
 through :func:`lattice_point`, which checks its input once and keeps the
 last 64 tables it built, so the forms and the verifiers of one point share
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -74,7 +75,7 @@ from .exact import (
 from .lattice import (
     LatticeLaw,
     bernstein_numerators,
-    cauchy_product,
+    binomial_sum,
     dot,
     gap_verdict,
     probe_table,
@@ -116,12 +117,37 @@ took 0.17 s in-process on one 2-core x86-64 host, and of 2000 about 0.9 s.
 
 The lattice 0..m*n carries every law, form and psi sequence, and its cost
 grows fast with it: one ``verify-rasa`` grid point with all probe groups
-(m = 2, parameters 1/3 and 1/2, probe table included) took 0.07 s at
-m * n = 500, 0.31 s at 1000 and 2.3 s at 2000 in a fresh process on one
-2-core x86-64 host, and with parameters of denominator 37, 1.5 to 2.8 s at
-1000.  A psi pattern at m * n = 1000 took 0.02 s there with two parameters,
-0.4 s with 100, 0.7 s with 200 and 2.9 s with 1000 (parameters k / (m + 1)),
-as its sums of int power products also grow with m.
+(m = 2, parameters 1/3 and 1/2, probe table included) took 0.03 s at
+m * n = 500, 0.09 to 0.12 s at 1000 and 0.56 to 0.68 s at 2000 in a fresh
+process on one 2-core x86-64 host, and with parameters 12/37 and 35/37,
+0.46 to 0.60 s at 1000.  A psi pattern at m * n = 1000 took 0.04 to 0.05 s
+there with two parameters and 0.5 to 0.74 s with 100 (k/101), as its sums
+of int power products also grow with m; 700 parameters k/1497 at n = 1
+took 1.2 to 1.4 s.  :data:`MAX_POINT_BITS` bounds the parameters' bits.
+"""
+
+
+MAX_POINT_BITS = 14_284
+"""The largest m * n * bit_length(m * L) of a library point or a psi
+pattern, L the least common denominator of the parameters.
+
+(m L)^(mn) is the denominator of the pooled law and of psi, so this bounds
+the bits of every int at the point.  An int of at most 14 284 bits has at
+most 4300 decimal digits, Python's limit for printing one, so every psi
+value of an admitted point can be written.  The grid a sweep admits
+reaches 14 000, at m = 4, n = 250 and denominators up to 9 (L = 2520).
+``_read_point`` checks the bound after m * n, before any law is built, and
+stops at the first parameter that passes it, so a hostile point such as
+300 reciprocal primes is rejected in well under a second: 100 of them had
+taken 3.3 s and 200 of them 128 s before failing to print psi.
+
+At 14 000, on one 2-core x86-64 host with Python 3.11, a point at m = 2,
+n = 500 (1/8191 and 2/8191) took 1.7 s and 23 MB, and one at m = 5,
+n = 200 (1/2, 1/3, 1/5, 1/7, 1/11) 0.24 s and 26 MB; their psi patterns
+took 0.20 s and 0.29 s.  Many parameters cost more, because each distinct
+one adds a binomial law of degree mn to the law cache (``LAW_CACHE_SIZE``):
+700 values k/1497 at n = 1 took 4.3 s and 455 MB as a point, and 1.2 s and
+19 MB as a psi pattern.
 """
 
 
@@ -147,11 +173,12 @@ class StopLossTable(NamedTuple):
     of its three relations.
 
     Each x_i is written a_i / L over the least common denominator L of the
-    parameters.  ``the_sum`` is the Cauchy product of the binomial(n, x_i)
-    laws (the cross product, over L^(mn)), ``pooled`` the binomial(mn, mean
-    of the x_i) law (over (m L)^(mn)) and ``mixed`` the uniform mixture of
-    the m-fold self sums, the binomial(mn, x_i) laws (summed over
-    m L^(mn)); all three live on 0..mn.  ``form`` holds the coefficient of
+    parameters.  ``the_sum`` is the law of the independent sum of
+    binomial(n, x_i) draws (the form's cross product, over L^(mn)),
+    ``pooled`` the binomial(mn, mean of the x_i) law (over (m L)^(mn)) and
+    ``mixed`` the uniform mixture of the m-fold self sums, the
+    binomial(mn, x_i) laws (summed over m L^(mn)); all three live on 0..mn.
+    ``form`` holds the coefficient of
     f(k / (mn)) in the form over L^(mn): the mixture's numerators minus m
     times the sum's, by the bridge identity form = m (E_mixed f - E_sum f).
 
@@ -217,40 +244,44 @@ def _read_point(n: int, xs: Sequence[RationalLike]) -> list[Fraction]:
         raise ParameterError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {_quoted(n)}")
-    mn = len(xs) * n
+    m = len(xs)
+    mn = m * n
     if mn > MAX_LATTICE_LENGTH:
         raise ParameterError(f"m * n is {_quoted(mn)}, above the limit of {MAX_LATTICE_LENGTH}")
+    # The common denominator only grows, so the first one over the limit
+    # stops the read before a long lcm is taken.
+    common = 1
+    for x in xs:
+        common = math.lcm(common, x.denominator)
+        if mn * (m * common).bit_length() > MAX_POINT_BITS:
+            raise ParameterError(
+                "m * n * bit_length(m * L), for L the parameters' common "
+                f"denominator, is above the limit of {MAX_POINT_BITS}"
+            )
     return xs
 
 
-LAW_CACHE_SIZE = 1024
+LAW_CACHE_SIZE = 512
 """The binomial laws each process keeps, one per (degree, p, q).
 
-A point reads binomial(n, p/q) for its sum and binomial(mn, p/q) for its
-mixture, so a lexicographic grid cycles both degrees through the whole
-Farey set, and a cache smaller than twice that set would never hit.  The
-largest set a grid of ``sweep.MAX_GRID_POINTS`` points holds has 433 values
-(``--m 2 --denom 37``), so that grid needs 866 entries.  An entry grows with
-its degree and with the bits of q: at m * n = 1000 and q = 37 the 433 laws
-of degree 500 take 63 MB and the 433 of degree 1000 take 237 MB, so the
-cache holds at most about 300 MB, on grids with n near 500 whose points
-take about 1.5 to 2.8 s each (m = 2, parameters such as 12/37 and 35/37).
-At ``--n 10..12 --m 2 --denom 16`` it holds 486 laws, 0.4 MB, and at
-``--n 150 --m 2 --denom 5`` 22 laws, 0.4 MB.
-The cache of sums over all parameters but the last keeps 16 of them, each
-on a lattice shorter than the point's, so at most about 11 MB.
+A point reads binomial(mn, p/q) for each part of its mixture, and a
+lexicographic grid evaluates all its points at one (n, m) before the next,
+so it cycles that one degree through the whole Farey set, and a cache
+smaller than that set would never hit.  The largest set a grid of
+``sweep.MAX_GRID_POINTS`` points holds has 433 values (``--m 2 --denom
+37``).  An entry grows with its degree and with the bits of q: at
+m * n = 1000 those 433 laws take 237 MB.  The most a search of grids with
+m = 2, 3 and 4 found the cache holding is 266 MB, the last 512 laws of
+``--n 499..500 --m 2 --denom 31`` (309 values at two degrees), on points
+that take about 0.5 s each.  At ``--n 10..12 --m 2 --denom 16`` it holds
+243 laws, 0.25 MB, and at ``--n 150 --m 2 --denom 5`` 11 laws, 0.3 MB.  A
+library point adds one law per distinct parameter (see
+:data:`MAX_POINT_BITS`).
 """
 
 
-# binomial(n, p/q) over q^n, keyed by the degree and the reduced pair.
+# binomial(mn, p/q) over q^(mn), keyed by the degree and the reduced pair.
 _binomial = lru_cache(maxsize=LAW_CACHE_SIZE)(bernstein_numerators)
-
-
-@lru_cache(maxsize=16)
-def _prefix_sum(n: int, pairs: tuple[tuple[int, int], ...]) -> LatticeLaw:
-    # The independent sum over all parameters but the last, over the product
-    # of their own q^n: lexicographic grids share it along each run of points.
-    return reduce(cauchy_product, (_binomial(n, p, q) for p, q in pairs))
 
 
 def _over(law: LatticeLaw, den: int) -> list[int]:
@@ -264,9 +295,9 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
 
     The caller guarantees n >= 1, m >= 2 and 0 <= p_i <= q_i in lowest
     terms; :func:`lattice_point` checks that and reads this through its
-    cache.  The binomial laws at degrees n and mn and the sum of the first
-    m - 1 parameters come from the per-process caches, each over its own
-    denominators.  The sum's last factor is its one Cauchy product.  One
+    cache.  The sum is one packed power, ``lattice.binomial_sum``, over the
+    product of the q_i^n, and the mixture's binomial laws of degree mn come
+    from the per-process cache, each over its own q^(mn).  One
     step, ``_over``, brings the sum and each mixture part to L^(mn), L the
     least common denominator, by an integer factor; the mixture adds its m
     parts there one at a time and is taken over m L^(mn).
@@ -281,8 +312,7 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
     mn = m * n
     common_den = math.lcm(*(q for _, q in pairs))
     full_den = common_den**mn
-    the_sum = cauchy_product(_prefix_sum(n, pairs[:-1]), _binomial(n, *pairs[-1]))
-    s = _over(the_sum, full_den)
+    s = _over(binomial_sum(n, pairs), full_den)
     # The m-fold self sum of binomial(n, p/q) is binomial(mn, p/q) over
     # q^(mn), which divides L^(mn); one rescaled part is held at a time.
     mixed = LatticeLaw([0] * (mn + 1), m * full_den)

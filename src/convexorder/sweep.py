@@ -4,14 +4,15 @@ A sweep enumerates grid points lexicographically in (n, m, sorted parameter
 tuple), where the parameters run over all reduced fractions in [0, 1] with
 denominator up to a bound.  Those fractions are built and bounded once, so a
 point hands their int numerators and denominators straight to
-``rasa.point_from_pairs``, whose per-process caches of binomial laws, at
-degrees n and mn, and of sums over all parameters but the last serve the
-whole grid in that order.  That one integer pass returns the point's
-stop-loss table: its three verdicts, the angles' minimum (gap (c)) and the
-form coefficients that every other probe meets in one dot product.  Each point is evaluated
-by a pure function into one plain tuple, its values in ``ROW_FIELDS``
-order, so the grid can be split into strides: the tasks are generated
-lazily and each stride reads every ``jobs``-th of them, forked children
+``rasa.point_from_pairs``, which takes the independent sum as one packed
+int power and whose per-process cache of the mixture's binomial laws, at
+degree mn, serves each (n, m) of the grid in that order.  That one integer
+pass returns the point's stop-loss table: its three verdicts, the angles'
+minimum (gap (c)) and the form coefficients that every other probe meets in
+one dot product.  Each point is evaluated by a pure function into one plain
+tuple, its values in ``ROW_FIELDS`` order, so the grid can be split into
+strides: the tasks are generated lazily and each stride reads every
+``jobs``-th of them, forked children
 evaluate all strides but the first, the parent evaluates the first, and
 each child's rows come back over a pipe as one ``marshal`` string.  Rows are
 always put back in grid order, and a stride whose child fails is evaluated

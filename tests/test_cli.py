@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import marshal
+import math
 import os
 import signal
 import subprocess
@@ -32,7 +33,7 @@ from convexorder import cli, sweep
 from convexorder.cli import _json_rows, main
 from convexorder.distributions import MAX_ATOMS, MAX_LAW_BITS
 from convexorder.exact import ParameterError
-from convexorder.rasa import MAX_LATTICE_LENGTH
+from convexorder.rasa import MAX_LATTICE_LENGTH, MAX_POINT_BITS
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
 from helpers import distribution_to_text
 from test_distributions import (
@@ -1152,6 +1153,12 @@ class TestHoeffdingCommand:
         assert result.output == f"cannot write the report to {tmp_path}: Is a directory\n"
 
 
+POINT_BITS_MESSAGE = (
+    "invalid input: m * n * bit_length(m * L), for L the parameters' common "
+    f"denominator, is above the limit of {MAX_POINT_BITS}\n"
+)
+
+
 class TestPsiPatternCommand:
     def test_two_parameters(self):
         result = runner.invoke(main, ["psi-pattern", "--n", "1", "1/4", "3/4"])
@@ -1173,10 +1180,23 @@ class TestPsiPatternCommand:
         reason="no limit on int-to-string conversion in this Python",
     )
     def test_value_over_digit_limit_exits_2(self):
-        # A 3000-digit denominator, squared in psi's common denominator.
+        # A 3000-digit denominator, squared in psi's common denominator, would
+        # give values past the digit limit: the point's bits bound it first.
         result = runner.invoke(main, ["psi-pattern", "--n", "1", "1/" + "7" * 3000, "1/2"])
         assert result.exit_code == 2
-        assert result.output.startswith("cannot write the report: a value has more than")
+        assert result.output == POINT_BITS_MESSAGE
+
+    def test_reciprocal_primes_over_the_bit_limit_exit_2_at_once(self):
+        # 100 of them took 3.3 s and 200 of them 128 s to fail on the digit
+        # limit; 300 ran past ten minutes.
+        primes = [p for p in range(2, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        started = time.perf_counter()
+        result = runner.invoke(
+            main, ["psi-pattern", "--n", "1", *(f"1/{p}" for p in primes[:300])]
+        )
+        assert time.perf_counter() - started < 1
+        assert result.exit_code == 2
+        assert result.output == POINT_BITS_MESSAGE
 
     @pytest.mark.parametrize("n", ["999999999999999999", "501"])
     def test_lattice_length_over_limit_exits_2_at_once(self, n):

@@ -47,7 +47,7 @@ from convexorder import (
 from convexorder.lattice import (
     LatticeLaw,
     bernstein_numerators,
-    cauchy_product,
+    binomial_sum,
     dot,
     gap_verdict,
     probe_table,
@@ -66,6 +66,17 @@ from oracles import (
     rasa_form_by_cauchy,
     stop_loss_by_atoms,
 )
+
+
+def cauchy_product(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
+    """The law of the sum of independent draws from a and b, by the
+    schoolbook product of their numerators: the route the package's packed
+    power replaced, kept here as its reference."""
+    out = [0] * (len(a.nums) + len(b.nums) - 1)
+    for i, ai in enumerate(a.nums):
+        for j, bj in enumerate(b.nums):
+            out[i + j] += ai * bj
+    return LatticeLaw(out, a.den * b.den)
 
 
 def self_power(law: LatticeLaw, m: int) -> LatticeLaw:
@@ -180,6 +191,60 @@ def test_products_match_distribution_algebra():
         binomial(2, F(1, 3)), binomial(3, F(0))
     )
     assert as_distribution(self_power(a, 3)) == binomial(6, F(1, 3))
+
+
+def cauchy_sum(n, pairs) -> LatticeLaw:
+    """The independent sum of binomial(n, p/q) draws by Cauchy products."""
+    out = LatticeLaw([1], 1)
+    for p, q in pairs:
+        out = cauchy_product(out, bernstein_numerators(n, p, q))
+    return out
+
+
+@st.composite
+def sum_points(draw):
+    """(n, pairs): m = 2..5 reduced pairs with q <= 40, mixed denominators,
+    the ends 0 and 1 drawn often."""
+    value = st.integers(1, 40).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
+    xs = draw(
+        st.lists(st.one_of(st.sampled_from([F(0), F(1)]), value), min_size=2, max_size=5)
+    )
+    return draw(st.integers(1, 12)), [(x.numerator, x.denominator) for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(point=sum_points())
+def test_packed_sum_matches_cauchy_products(point):
+    n, pairs = point
+    assert binomial_sum(n, pairs) == cauchy_sum(n, pairs), point
+    table = rasa.point_from_pairs(n, tuple(pairs))
+    reference = form_coefficients_by_cauchy(n, [F(p, q) for p, q in pairs])
+    assert [F(c, table.the_sum.den) for c in table.form] == list(reference), point
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        # All mass on one end: one coefficient is the whole denominator.
+        (3, [(0, 7), (0, 40), (0, 1)]),
+        (3, [(7, 7), (40, 40), (1, 1)]),
+        (12, [(0, 1)] * 5),
+        (12, [(1, 1)] * 5),
+        # 255 * 257 = 2^16 - 1: the top coefficient sets every bit of its slot.
+        (1, [(255, 255), (257, 257)]),
+        (1, [(0, 255), (0, 257)]),
+        (2, [(3, 3), (5, 5), (17, 17), (257, 257)]),
+        # K = 601, ints of about 2400 bits.
+        (200, [(1, 3), (2, 5), (3, 7)]),
+        (300, [(12, 37), (35, 37)]),
+    ],
+)
+def test_packed_sum_fills_its_slots(n, pairs):
+    law = binomial_sum(n, pairs)
+    assert law == cauchy_sum(n, pairs)
+    assert len(law.nums) == len(pairs) * n + 1 and sum(law.nums) == law.den
+    if all(p in (0, q) for p, q in pairs):
+        assert law.den in law.nums
 
 
 def test_witness_skips_points_empty_on_both_sides():
@@ -548,39 +613,47 @@ def test_cached_point_equals_uncached_laws(point):
     assert [F(c, built.the_sum.den) for c in built.form] == list(reference), (n, xs)
 
 
-def test_grid_point_costs_one_cauchy_product(monkeypatch):
-    """On the m = 3 grid every point pays one Cauchy product and every
-    prefix of two parameters one; binomial laws are built once per
-    (degree, x) key, at the degrees n and mn, plus one pooled law per point."""
-    products = []
+def test_grid_point_builds_one_power_and_one_pooled_law(monkeypatch):
+    """On the m = 3 grid every point takes one packed power for its sum and
+    builds one pooled law; the mixture's binomial laws are built once per
+    (mn, x) key, and no other law is cached."""
+    powers = []
     binomials = []
-    product = rasa.cauchy_product
+    power = rasa.binomial_sum
     build = rasa.bernstein_numerators
 
-    def counting_product(a, b):
-        products.append(None)
-        return product(a, b)
+    def counting_power(n, pairs):
+        powers.append(None)
+        return power(n, pairs)
 
     def counting_build(n, a, q):
         binomials.append(None)
         return build(n, a, q)
 
-    monkeypatch.setattr(rasa, "cauchy_product", counting_product)
+    monkeypatch.setattr(rasa, "binomial_sum", counting_power)
     monkeypatch.setattr(rasa, "bernstein_numerators", counting_build)
-    for cached in (rasa._binomial, rasa._prefix_sum):
-        cached.cache_clear()
+    rasa._binomial.cache_clear()
     config = RunConfig(n_values=(1, 2, 3), m_values=(3,), denominator=5, seed=0)
     tasks = grid_tasks(config)
     rows, ok = run_sweep(config)
     assert ok and len(rows) == len(tasks) == 858
-    prefixes = {(n, xs[:-1]) for n, _, xs, *_ in tasks}
-    bound = len(tasks) + len(prefixes)
-    assert bound == 1056
-    assert len(products) <= bound
-    # Degree 3 is n at n = 3 and mn at n = 1: one key, one law.
-    keys = {(d, x) for n, m, xs, *_ in tasks for x in xs for d in (n, m * n)}
-    assert len(keys) == 55
+    assert len(powers) == len(tasks)
+    keys = {(m * n, x) for n, m, xs, *_ in tasks for x in xs}
+    assert len(keys) == 33
     # The law cache wraps the builder itself, so its misses count those laws
     # and the patched builder sees only the pooled ones.
     assert rasa._binomial.cache_info().misses <= len(keys)
     assert len(binomials) <= len(tasks)
+    # The law cache and the library's tables and probe rows are the module's
+    # only caches: no sum is kept between points.
+    cached = {name for name, value in vars(rasa).items() if hasattr(value, "cache_info")}
+    assert cached == {"_binomial", "_cached_point", "_probe_row"}
+
+
+def test_law_cache_holds_the_largest_farey_set_a_grid_admits():
+    # A grid evaluates one (n, m) at a time and reads one binomial law per
+    # value, at degree mn; m = 2 admits the most values, up to --denom 37.
+    RunConfig(n_values=(500,), m_values=(2,), denominator=37)
+    with pytest.raises(ParameterError):
+        RunConfig(n_values=(1,), m_values=(2,), denominator=38)
+    assert len(farey_fractions(37)) == 433 < rasa.LAW_CACHE_SIZE

@@ -31,6 +31,7 @@ from convexorder import (
     verify_theorem_main,
 )
 from convexorder import rasa
+from convexorder.sweep import RunConfig
 from oracles import bernstein, pair_by_fractions, psi_values_by_fractions
 
 HALF = F(1, 2)
@@ -333,6 +334,56 @@ class TestGeneralized:
         with pytest.raises(ParameterError) as raised:
             call()
         assert str(raised.value) == f"m * n is 1002, above the limit of {rasa.MAX_LATTICE_LENGTH}"
+
+
+    # m = 2, n = 1 and parameters 1/L, 2/L: m * n * bit_length(m * L) is
+    # 14 284, the limit, at L = 2^7141 - 1, and 14 286 at L = 2^7141 + 1.
+    def test_point_bits_over_the_limit_raise_before_the_cache_is_read(self):
+        common = 2**7141 + 1
+        assert 2 * (2 * common).bit_length() == rasa.MAX_POINT_BITS + 2
+        xs = [F(1, common), F(2, common)]
+        lookups = rasa._cached_point.cache_info()
+        for call in (
+            lambda: verify_generalized(1, xs),
+            lambda: rasa_form_general(1, xs, Monomial(2)),
+            lambda: psi_sign_pattern(1, xs),
+        ):
+            with pytest.raises(ParameterError) as raised:
+                call()
+            assert str(raised.value) == (
+                "m * n * bit_length(m * L), for L the parameters' common "
+                f"denominator, is above the limit of {rasa.MAX_POINT_BITS}"
+            )
+        assert rasa._cached_point.cache_info() == lookups
+
+    def test_point_bits_at_the_limit_are_accepted(self):
+        common = 2**7141 - 1
+        assert 2 * (2 * common).bit_length() == rasa.MAX_POINT_BITS
+        xs = [F(1, common), F(2, common)]
+        assert verify_generalized(1, xs).all_hold
+        assert psi_sign_pattern(1, xs).change_count == 2
+
+    @pytest.mark.parametrize(
+        "n, xs",
+        [
+            # The most bits a sweep admits: m = 4, n = 250, denominators up
+            # to 9, L = 2520, 1000 * bit_length(10 080) = 14 000.
+            (250, [F(1, 5), F(1, 7), F(1, 8), F(1, 9)]),
+            # 1000 * bit_length(5 * 2310) = 14 000.
+            (200, [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)]),
+        ],
+    )
+    def test_widest_points_under_the_limit_are_accepted(self, n, xs):
+        m = len(xs)
+        common = math.lcm(*(x.denominator for x in xs))
+        assert m * n * (m * common).bit_length() == 14_000 < rasa.MAX_POINT_BITS
+        if m == 4:
+            # A sweep admits this grid, and the point is one of its points.
+            RunConfig(n_values=(n,), m_values=(m,), denominator=9)
+            assert set(xs) <= set(farey_fractions(9))
+        table = rasa.lattice_point(n, xs)
+        assert table.pooled.den == (m * common) ** (m * n)
+        assert psi_sign_pattern(n, xs).change_count == 2
 
 
 class TestGeneralForm:
