@@ -36,10 +36,11 @@ line needs.  So the command list (``--help``), no arguments and an unknown
 command load this module alone of the package, and neither ``argparse``
 nor ``fractions``.  A command's ``--help`` adds ``argparse``, and for
 ``verify-rasa`` ``convex_functions`` and ``exact``, where ``--functions``
-takes its default.  ``verify-rasa`` runs on ``sweep``, ``rasa``,
-``lattice``, ``convex_functions`` and ``exact``, ``psi-pattern`` on
-``rasa``, ``lattice`` and ``exact``, and the commands that read or report
-laws add ``distributions`` and ``cx_order``.
+takes its default.  ``verify-rasa`` runs on ``sweep``, ``lattice``,
+``convex_functions`` and ``exact``, and not ``rasa``: ``lattice`` builds
+the point.  ``psi-pattern`` runs on ``rasa``, ``lattice`` and ``exact``,
+and the commands that read or report laws add ``distributions`` and
+``cx_order``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Exact laws on an integer lattice, as int numerators over one denominator.
+"""Exact laws on an integer lattice, as int numerators over one denominator,
+and the Rasa point built on them.
 
 A lattice law puts mass ``nums[k] / den`` on the integer k, for k = 0 ..
 len(nums) - 1, with Python-int numerators and one positive int denominator.
@@ -12,22 +13,32 @@ has the generating function (prod_i ((q_i - p_i) + p_i z))^n over
 Kronecker substitution (Harvey, J. Symb. Comput. 2009), the packing
 ``distributions.convolve_many`` also folds its parts in; ``exact._slots``
 reads both back.  A uniform mixture of laws brought to one
-denominator D is the plain sum of their numerators over len(laws) * D;
-``rasa.point_from_pairs`` builds the one a Rasa point needs that way.
+denominator D is the plain sum of their numerators over len(laws) * D.
 
 A law's stop-loss table is the vector of E(X - j)_+ times its denominator at
 every lattice point j, built by :func:`stop_loss_numerators` in one pass of
 two running sums.  On the lattice, X <=_cx Y is decided by the gap vector
 E(Y - j)_+ - E(X - j)_+ alone: its entry at j = 0 is the mean gap, and once
 the means agree the order holds exactly when no entry at a point of the
-union of supports is negative.  :func:`gap_verdict`, the one reader of
-such vectors, hands them to ``exact._oracle_verdict``, the verdict reader
-``cx_compare_oracle`` also uses, so its verdict, witness included, is the
-one ``cx_compare_oracle`` gives on the corresponding
-``DiscreteDistribution``.  This module imports only :mod:`.exact` from the
-package, so the lattice route loads neither ``cx_order`` nor
-``distributions``.  A Rasa point builds the tables of its three laws once
-and reads all three relations from them (``rasa.StopLossTable``).
+union of supports is negative.  The gap is linear between points of that
+union, equals the mean gap below its hull and 0 above it, so the order
+holds exactly when the mean gap is 0 and no entry at all is negative
+(``_holds``).
+:func:`gap_verdict`, the one reader of such vectors, hands the others to
+``exact._oracle_verdict``, the verdict reader ``cx_compare_oracle`` also
+uses, so its verdict, witness included, is the one ``cx_compare_oracle``
+gives on the corresponding ``DiscreteDistribution``.
+
+:func:`point_from_pairs` builds the Rasa point (n, x_1..x_m): the
+independent sum, the pooled binomial law and the mixture of the m-fold self
+sums, the form's coefficients and the gaps of the three relations, in one
+:class:`StopLossTable`, from which :class:`GeneralizedVerdicts` are read.
+Every part of its mixture is one binomial law of degree mn, which each
+process caches (see :data:`LAW_CACHE_SIZE`).  A ``verify-rasa`` sweep calls
+it directly and reads its verdicts as bools through ``_holds``; ``rasa``
+reads the point for the library through its cache and re-exports these
+names.  This module imports only :mod:`.exact` from the package, so a sweep
+loads neither ``rasa``, ``cx_order`` nor ``distributions``.
 
 Nothing here normalises: a numerator vector is never reduced by a common
 factor, and a Fraction is built only for the values handed back to callers.
@@ -37,21 +48,68 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, compress
-from operator import mul, or_
+from operator import add, mul, or_
 from typing import Callable, NamedTuple, Sequence
 
-from .exact import CxVerdict, _oracle_verdict, _slots, binomial_numerators
+from .exact import _HOLDS, CxVerdict, _oracle_verdict, _slots, binomial_numerators
 
 __all__ = [
+    "MAX_LATTICE_LENGTH",
+    "LAW_CACHE_SIZE",
     "LatticeLaw",
+    "GeneralizedVerdicts",
+    "StopLossTable",
     "bernstein_numerators",
     "binomial_sum",
     "stop_loss_numerators",
     "gap_verdict",
+    "point_from_pairs",
     "probe_table",
     "dot",
 ]
+
+MAX_LATTICE_LENGTH = 1000
+"""The largest m * n a sweep, a psi pattern or a library point accepts,
+and the most parameters a Hoeffding check accepts.
+
+``rasa.lattice_point``, the entry of the forms and the verifiers, and
+``rasa.psi_sign_pattern`` read a point through one reader, which checks it,
+with one message, before a cache is read or a law built;
+``rasa.poisson_binomial`` and ``rasa.verify_hoeffding`` check their
+parameter count before they read a parameter, and ``sweep.RunConfig``
+checks the grid's largest m * n.  A Hoeffding check of 1000 parameters
+took 0.17 s in-process on one 2-core x86-64 host, and of 2000 about 0.9 s.
+
+The lattice 0..m*n carries every law, form and psi sequence, and its cost
+grows fast with it: one ``verify-rasa`` grid point with all probe groups
+(m = 2, parameters 1/3 and 1/2, probe table included) took 0.03 s at
+m * n = 500, 0.09 to 0.12 s at 1000 and 0.56 to 0.68 s at 2000 in a fresh
+process on one 2-core x86-64 host, and with parameters 12/37 and 35/37,
+0.46 to 0.60 s at 1000.  A psi pattern at m * n = 1000 took 0.04 to 0.05 s
+there with two parameters and 0.5 to 0.74 s with 100 (k/101), as its sums
+of int power products also grow with m; 700 parameters k/1497 at n = 1
+took 1.2 to 1.4 s.  ``rasa.MAX_POINT_BITS`` bounds the parameters' bits.
+"""
+
+LAW_CACHE_SIZE = 512
+"""The binomial laws each process keeps, one per (degree, p, q).
+
+A point reads binomial(mn, p/q) for each part of its mixture, and a
+lexicographic grid evaluates all its points at one (n, m) before the next,
+so it cycles that one degree through the whole Farey set, and a cache
+smaller than that set would never hit.  The largest set a grid of
+``sweep.MAX_GRID_POINTS`` points holds has 433 values (``--m 2 --denom
+37``).  An entry grows with its degree and with the bits of q: at
+m * n = 1000 those 433 laws take 237 MB.  The most a search of grids with
+m = 2, 3 and 4 found the cache holding is 266 MB, the last 512 laws of
+``--n 499..500 --m 2 --denom 31`` (309 values at two degrees), on points
+that take about 0.5 s each.  At ``--n 10..12 --m 2 --denom 16`` it holds
+243 laws, 0.25 MB, and at ``--n 150 --m 2 --denom 5`` 11 laws, 0.3 MB.  A
+library point adds one law per distinct parameter (see
+``rasa.MAX_POINT_BITS``).
+"""
 
 
 class LatticeLaw(NamedTuple):
@@ -98,6 +156,12 @@ def stop_loss_numerators(nums: Sequence[int]) -> list[int]:
     return out
 
 
+def _holds(gaps: Sequence[int]) -> bool:
+    """Whether lhs <=_cx rhs, from their stop-loss gap at every lattice point:
+    the mean gap, at 0, is 0 and no gap is negative."""
+    return not gaps[0] and min(gaps) >= 0
+
+
 def gap_verdict(
     lhs: Sequence[int], rhs: Sequence[int], gaps: Sequence[int], den: int
 ) -> CxVerdict:
@@ -108,9 +172,135 @@ def gap_verdict(
     every lattice point j.  The gap at 0 is the mean gap, and the witness is
     the first point of the union of supports with a negative gap.
     """
-    # A gap that is nowhere negative leaves no witness to look for.
-    support = compress(enumerate(gaps), map(or_, lhs, rhs)) if min(gaps) < 0 else ()
-    return _oracle_verdict(gaps[0], support, den, 1)
+    if _holds(gaps):
+        return _HOLDS
+    return _oracle_verdict(gaps[0], compress(enumerate(gaps), map(or_, lhs, rhs)), den, 1)
+
+
+class GeneralizedVerdicts(NamedTuple):
+    """The three order relations behind the m-variable inequality.
+
+    (a) the independent sum precedes the pooled binomial law,
+    (b) the pooled binomial law precedes the uniform mixture of i.i.d. sums,
+    (c) the independent sum precedes the mixture directly.
+    All three are oracle verdicts on the unscaled distributions.
+    """
+
+    sum_vs_pooled: CxVerdict
+    pooled_vs_mixture: CxVerdict
+    sum_vs_mixture: CxVerdict
+
+    @property
+    def all_hold(self) -> bool:
+        return (
+            self.sum_vs_pooled.holds
+            and self.pooled_vs_mixture.holds
+            and self.sum_vs_mixture.holds
+        )
+
+
+class StopLossTable(NamedTuple):
+    """The laws at one point (n, x_1..x_m), its form and the stop-loss gaps
+    of its three relations.
+
+    Each x_i is written a_i / L over the least common denominator L of the
+    parameters.  ``the_sum`` is the law of the independent sum of
+    binomial(n, x_i) draws (the form's cross product, over L^(mn)),
+    ``pooled`` the binomial(mn, mean of the x_i) law (over (m L)^(mn)) and
+    ``mixed`` the uniform mixture of the m-fold self sums, the
+    binomial(mn, x_i) laws (summed over m L^(mn)); all three live on 0..mn.
+    ``form`` holds the coefficient of
+    f(k / (mn)) in the form over L^(mn): the mixture's numerators minus m
+    times the sum's, by the bridge identity form = m (E_mixed f - E_sum f).
+
+    Each gap vector holds, at every lattice point j = 0..mn, the numerator
+    of E(rhs - j)_+ - E(lhs - j)_+ for its relation lhs <=_cx rhs: (a) and
+    (b) over the pooled law's denominator (m L)^(mn), and (c) over the
+    mixture's, m L^(mn).  By the bridge identity, the form's value on the
+    angle (t - j/(mn))_+ is ``sum_vs_mixture[j]`` over mn L^(mn).
+    """
+
+    the_sum: LatticeLaw
+    pooled: LatticeLaw
+    mixed: LatticeLaw
+    form: list[int]
+    sum_vs_pooled: list[int]
+    pooled_vs_mixture: list[int]
+    sum_vs_mixture: list[int]
+
+    def verdicts(self) -> GeneralizedVerdicts:
+        """Oracle verdicts for the relations (a), (b) and (c)."""
+        the_sum, pooled, mixed = self.the_sum.nums, self.pooled.nums, self.mixed.nums
+        den_ab, den_c = self.pooled.den, self.mixed.den
+        return GeneralizedVerdicts(
+            sum_vs_pooled=gap_verdict(the_sum, pooled, self.sum_vs_pooled, den_ab),
+            pooled_vs_mixture=gap_verdict(
+                pooled, mixed, self.pooled_vs_mixture, den_ab
+            ),
+            sum_vs_mixture=gap_verdict(the_sum, mixed, self.sum_vs_mixture, den_c),
+        )
+
+
+# binomial(mn, p/q) over q^(mn), keyed by the degree and the reduced pair.
+_binomial = lru_cache(maxsize=LAW_CACHE_SIZE)(bernstein_numerators)
+
+
+def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTable:
+    """The laws, form and gaps at (n, p_1/q_1 .. p_m/q_m), from reduced pairs.
+
+    The caller guarantees n >= 1, m >= 2 and 0 <= p_i <= q_i in lowest
+    terms; ``rasa.lattice_point`` checks that and reads this through its
+    cache.  The sum is one packed power, :func:`binomial_sum`, over the
+    product of the q_i^n, brought to L^(mn), L the least common
+    denominator, by one integer factor.  The mixture's binomial laws of
+    degree mn come from the per-process cache, each over its own q^(mn):
+    the parts that share a q are summed there, and each such sum is scaled
+    to L^(mn) as it is added to the mixture, which is taken over m L^(mn).
+
+    The stop-loss map pi is linear, so two passes give all three gaps.
+    With S, P and M the numerators of the sum, the pooled law and the
+    mixture, gap (c) is pi(M) - m pi(S) = pi(F) for the form's coefficients
+    F = M - m S, gap (a) is pi(P) - m^(mn) pi(S) = pi(P - m^(mn) S), and gap
+    (b), m^(mn-1) pi(M) - pi(P), is m^(mn-1) (c) - (a).
+    """
+    m = len(pairs)
+    mn = m * n
+    common_den = math.lcm(*(q for _, q in pairs))
+    full_den = common_den**mn
+    s = binomial_sum(n, pairs)
+    factor = full_den // s.den
+    s = s.nums if factor == 1 else [factor * v for v in s.nums]
+    # The m-fold self sum of binomial(n, p/q) is binomial(mn, p/q) over
+    # q^(mn), which divides L^(mn).
+    own: dict[int, list[int]] = {}
+    for p, q in pairs:
+        part = _binomial(mn, p, q).nums
+        if q in own:
+            part = list(map(add, own[q], part))
+        own[q] = part
+    mixed = [0] * (mn + 1)
+    for q, part in own.items():
+        factor = (common_den // q) ** mn
+        if factor == 1:
+            mixed = list(map(add, mixed, part))
+        else:
+            mixed = [a + factor * b for a, b in zip(mixed, part)]
+    total = sum(p * (common_den // q) for p, q in pairs)
+    pooled = bernstein_numerators(mn, total, m * common_den)
+    form = [c - m * a for a, c in zip(s, mixed)]
+    sum_vs_mixture = stop_loss_numerators(form)
+    scale = m ** (mn - 1)
+    full = m * scale
+    sum_vs_pooled = stop_loss_numerators([b - full * a for a, b in zip(s, pooled.nums)])
+    return StopLossTable(
+        LatticeLaw(s, full_den),
+        pooled,
+        LatticeLaw(mixed, m * full_den),
+        form,
+        sum_vs_pooled,
+        [scale * c - a for a, c in zip(sum_vs_pooled, sum_vs_mixture)],
+        sum_vs_mixture,
+    )
 
 
 def probe_table(

@@ -14,40 +14,30 @@ is the uniform mixture of the laws of the normalised i.i.d. sums.  The
 verifiers here decide those order relations with the exact oracle.
 
 The forms and the verifiers of the Rasa relations run on the integer lattice
-kernel (:mod:`.lattice`) and share one route: :func:`point_from_pairs`
-builds one :class:`StopLossTable` per parameter tuple in one integer pass.
-The table holds the sum, the pooled law and the mixture as int numerators,
-the form's coefficients F = M - m S read off the same integers, and the gap
-vectors of the relations (a), (b) and (c) over common denominators.  The
-stop-loss map is linear, so two stop-loss passes, over F and over the
-pooled law minus the scaled sum, give all three gaps; all three verdicts
-are read from them.  By the bridge identity, gap (c) at j is also the form's
-value on the angle at j / (mn), so a sweep reads the angles' minimum from it
-without evaluating a probe, and every other probe is one dot product with
-F.  ``verify_theorem_main`` is relation (c) at m = 2, read from that table.
+kernel (:mod:`.lattice`) and share one route: ``lattice.point_from_pairs``
+builds one ``StopLossTable`` per parameter tuple in one integer pass.  The
+table holds the sum, the pooled law and the mixture as int numerators, the
+form's coefficients F = M - m S read off the same integers, and the gap
+vectors of the relations (a), (b) and (c) over common denominators; its
+three verdicts are read from those gaps.  That builder, its law cache, the
+table, ``GeneralizedVerdicts``, ``LAW_CACHE_SIZE`` and
+``MAX_LATTICE_LENGTH`` live in ``lattice`` and are re-exported here, so a
+``verify-rasa`` sweep, which calls the builder directly with reduced int
+pairs, does not load this module.  Library calls go through
+:func:`lattice_point`, which checks its input once and keeps the last 64
+tables it built, so the forms and the verifiers of one point share one
+table; the tables it returns are shared and only ever read.  Every probe of
+a form is one dot product with F, and ``verify_theorem_main`` is relation
+(c) at m = 2, read from that table.
+
 Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
 ``DiscreteDistribution``.  ``distributions`` and ``cx_order`` are imported
-only inside them, the functions that use them, so a sweep, which runs only
-the lattice route, loads neither.  Nor does ``psi_sign_pattern``: it sums
+only inside them, the functions that use them.  ``psi_sign_pattern`` sums
 int powers and counts its sign changes with ``exact.sign_changes``.  Test
 functions appear here only in annotations, so this module loads ``exact``
 and ``lattice`` of the package and not ``convex_functions``:
-``psi-pattern`` runs on ``rasa``, ``exact`` and ``lattice`` alone,
-``hoeffding`` adds ``distributions`` and ``cx_order``, and a sweep loads
-``convex_functions`` through ``sweep``, which builds the probes.
-
-The m-fold i.i.d. sum of binomial(n, x) draws is binomial(mn, x), so every
-law at a point is a binomial law but the independent sum.  Its generating
-function, (prod_i ((1 - x_i) + x_i z))^n, is one polynomial power, which
-``lattice.binomial_sum`` takes as one packed int power.  Each binomial(mn,
-x_i) part of the mixture depends on one value, so each process caches those
-laws over their own denominators (see ``LAW_CACHE_SIZE``), and
-:func:`point_from_pairs` brings the sum and the parts to the point's common
-denominator with integer factors.  Grid sweeps call that
-one builder directly, uncached, with reduced int pairs.  Library calls go
-through :func:`lattice_point`, which checks its input once and keeps the
-last 64 tables it built, so the forms and the verifiers of one point share
-one table; the tables it returns are shared and only ever read.
+``psi-pattern`` runs on ``rasa``, ``exact`` and ``lattice`` alone, and
+``hoeffding`` adds ``distributions`` and ``cx_order``.
 
 Boundary parameters x_i in {0, 1} are handled directly through the Dirac
 degeneration of the binomial law, so no limiting argument is required
@@ -59,7 +49,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact import (
@@ -73,13 +62,13 @@ from .exact import (
     sign_changes,
 )
 from .lattice import (
-    LatticeLaw,
-    bernstein_numerators,
-    binomial_sum,
+    LAW_CACHE_SIZE,
+    MAX_LATTICE_LENGTH,
+    GeneralizedVerdicts,
+    StopLossTable,
     dot,
-    gap_verdict,
+    point_from_pairs,
     probe_table,
-    stop_loss_numerators,
 )
 
 if TYPE_CHECKING:
@@ -103,29 +92,6 @@ __all__ = [
     "verify_hoeffding",
     "psi_sign_pattern",
 ]
-
-MAX_LATTICE_LENGTH = 1000
-"""The largest m * n a sweep, a psi pattern or a library point accepts,
-and the most parameters a Hoeffding check accepts.
-
-:func:`lattice_point`, the entry of the forms and the verifiers, and
-``psi_sign_pattern`` read a point through one reader, which checks it, with
-one message, before a cache is read or a law built;
-:func:`poisson_binomial` and :func:`verify_hoeffding` check their parameter
-count before they read a parameter.  A Hoeffding check of 1000 parameters
-took 0.17 s in-process on one 2-core x86-64 host, and of 2000 about 0.9 s.
-
-The lattice 0..m*n carries every law, form and psi sequence, and its cost
-grows fast with it: one ``verify-rasa`` grid point with all probe groups
-(m = 2, parameters 1/3 and 1/2, probe table included) took 0.03 s at
-m * n = 500, 0.09 to 0.12 s at 1000 and 0.56 to 0.68 s at 2000 in a fresh
-process on one 2-core x86-64 host, and with parameters 12/37 and 35/37,
-0.46 to 0.60 s at 1000.  A psi pattern at m * n = 1000 took 0.04 to 0.05 s
-there with two parameters and 0.5 to 0.74 s with 100 (k/101), as its sums
-of int power products also grow with m; 700 parameters k/1497 at n = 1
-took 1.2 to 1.4 s.  :data:`MAX_POINT_BITS` bounds the parameters' bits.
-"""
-
 
 MAX_POINT_BITS = 14_284
 """The largest m * n * bit_length(m * L) of a library point or a psi
@@ -166,48 +132,6 @@ def bernstein_vector(n: int, x: Fraction) -> tuple[Fraction, ...]:
     return tuple(
         Fraction(v, den) for v in binomial_numerators(n, x.numerator, x.denominator)
     )
-
-
-class StopLossTable(NamedTuple):
-    """The laws at one point (n, x_1..x_m), its form and the stop-loss gaps
-    of its three relations.
-
-    Each x_i is written a_i / L over the least common denominator L of the
-    parameters.  ``the_sum`` is the law of the independent sum of
-    binomial(n, x_i) draws (the form's cross product, over L^(mn)),
-    ``pooled`` the binomial(mn, mean of the x_i) law (over (m L)^(mn)) and
-    ``mixed`` the uniform mixture of the m-fold self sums, the
-    binomial(mn, x_i) laws (summed over m L^(mn)); all three live on 0..mn.
-    ``form`` holds the coefficient of
-    f(k / (mn)) in the form over L^(mn): the mixture's numerators minus m
-    times the sum's, by the bridge identity form = m (E_mixed f - E_sum f).
-
-    Each gap vector holds, at every lattice point j = 0..mn, the numerator
-    of E(rhs - j)_+ - E(lhs - j)_+ for its relation lhs <=_cx rhs: (a) and
-    (b) over the pooled law's denominator (m L)^(mn), and (c) over the
-    mixture's, m L^(mn).  By the bridge identity, the form's value on the
-    angle (t - j/(mn))_+ is ``sum_vs_mixture[j]`` over mn L^(mn).
-    """
-
-    the_sum: LatticeLaw
-    pooled: LatticeLaw
-    mixed: LatticeLaw
-    form: list[int]
-    sum_vs_pooled: list[int]
-    pooled_vs_mixture: list[int]
-    sum_vs_mixture: list[int]
-
-    def verdicts(self) -> GeneralizedVerdicts:
-        """Oracle verdicts for the relations (a), (b) and (c)."""
-        the_sum, pooled, mixed = self.the_sum.nums, self.pooled.nums, self.mixed.nums
-        den_ab, den_c = self.pooled.den, self.mixed.den
-        return GeneralizedVerdicts(
-            sum_vs_pooled=gap_verdict(the_sum, pooled, self.sum_vs_pooled, den_ab),
-            pooled_vs_mixture=gap_verdict(
-                pooled, mixed, self.pooled_vs_mixture, den_ab
-            ),
-            sum_vs_mixture=gap_verdict(the_sum, mixed, self.sum_vs_mixture, den_c),
-        )
 
 
 def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
@@ -259,81 +183,6 @@ def _read_point(n: int, xs: Sequence[RationalLike]) -> list[Fraction]:
                 f"denominator, is above the limit of {MAX_POINT_BITS}"
             )
     return xs
-
-
-LAW_CACHE_SIZE = 512
-"""The binomial laws each process keeps, one per (degree, p, q).
-
-A point reads binomial(mn, p/q) for each part of its mixture, and a
-lexicographic grid evaluates all its points at one (n, m) before the next,
-so it cycles that one degree through the whole Farey set, and a cache
-smaller than that set would never hit.  The largest set a grid of
-``sweep.MAX_GRID_POINTS`` points holds has 433 values (``--m 2 --denom
-37``).  An entry grows with its degree and with the bits of q: at
-m * n = 1000 those 433 laws take 237 MB.  The most a search of grids with
-m = 2, 3 and 4 found the cache holding is 266 MB, the last 512 laws of
-``--n 499..500 --m 2 --denom 31`` (309 values at two degrees), on points
-that take about 0.5 s each.  At ``--n 10..12 --m 2 --denom 16`` it holds
-243 laws, 0.25 MB, and at ``--n 150 --m 2 --denom 5`` 11 laws, 0.3 MB.  A
-library point adds one law per distinct parameter (see
-:data:`MAX_POINT_BITS`).
-"""
-
-
-# binomial(mn, p/q) over q^(mn), keyed by the degree and the reduced pair.
-_binomial = lru_cache(maxsize=LAW_CACHE_SIZE)(bernstein_numerators)
-
-
-def _over(law: LatticeLaw, den: int) -> list[int]:
-    # The law's numerators over den, a multiple of its denominator.
-    factor = den // law.den
-    return law.nums if factor == 1 else [v * factor for v in law.nums]
-
-
-def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTable:
-    """The laws, form and gaps at (n, p_1/q_1 .. p_m/q_m), from reduced pairs.
-
-    The caller guarantees n >= 1, m >= 2 and 0 <= p_i <= q_i in lowest
-    terms; :func:`lattice_point` checks that and reads this through its
-    cache.  The sum is one packed power, ``lattice.binomial_sum``, over the
-    product of the q_i^n, and the mixture's binomial laws of degree mn come
-    from the per-process cache, each over its own q^(mn).  One
-    step, ``_over``, brings the sum and each mixture part to L^(mn), L the
-    least common denominator, by an integer factor; the mixture adds its m
-    parts there one at a time and is taken over m L^(mn).
-
-    The stop-loss map pi is linear, so two passes give all three gaps.
-    With S, P and M the numerators of the sum, the pooled law and the
-    mixture, gap (c) is pi(M) - m pi(S) = pi(F) for the form's coefficients
-    F = M - m S, gap (a) is pi(P) - m^(mn) pi(S) = pi(P - m^(mn) S), and gap
-    (b), m^(mn-1) pi(M) - pi(P), is m^(mn-1) (c) - (a).
-    """
-    m = len(pairs)
-    mn = m * n
-    common_den = math.lcm(*(q for _, q in pairs))
-    full_den = common_den**mn
-    s = _over(binomial_sum(n, pairs), full_den)
-    # The m-fold self sum of binomial(n, p/q) is binomial(mn, p/q) over
-    # q^(mn), which divides L^(mn); one rescaled part is held at a time.
-    mixed = LatticeLaw([0] * (mn + 1), m * full_den)
-    for p, q in pairs:
-        mixed.nums[:] = map(add, mixed.nums, _over(_binomial(mn, p, q), full_den))
-    total = sum(p * (common_den // q) for p, q in pairs)
-    pooled = bernstein_numerators(mn, total, m * common_den)
-    form = [c - m * a for a, c in zip(s, mixed.nums)]
-    sum_vs_mixture = stop_loss_numerators(form)
-    scale = m ** (mn - 1)
-    full = m * scale
-    sum_vs_pooled = stop_loss_numerators([b - full * a for a, b in zip(s, pooled.nums)])
-    return StopLossTable(
-        LatticeLaw(s, full_den),
-        pooled,
-        mixed,
-        form,
-        sum_vs_pooled,
-        [scale * c - a for a, c in zip(sum_vs_pooled, sum_vs_mixture)],
-        sum_vs_mixture,
-    )
 
 
 _cached_point = lru_cache(maxsize=64)(point_from_pairs)
@@ -460,28 +309,6 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
         pattern=pattern,
         change_count=sign_changes(nums),
     )
-
-
-class GeneralizedVerdicts(NamedTuple):
-    """The three order relations behind the m-variable inequality.
-
-    (a) the independent sum precedes the pooled binomial law,
-    (b) the pooled binomial law precedes the uniform mixture of i.i.d. sums,
-    (c) the independent sum precedes the mixture directly.
-    All three are oracle verdicts on the unscaled distributions.
-    """
-
-    sum_vs_pooled: CxVerdict
-    pooled_vs_mixture: CxVerdict
-    sum_vs_mixture: CxVerdict
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.sum_vs_pooled.holds
-            and self.pooled_vs_mixture.holds
-            and self.sum_vs_mixture.holds
-        )
 
 
 def verify_generalized(n: int, xs: Sequence[RationalLike]) -> GeneralizedVerdicts:

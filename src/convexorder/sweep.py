@@ -2,38 +2,41 @@
 
 A sweep enumerates grid points lexicographically in (n, m, sorted parameter
 tuple), where the parameters run over all reduced fractions in [0, 1] with
-denominator up to a bound.  Those fractions are built and bounded once, so a
-point hands their int numerators and denominators straight to
-``rasa.point_from_pairs``, which takes the independent sum as one packed
+denominator up to a bound.  Those fractions are built and bounded once per
+grid, with their int numerators, denominators and report text, and each
+stride walks the grid one (n, m) block at a time: a block looks up its
+probe table once, and each point hands its int pairs straight to
+``lattice.point_from_pairs``, which takes the independent sum as one packed
 int power and whose per-process cache of the mixture's binomial laws, at
-degree mn, serves each (n, m) of the grid in that order.  That one integer
-pass returns the point's stop-loss table: its three verdicts, the angles'
-minimum (gap (c)) and the form coefficients that every other probe meets in
-one dot product.  Each point is evaluated by a pure function into one plain
-tuple, its values in ``ROW_FIELDS`` order, so the grid can be split into
-strides: the tasks are generated lazily and each stride reads every
-``jobs``-th of them, forked children
-evaluate all strides but the first, the parent evaluates the first, and
-each child's rows come back over a pipe as one ``marshal`` string.  Rows are
-always put back in grid order, and a stride whose child fails is evaluated
-in the parent, so reports are byte-identical for a fixed configuration and
-seed regardless of the parallelism degree.
+degree mn, serves each block in that order.  That one integer pass returns
+the point's stop-loss table: its three verdicts, read as bools, the
+angles' minimum (gap (c)) and the form coefficients that every other probe
+meets in one dot product.  A sweep loads neither ``rasa`` nor the
+``DiscreteDistribution`` route.  Each point is evaluated by a pure function
+into one plain tuple, its values in ``ROW_FIELDS`` order, so the grid can
+be split into strides: each stride reads every ``jobs``-th point of each
+block, forked children evaluate all strides but the first, the parent
+evaluates the first, and each child's rows come back over a pipe as one
+``marshal`` string.  Rows are always put back in grid order, and a stride
+whose child fails is evaluated in the parent, so reports are
+byte-identical for a fixed configuration and seed regardless of the
+parallelism degree.
 """
 
 from __future__ import annotations
 
 import marshal
+import math
 import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, _Value, builtin_family
 from .exact import ParameterError, _quoted
-from .lattice import dot, probe_table
-from .rasa import MAX_LATTICE_LENGTH, point_from_pairs
+from .lattice import MAX_LATTICE_LENGTH, _holds, dot, point_from_pairs, probe_table
 
 __all__ = [
     "RunConfig",
@@ -196,6 +199,18 @@ def grid_size(config: RunConfig) -> int:
 
 
 @lru_cache(maxsize=16)
+def _probes(functions: tuple[str, ...], seed: int) -> tuple:
+    """The selected probe groups but the angles.
+
+    Without the angles the family does not depend on the lattice, so it is
+    built once per (groups, seed) in each process, with any angle
+    denominator.
+    """
+    groups = tuple(g for g in functions if g != "angles")
+    return builtin_family(1, groups=groups, seed=seed)
+
+
+@lru_cache(maxsize=16)
 def _probe_table(
     points: int, functions: tuple[str, ...], seed: int
 ) -> tuple[list[list[int]], int]:
@@ -203,64 +218,91 @@ def _probe_table(
     one denominator.
 
     They do not depend on the grid point, so the table is built once per
-    (points, groups, seed) in each process and tasks carry only the group
+    (points, groups, seed) in each process and strides carry only the group
     names and the seed.  The angles are read from the point's stop-loss
     table instead (see ``evaluate_grid_point``).
     """
-    groups = tuple(g for g in functions if g != "angles")
-    return probe_table(points, builtin_family(points, groups=groups, seed=seed))
-
-
-def _tasks(config: RunConfig) -> Iterator[tuple]:
-    """The grid points in deterministic lexicographic order, one at a time."""
-    values = farey_fractions(config.denominator)
-    for n in config.n_values:
-        for m in config.m_values:
-            for xs in combinations_with_replacement(values, m):
-                yield n, m, xs, config.functions, config.seed
+    return probe_table(points, _probes(functions, seed))
 
 
 def grid_tasks(config: RunConfig) -> list[tuple]:
-    """All grid points in deterministic lexicographic order."""
-    return list(_tasks(config))
+    """All grid points in deterministic lexicographic order, as
+    (n, m, parameters as Fractions, function groups, seed)."""
+    values = farey_fractions(config.denominator)
+    return [
+        (n, m, xs, config.functions, config.seed)
+        for n in config.n_values
+        for m in config.m_values
+        for xs in combinations_with_replacement(values, m)
+    ]
 
 
 def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
-    """The rows of every ``jobs``-th grid point from the ``start``-th on."""
-    return [evaluate_grid_point(t) for t in islice(_tasks(config), start, None, jobs)]
+    """The rows of every ``jobs``-th grid point from the ``start``-th on.
+
+    The grid is walked one (n, m) block at a time: each parameter value is
+    its reduced int pair and its text, built once, and each block looks up
+    its probe table and whether the angles are probed once.
+    """
+    values = [
+        ((x.numerator, x.denominator), str(x)) for x in farey_fractions(config.denominator)
+    ]
+    angles = "angles" in config.functions
+    rows: list[tuple] = []
+    offset = 0  # the grid index of the block's first point
+    for n in config.n_values:
+        for m in config.m_values:
+            probes = (*_probe_table(m * n, config.functions, config.seed), angles)
+            block = combinations_with_replacement(values, m)
+            first = (start - offset) % jobs
+            rows += [
+                evaluate_grid_point(n, m, xs, probes)
+                for xs in islice(block, first, None, jobs)
+            ]
+            offset += math.comb(len(values) + m - 1, m)
+    return rows
 
 
-def evaluate_grid_point(task: tuple) -> tuple:
+def evaluate_grid_point(n: int, m: int, xs: tuple, probes: tuple) -> tuple:
     """Verdicts and the minimal form value at one grid point (pure).
 
-    One stop-loss table holds the point's form coefficients and decides the
-    three relations.  By the bridge identity, the form on the angle at
-    j / (mn) is relation (c)'s gap at j over mn L^(mn), so the angles'
-    minimum is that vector's minimum.  Every other probe is one integer dot
-    product with the form's coefficients.  Returns the row's values in
-    ``ROW_FIELDS`` order.
+    ``xs`` holds each parameter as its reduced int pair and its text, and
+    ``probes`` the block's probe rows, their denominator and whether the
+    angles are probed.  One stop-loss table holds the point's form
+    coefficients and its three gaps, and each relation holds when its gap
+    does (``lattice._holds``, the test ``gap_verdict`` makes first).  By the
+    bridge identity, the form on the angle at j / (mn) is relation (c)'s gap
+    at j over mn L^(mn), so the angles' minimum is that vector's minimum.
+    Every other probe is one integer dot product with the form's
+    coefficients.  The minimum is written as ``str`` writes its Fraction,
+    reduced by one gcd.  Returns the row's values in ``ROW_FIELDS`` order.
     """
-    n, m, xs, functions, seed = task
+    pairs, texts = zip(*xs)
     mn = m * n
-    table = point_from_pairs(n, tuple((x.numerator, x.denominator) for x in xs))
-    verdicts = table.verdicts()
+    table = point_from_pairs(n, pairs)
+    rows, den, angles = probes
     # Both minima over mn L^(mn) P, P the probe table's denominator.
-    rows, den = _probe_table(mn, functions, seed)
     minima = []
     if rows:
         minima.append(min(map(dot, repeat(table.form), rows)) * mn)
-    if "angles" in functions:
+    if angles:
         minima.append(min(table.sum_vs_mixture) * den)
-    min_form = Fraction(min(minima), mn * table.the_sum.den * den)
+    num = min(minima)
+    common = math.gcd(num, mn * table.the_sum.den * den)
+    num //= common
+    form_den = mn * table.the_sum.den * den // common
+    holds_a = _holds(table.sum_vs_pooled)
+    holds_b = _holds(table.pooled_vs_mixture)
+    holds_c = _holds(table.sum_vs_mixture)
     return (
         n,
         m,
-        ";".join(map(str, xs)),
-        verdicts.sum_vs_pooled.holds,
-        verdicts.pooled_vs_mixture.holds,
-        verdicts.sum_vs_mixture.holds,
-        str(min_form),
-        verdicts.all_hold and min_form >= 0,
+        ";".join(texts),
+        holds_a,
+        holds_b,
+        holds_c,
+        f"{num}/{form_den}" if form_den != 1 else str(num),
+        holds_a and holds_b and holds_c and num >= 0,
     )
 
 

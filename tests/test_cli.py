@@ -206,9 +206,9 @@ class TestVerifyRasa:
     def test_failing_row_exits_1_with_the_bytes_of_json_dumps(self, monkeypatch):
         evaluate = sweep.evaluate_grid_point
 
-        def failing(task):
-            row = evaluate(task)
-            if task[:3] == (2, 2, (F(1, 3), F(1, 2))):
+        def failing(*point):
+            row = evaluate(*point)
+            if row[:3] == (2, 2, "1/3;1/2"):
                 row = row[:5] + (False, "-1/7", False)
             return row
 
@@ -257,13 +257,13 @@ class TestVerifyRasa:
         parent = os.getpid()
         evaluate = sweep.evaluate_grid_point
 
-        def evaluate_or_fail(task):
+        def evaluate_or_fail(*point):
             """The child's first point raises or kills it; the parent's pass."""
             if os.getpid() != parent:
                 if failure == "raise":
                     raise RuntimeError("a point that only fails in the child")
                 os.kill(os.getpid(), signal.SIGKILL)
-            return evaluate(task)
+            return evaluate(*point)
 
         def no_fork():
             raise OSError("no processes")
@@ -311,15 +311,18 @@ class TestVerifyRasa:
         evaluated = []
         evaluate = sweep.evaluate_grid_point
 
-        def recording_evaluate(task):
+        def recording_evaluate(*point):
             # A child appends to its own copy of the list.
-            evaluated.append(task)
-            return evaluate(task)
+            row = evaluate(*point)
+            evaluated.append(row[:3])
+            return row
 
         monkeypatch.setattr(sweep, "evaluate_grid_point", recording_evaluate)
         monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
         assert run_sweep(config) == serial
-        assert evaluated == sweep.grid_tasks(config)[0::2]
+        assert evaluated == [
+            (n, m, ";".join(map(str, xs))) for n, m, xs, *_ in sweep.grid_tasks(config)[0::2]
+        ]
         assert capsys.readouterr().err == ""
 
     def test_parent_error_closes_every_pipe_and_reaps_every_child(self, monkeypatch, forked):
@@ -332,10 +335,10 @@ class TestVerifyRasa:
             pipes.extend(pipe())
             return pipes[-2:]
 
-        def evaluate_or_fail(task):
+        def evaluate_or_fail(*point):
             if os.getpid() == parent:
                 raise RuntimeError("the parent's stride fails")
-            return evaluate(task)
+            return evaluate(*point)
 
         monkeypatch.setattr(os, "pipe", recording_pipe)
         monkeypatch.setattr(sweep, "evaluate_grid_point", evaluate_or_fail)
@@ -427,9 +430,9 @@ class TestReportChunks:
         if failing:
             evaluate = sweep.evaluate_grid_point
 
-            def failing_last(task):
-                row = evaluate(task)
-                return row[:5] + (False, "-1/3", False) if task[2] == (F(1), F(1)) else row
+            def failing_last(*point):
+                row = evaluate(*point)
+                return row[:5] + (False, "-1/3", False) if row[2] == "1;1" else row
 
             monkeypatch.setattr(sweep, "evaluate_grid_point", failing_last)
         rows, ok = run_sweep(RunConfig(n_values=(1,), m_values=(2,), denominator=2))

@@ -53,7 +53,7 @@ from convexorder.lattice import (
     probe_table,
     stop_loss_numerators,
 )
-from convexorder import rasa, sweep
+from convexorder import lattice, rasa, sweep
 from convexorder.distributions import binomial_numerators
 from convexorder.rasa import lattice_point
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, grid_tasks, run_sweep
@@ -94,9 +94,9 @@ def as_distribution(law: LatticeLaw) -> DiscreteDistribution:
     )
 
 
-def lattice_verdict(lhs: LatticeLaw, rhs: LatticeLaw) -> CxVerdict:
-    """lhs <=_cx rhs by ``gap_verdict``: both stop-loss tables are brought to
-    D_l D_r, so the gap at j is pi_rhs(j) D_l - pi_lhs(j) D_r over D_l D_r."""
+def lattice_gaps(lhs: LatticeLaw, rhs: LatticeLaw) -> tuple[list[int], list[int], list[int]]:
+    """Both laws' numerators on one length and their stop-loss gap over
+    D_l D_r: the gap at j is pi_rhs(j) D_l - pi_lhs(j) D_r."""
     size = max(len(lhs.nums), len(rhs.nums))
     ls = lhs.nums + [0] * (size - len(lhs.nums))
     rs = rhs.nums + [0] * (size - len(rhs.nums))
@@ -104,7 +104,12 @@ def lattice_verdict(lhs: LatticeLaw, rhs: LatticeLaw) -> CxVerdict:
         r * lhs.den - l * rhs.den
         for l, r in zip(stop_loss_numerators(ls), stop_loss_numerators(rs))
     ]
-    return gap_verdict(ls, rs, gaps, lhs.den * rhs.den)
+    return ls, rs, gaps
+
+
+def lattice_verdict(lhs: LatticeLaw, rhs: LatticeLaw) -> CxVerdict:
+    """lhs <=_cx rhs by ``gap_verdict`` on ``lattice_gaps``."""
+    return gap_verdict(*lattice_gaps(lhs, rhs), lhs.den * rhs.den)
 
 
 def distribution_laws(n, xs):
@@ -125,12 +130,12 @@ def assert_point_matches(n, xs, family) -> int:
     """
     point = lattice_point(n, xs)
     laws = distribution_laws(n, xs)
-    lattice = (point.the_sum, point.pooled, point.mixed)
-    assert tuple(map(as_distribution, lattice)) == laws
+    built = (point.the_sum, point.pooled, point.mixed)
+    assert tuple(map(as_distribution, built)) == laws
     witnesses = 0
     for i, j in ((0, 1), (1, 2), (0, 2)):
         for a, b in ((i, j), (j, i)):
-            verdict = lattice_verdict(lattice[a], lattice[b])
+            verdict = lattice_verdict(built[a], built[b])
             assert verdict == cx_compare_oracle(laws[a], laws[b]), (n, xs, a, b)
             assert verdict == oracle_by_stop_loss_scan(laws[a], laws[b]), (n, xs, a, b)
             witnesses += verdict.witness is not None
@@ -217,7 +222,7 @@ def sum_points(draw):
 def test_packed_sum_matches_cauchy_products(point):
     n, pairs = point
     assert binomial_sum(n, pairs) == cauchy_sum(n, pairs), point
-    table = rasa.point_from_pairs(n, tuple(pairs))
+    table = lattice.point_from_pairs(n, tuple(pairs))
     reference = form_coefficients_by_cauchy(n, [F(p, q) for p, q in pairs])
     assert [F(c, table.the_sum.den) for c in table.form] == list(reference), point
 
@@ -271,6 +276,56 @@ def test_unequal_means_report_the_gap():
     assert verdict == cx_compare_oracle(as_distribution(lhs), as_distribution(rhs))
     assert verdict == oracle_by_stop_loss_scan(as_distribution(lhs), as_distribution(rhs))
     assert verdict.mean_gap == F(5, 3) - F(1, 2)
+
+
+@st.composite
+def grid_points(draw):
+    """(n, pairs): m = 2..4 reduced pairs with q <= 12, the ends 0 and 1
+    drawn often."""
+    value = st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
+    xs = draw(
+        st.lists(st.one_of(st.sampled_from([F(0), F(1)]), value), min_size=2, max_size=4)
+    )
+    return draw(st.integers(1, 6)), tuple((x.numerator, x.denominator) for x in xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=grid_points())
+def test_holds_predicate_is_the_verdicts_holds(point):
+    # A sweep reads each relation as a bool through the predicate
+    # ``gap_verdict`` tests first.  The negated gap is the reverse relation's,
+    # so failing relations, with and without equal means, are read too, and
+    # each bool is checked against the Fraction scan of the laws' atoms.
+    n, pairs = point
+    table = lattice.point_from_pairs(n, pairs)
+    laws = (table.the_sum, table.pooled, table.mixed)
+    relations = (
+        (0, 1, table.sum_vs_pooled, table.pooled.den),
+        (1, 2, table.pooled_vs_mixture, table.pooled.den),
+        (0, 2, table.sum_vs_mixture, table.mixed.den),
+    )
+    for a, b, gaps, den in relations:
+        negated = [-g for g in gaps]
+        for lhs, rhs, gap in ((a, b, gaps), (b, a, negated)):
+            holds = lattice._holds(gap)
+            assert holds == gap_verdict(laws[lhs].nums, laws[rhs].nums, gap, den).holds
+            scan = oracle_by_stop_loss_scan(*map(as_distribution, (laws[lhs], laws[rhs])))
+            assert holds == scan.holds, (point, lhs, rhs)
+
+
+lattice_laws = st.lists(st.integers(0, 5), min_size=1, max_size=7).filter(any).map(
+    lambda nums: LatticeLaw(nums, sum(nums))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lhs=lattice_laws, rhs=lattice_laws)
+def test_holds_predicate_on_any_two_laws(lhs, rhs):
+    # Unlike a point's three laws, two random laws mostly differ in mean.
+    ls, rs, gaps = lattice_gaps(lhs, rhs)
+    holds = lattice._holds(gaps)
+    assert holds == gap_verdict(ls, rs, gaps, lhs.den * rhs.den).holds
+    assert holds == oracle_by_stop_loss_scan(as_distribution(lhs), as_distribution(rhs)).holds
 
 
 def test_sparse_support_points():
@@ -532,6 +587,23 @@ def test_sweep_takes_no_dot_product_per_angle(monkeypatch):
         assert ok and len(calls) == per_point * len(rows), functions
 
 
+def test_sweep_builds_its_probe_family_once(monkeypatch):
+    # The family has no angles, so it does not depend on m * n: one family
+    # per (groups, seed), evaluated into one table per m * n.
+    families = []
+
+    def counting_family(*args, **kwargs):
+        families.append(None)
+        return builtin_family(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "builtin_family", counting_family)
+    sweep._probes.cache_clear()
+    sweep._probe_table.cache_clear()
+    rows, ok = run_sweep(RunConfig(n_values=(1, 2, 3), m_values=(2, 3), denominator=3, seed=5))
+    assert ok and len(families) == 1
+    assert sweep._probe_table.cache_info().currsize == 5  # m * n in 2, 3, 4, 6, 9
+
+
 def sweep_probes(points, functions, seed):
     """The sweep's probe groups, assembled group by group."""
     probes = []
@@ -562,6 +634,12 @@ def test_sweep_rows_match_reference_for_each_function_group():
                 rasa_form_by_cauchy(n, xs, f) for f in sweep_probes(m * n, functions, 4)
             )
             assert row["min_form"] == str(reference), row
+            verdicts = verify_generalized(n, xs)
+            assert (row["verdict_a"], row["verdict_b"], row["verdict_c"]) == (
+                verdicts.sum_vs_pooled.holds,
+                verdicts.pooled_vs_mixture.holds,
+                verdicts.sum_vs_mixture.holds,
+            ), row
 
 
 def uncached_laws(n, xs) -> tuple[LatticeLaw, LatticeLaw, LatticeLaw]:
@@ -619,8 +697,8 @@ def test_grid_point_builds_one_power_and_one_pooled_law(monkeypatch):
     (mn, x) key, and no other law is cached."""
     powers = []
     binomials = []
-    power = rasa.binomial_sum
-    build = rasa.bernstein_numerators
+    power = lattice.binomial_sum
+    build = lattice.bernstein_numerators
 
     def counting_power(n, pairs):
         powers.append(None)
@@ -630,9 +708,9 @@ def test_grid_point_builds_one_power_and_one_pooled_law(monkeypatch):
         binomials.append(None)
         return build(n, a, q)
 
-    monkeypatch.setattr(rasa, "binomial_sum", counting_power)
-    monkeypatch.setattr(rasa, "bernstein_numerators", counting_build)
-    rasa._binomial.cache_clear()
+    monkeypatch.setattr(lattice, "binomial_sum", counting_power)
+    monkeypatch.setattr(lattice, "bernstein_numerators", counting_build)
+    lattice._binomial.cache_clear()
     config = RunConfig(n_values=(1, 2, 3), m_values=(3,), denominator=5, seed=0)
     tasks = grid_tasks(config)
     rows, ok = run_sweep(config)
@@ -642,11 +720,16 @@ def test_grid_point_builds_one_power_and_one_pooled_law(monkeypatch):
     assert len(keys) == 33
     # The law cache wraps the builder itself, so its misses count those laws
     # and the patched builder sees only the pooled ones.
-    assert rasa._binomial.cache_info().misses <= len(keys)
+    assert lattice._binomial.cache_info().misses <= len(keys)
     assert len(binomials) <= len(tasks)
-    # The law cache and the library's tables and probe rows are the module's
+    # The law cache and the library's tables and probe rows are the point's
     # only caches: no sum is kept between points.
-    cached = {name for name, value in vars(rasa).items() if hasattr(value, "cache_info")}
+    cached = {
+        name
+        for module in (lattice, rasa)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
     assert cached == {"_binomial", "_cached_point", "_probe_row"}
 
 
@@ -656,4 +739,4 @@ def test_law_cache_holds_the_largest_farey_set_a_grid_admits():
     RunConfig(n_values=(500,), m_values=(2,), denominator=37)
     with pytest.raises(ParameterError):
         RunConfig(n_values=(1,), m_values=(2,), denominator=38)
-    assert len(farey_fractions(37)) == 433 < rasa.LAW_CACHE_SIZE
+    assert len(farey_fractions(37)) == 433 < lattice.LAW_CACHE_SIZE

@@ -19,13 +19,13 @@ KERNELS = (
     "sweep", "rasa", "lattice", "cx_order", "distributions", "counterexample", "randomgen",
 )
 
-# What a sweep runs: the lattice route, never ``distributions`` or ``cx_order``.
+# What a sweep runs: the lattice route, never ``rasa``, ``distributions`` or
+# ``cx_order``.
 SWEEP_MODULES = {
     "convexorder.cli",
     "convexorder.convex_functions",
     "convexorder.exact",
     "convexorder.lattice",
-    "convexorder.rasa",
     "convexorder.sweep",
 }
 
