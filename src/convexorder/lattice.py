@@ -33,12 +33,13 @@ gives on the corresponding ``DiscreteDistribution``.
 independent sum, the pooled binomial law and the mixture of the m-fold self
 sums, the form's coefficients and the gaps of the three relations, in one
 :class:`StopLossTable`, from which :class:`GeneralizedVerdicts` are read.
-Every part of its mixture is one binomial law of degree mn, which each
-process caches (see :data:`LAW_CACHE_SIZE`).  A ``verify-rasa`` sweep calls
-it directly and reads its verdicts as bools through ``_holds``; ``rasa``
-reads the point for the library through its cache and re-exports these
-names.  This module imports only :mod:`.exact` from the package, so a sweep
-loads neither ``rasa``, ``cx_order`` nor ``distributions``.
+Every part of its mixture is one binomial law of degree mn, which the
+caller hands in: a ``verify-rasa`` sweep builds each Farey value's law once
+per (n, m) block, calls the builder directly and reads its verdicts as
+bools through ``_holds``; ``rasa`` builds a library point's parts one by
+one as the builder reads them, and re-exports these names.  This module
+keeps no cache, and imports only :mod:`.exact` from the package, so a sweep loads neither
+``rasa``, ``cx_order`` nor ``distributions``.
 
 Nothing here normalises: a numerator vector is never reduced by a common
 factor, and a Fraction is built only for the values handed back to callers.
@@ -48,16 +49,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, compress
 from operator import add, mul, or_
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exact import _HOLDS, CxVerdict, _oracle_verdict, _slots, binomial_numerators
 
 __all__ = [
     "MAX_LATTICE_LENGTH",
-    "LAW_CACHE_SIZE",
     "LatticeLaw",
     "GeneralizedVerdicts",
     "StopLossTable",
@@ -91,24 +90,6 @@ process on one 2-core x86-64 host, and with parameters 12/37 and 35/37,
 there with two parameters and 0.5 to 0.74 s with 100 (k/101), as its sums
 of int power products also grow with m; 700 parameters k/1497 at n = 1
 took 1.2 to 1.4 s.  ``rasa.MAX_POINT_BITS`` bounds the parameters' bits.
-"""
-
-LAW_CACHE_SIZE = 512
-"""The binomial laws each process keeps, one per (degree, p, q).
-
-A point reads binomial(mn, p/q) for each part of its mixture, and a
-lexicographic grid evaluates all its points at one (n, m) before the next,
-so it cycles that one degree through the whole Farey set, and a cache
-smaller than that set would never hit.  The largest set a grid of
-``sweep.MAX_GRID_POINTS`` points holds has 433 values (``--m 2 --denom
-37``).  An entry grows with its degree and with the bits of q: at
-m * n = 1000 those 433 laws take 237 MB.  The most a search of grids with
-m = 2, 3 and 4 found the cache holding is 266 MB, the last 512 laws of
-``--n 499..500 --m 2 --denom 31`` (309 values at two degrees), on points
-that take about 0.5 s each.  At ``--n 10..12 --m 2 --denom 16`` it holds
-243 laws, 0.25 MB, and at ``--n 150 --m 2 --denom 5`` 11 laws, 0.3 MB.  A
-library point adds one law per distinct parameter (see
-``rasa.MAX_POINT_BITS``).
 """
 
 
@@ -241,21 +222,24 @@ class StopLossTable(NamedTuple):
         )
 
 
-# binomial(mn, p/q) over q^(mn), keyed by the degree and the reduced pair.
-_binomial = lru_cache(maxsize=LAW_CACHE_SIZE)(bernstein_numerators)
-
-
-def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTable:
-    """The laws, form and gaps at (n, p_1/q_1 .. p_m/q_m), from reduced pairs.
+def point_from_pairs(
+    n: int, pairs: Sequence[tuple[int, int]], parts: Iterable[Sequence[int]]
+) -> StopLossTable:
+    """The laws, form and gaps at (n, p_1/q_1 .. p_m/q_m), from reduced pairs
+    and the mixture's parts.
 
     The caller guarantees n >= 1, m >= 2 and 0 <= p_i <= q_i in lowest
     terms; ``rasa.lattice_point`` checks that and reads this through its
-    cache.  The sum is one packed power, :func:`binomial_sum`, over the
-    product of the q_i^n, brought to L^(mn), L the least common
-    denominator, by one integer factor.  The mixture's binomial laws of
-    degree mn come from the per-process cache, each over its own q^(mn):
-    the parts that share a q are summed there, and each such sum is scaled
-    to L^(mn) as it is added to the mixture, which is taken over m L^(mn).
+    cache.  ``parts`` holds, in the order of ``pairs``, the numerators of
+    each binomial(mn, p_i/q_i) over q_i^(mn), as
+    ``exact.binomial_numerators(mn, p_i, q_i)`` gives them.  It is read
+    once and no part is changed, so a generator builds each law only as it
+    is summed in, and a caller may share one list among points.  The sum is
+    one packed power, :func:`binomial_sum`, over the product of the q_i^n,
+    brought to L^(mn), L the least common denominator, by one integer
+    factor.  The parts that share a q are summed, and each such sum is
+    scaled to L^(mn) as it is added to the mixture, which is taken over
+    m L^(mn).
 
     The stop-loss map pi is linear, so two passes give all three gaps.
     With S, P and M the numerators of the sum, the pooled law and the
@@ -272,9 +256,8 @@ def point_from_pairs(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTabl
     s = s.nums if factor == 1 else [factor * v for v in s.nums]
     # The m-fold self sum of binomial(n, p/q) is binomial(mn, p/q) over
     # q^(mn), which divides L^(mn).
-    own: dict[int, list[int]] = {}
-    for p, q in pairs:
-        part = _binomial(mn, p, q).nums
+    own: dict[int, Sequence[int]] = {}
+    for (_, q), part in zip(pairs, parts):
         if q in own:
             part = list(map(add, own[q], part))
         own[q] = part

@@ -19,14 +19,15 @@ builds one ``StopLossTable`` per parameter tuple in one integer pass.  The
 table holds the sum, the pooled law and the mixture as int numerators, the
 form's coefficients F = M - m S read off the same integers, and the gap
 vectors of the relations (a), (b) and (c) over common denominators; its
-three verdicts are read from those gaps.  That builder, its law cache, the
-table, ``GeneralizedVerdicts``, ``LAW_CACHE_SIZE`` and
-``MAX_LATTICE_LENGTH`` live in ``lattice`` and are re-exported here, so a
-``verify-rasa`` sweep, which calls the builder directly with reduced int
-pairs, does not load this module.  Library calls go through
-:func:`lattice_point`, which checks its input once and keeps the last 64
-tables it built, so the forms and the verifiers of one point share one
-table; the tables it returns are shared and only ever read.  Every probe of
+three verdicts are read from those gaps.  That builder, the table,
+``GeneralizedVerdicts`` and ``MAX_LATTICE_LENGTH`` live in ``lattice`` and
+are re-exported here, so a ``verify-rasa`` sweep, which calls the builder
+directly with reduced int pairs and its block's binomial laws, does not
+load this module.  Library calls go through :func:`lattice_point`, which
+checks its input once and keeps the last 64 tables it built, so the forms
+and the verifiers of one point share one table; the tables it returns are
+shared and only ever read.  The binomial laws of a point's mixture are
+built for that point and dropped once summed.  Every probe of
 a form is one dot product with F, and ``verify_theorem_main`` is relation
 (c) at m = 2, read from that table.
 
@@ -62,7 +63,6 @@ from .exact import (
     sign_changes,
 )
 from .lattice import (
-    LAW_CACHE_SIZE,
     MAX_LATTICE_LENGTH,
     GeneralizedVerdicts,
     StopLossTable,
@@ -77,7 +77,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_LATTICE_LENGTH",
-    "LAW_CACHE_SIZE",
     "PsiPattern",
     "GeneralizedVerdicts",
     "StopLossTable",
@@ -110,10 +109,10 @@ taken 3.3 s and 200 of them 128 s before failing to print psi.
 At 14 000, on one 2-core x86-64 host with Python 3.11, a point at m = 2,
 n = 500 (1/8191 and 2/8191) took 1.7 s and 23 MB, and one at m = 5,
 n = 200 (1/2, 1/3, 1/5, 1/7, 1/11) 0.24 s and 26 MB; their psi patterns
-took 0.20 s and 0.29 s.  Many parameters cost more, because each distinct
-one adds a binomial law of degree mn to the law cache (``LAW_CACHE_SIZE``):
-700 values k/1497 at n = 1 took 4.3 s and 455 MB as a point, and 1.2 s and
-19 MB as a psi pattern.
+took 0.20 s and 0.29 s.  Many parameters cost more time, because each
+adds a binomial law of degree mn to the mixture, though each law is
+dropped once summed: 700 values k/1497 at n = 1 took 3.4 to 4.3 s and
+22 MB as a point, and 1.4 to 1.6 s and 19 MB as a psi pattern.
 """
 
 
@@ -185,7 +184,10 @@ def _read_point(n: int, xs: Sequence[RationalLike]) -> list[Fraction]:
     return xs
 
 
-_cached_point = lru_cache(maxsize=64)(point_from_pairs)
+@lru_cache(maxsize=64)
+def _cached_point(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTable:
+    mn = len(pairs) * n
+    return point_from_pairs(n, pairs, (binomial_numerators(mn, p, q) for p, q in pairs))
 
 
 @lru_cache(maxsize=256)

@@ -3,15 +3,16 @@
 A sweep enumerates grid points lexicographically in (n, m, sorted parameter
 tuple), where the parameters run over all reduced fractions in [0, 1] with
 denominator up to a bound.  Those fractions are built and bounded once per
-grid, with their int numerators, denominators and report text, and each
-stride walks the grid one (n, m) block at a time: a block looks up its
-probe table once, and each point hands its int pairs straight to
-``lattice.point_from_pairs``, which takes the independent sum as one packed
-int power and whose per-process cache of the mixture's binomial laws, at
-degree mn, serves each block in that order.  That one integer pass returns
-the point's stop-loss table: its three verdicts, read as bools, the
-angles' minimum (gap (c)) and the form coefficients that every other probe
-meets in one dot product.  A sweep loads neither ``rasa`` nor the
+grid, with their int numerators, denominators and report text.  Each
+stride builds its probe family once and walks the grid one (n, m) block at
+a time.  A block builds its probe table and each value's binomial law of
+degree mn, the parts of every mixture in the block, and lets them go
+before the next block builds its own.  Each point hands its int pairs and
+laws straight to ``lattice.point_from_pairs``, which takes the independent
+sum as one packed int power.  That one integer pass returns the point's
+stop-loss table: its three verdicts, read as bools, the angles' minimum
+(gap (c)) and the form coefficients that every other probe meets in one
+dot product.  A sweep keeps no cache, and loads neither ``rasa`` nor the
 ``DiscreteDistribution`` route.  Each point is evaluated by a pure function
 into one plain tuple, its values in ``ROW_FIELDS`` order, so the grid can
 be split into strides: each stride reads every ``jobs``-th point of each
@@ -30,12 +31,11 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, islice, repeat
 from typing import Sequence
 
 from .convex_functions import KNOWN_FUNCTION_GROUPS, _Value, builtin_family
-from .exact import ParameterError, _quoted
+from .exact import ParameterError, _quoted, binomial_numerators
 from .lattice import MAX_LATTICE_LENGTH, _holds, dot, point_from_pairs, probe_table
 
 __all__ = [
@@ -198,33 +198,6 @@ def grid_size(config: RunConfig) -> int:
     return _count_points(config, _farey_size(config.denominator))
 
 
-@lru_cache(maxsize=16)
-def _probes(functions: tuple[str, ...], seed: int) -> tuple:
-    """The selected probe groups but the angles.
-
-    Without the angles the family does not depend on the lattice, so it is
-    built once per (groups, seed) in each process, with any angle
-    denominator.
-    """
-    groups = tuple(g for g in functions if g != "angles")
-    return builtin_family(1, groups=groups, seed=seed)
-
-
-@lru_cache(maxsize=16)
-def _probe_table(
-    points: int, functions: tuple[str, ...], seed: int
-) -> tuple[list[list[int]], int]:
-    """The selected probe groups but the angles: values at k / points, over
-    one denominator.
-
-    They do not depend on the grid point, so the table is built once per
-    (points, groups, seed) in each process and strides carry only the group
-    names and the seed.  The angles are read from the point's stop-loss
-    table instead (see ``evaluate_grid_point``).
-    """
-    return probe_table(points, _probes(functions, seed))
-
-
 def grid_tasks(config: RunConfig) -> list[tuple]:
     """All grid points in deterministic lexicographic order, as
     (n, m, parameters as Fractions, function groups, seed)."""
@@ -240,19 +213,25 @@ def grid_tasks(config: RunConfig) -> list[tuple]:
 def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
     """The rows of every ``jobs``-th grid point from the ``start``-th on.
 
-    The grid is walked one (n, m) block at a time: each parameter value is
-    its reduced int pair and its text, built once, and each block looks up
-    its probe table and whether the angles are probed once.
+    Each parameter value is its reduced int pair and its text, built once,
+    and so is the probe family without the angles, which does not depend
+    on the lattice.  The grid is walked one (n, m) block at a
+    time: each block builds its probe table and each value's binomial law
+    of degree mn once, and every point of the block reads them.
     """
-    values = [
+    fractions = [
         ((x.numerator, x.denominator), str(x)) for x in farey_fractions(config.denominator)
     ]
+    groups = tuple(g for g in config.functions if g != "angles")
+    family = builtin_family(1, groups=groups, seed=config.seed)
     angles = "angles" in config.functions
     rows: list[tuple] = []
     offset = 0  # the grid index of the block's first point
     for n in config.n_values:
         for m in config.m_values:
-            probes = (*_probe_table(m * n, config.functions, config.seed), angles)
+            mn = m * n
+            probes = (*probe_table(mn, family), angles)
+            values = [(pair, text, binomial_numerators(mn, *pair)) for pair, text in fractions]
             block = combinations_with_replacement(values, m)
             first = (start - offset) % jobs
             rows += [
@@ -260,26 +239,30 @@ def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
                 for xs in islice(block, first, None, jobs)
             ]
             offset += math.comb(len(values) + m - 1, m)
+            # The spent iterator holds its own tuple of the laws: drop both,
+            # so the next block's laws are built with none of these alive.
+            del values, block
     return rows
 
 
 def evaluate_grid_point(n: int, m: int, xs: tuple, probes: tuple) -> tuple:
     """Verdicts and the minimal form value at one grid point (pure).
 
-    ``xs`` holds each parameter as its reduced int pair and its text, and
-    ``probes`` the block's probe rows, their denominator and whether the
-    angles are probed.  One stop-loss table holds the point's form
-    coefficients and its three gaps, and each relation holds when its gap
-    does (``lattice._holds``, the test ``gap_verdict`` makes first).  By the
-    bridge identity, the form on the angle at j / (mn) is relation (c)'s gap
-    at j over mn L^(mn), so the angles' minimum is that vector's minimum.
-    Every other probe is one integer dot product with the form's
-    coefficients.  The minimum is written as ``str`` writes its Fraction,
-    reduced by one gcd.  Returns the row's values in ``ROW_FIELDS`` order.
+    ``xs`` holds each parameter as its reduced int pair, its text and the
+    numerators of its binomial law of degree mn, and ``probes`` the block's
+    probe rows, their denominator and whether the angles are probed.  One
+    stop-loss table holds the point's form coefficients and its three gaps,
+    and each relation holds when its gap does (``lattice._holds``, the test
+    ``gap_verdict`` makes first).  By the bridge identity, the form on the
+    angle at j / (mn) is relation (c)'s gap at j over mn L^(mn), so the
+    angles' minimum is that vector's minimum.  Every other probe is one
+    integer dot product with the form's coefficients.  The minimum is
+    written as ``str`` writes its Fraction, reduced by one gcd.  Returns the
+    row's values in ``ROW_FIELDS`` order.
     """
-    pairs, texts = zip(*xs)
+    pairs, texts, laws = zip(*xs)
     mn = m * n
-    table = point_from_pairs(n, pairs)
+    table = point_from_pairs(n, pairs, laws)
     rows, den, angles = probes
     # Both minima over mn L^(mn) P, P the probe table's denominator.
     minima = []

@@ -53,7 +53,7 @@ from convexorder.lattice import (
     probe_table,
     stop_loss_numerators,
 )
-from convexorder import lattice, rasa, sweep
+from convexorder import lattice, sweep
 from convexorder.distributions import binomial_numerators
 from convexorder.rasa import lattice_point
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, grid_tasks, run_sweep
@@ -105,6 +105,13 @@ def lattice_gaps(lhs: LatticeLaw, rhs: LatticeLaw) -> tuple[list[int], list[int]
         for l, r in zip(stop_loss_numerators(ls), stop_loss_numerators(rs))
     ]
     return ls, rs, gaps
+
+
+def point_with_parts(n, pairs):
+    """``lattice.point_from_pairs`` on the mixture's parts built one by one
+    as it reads them, the way ``rasa`` hands them in."""
+    mn = len(pairs) * n
+    return lattice.point_from_pairs(n, pairs, (binomial_numerators(mn, p, q) for p, q in pairs))
 
 
 def lattice_verdict(lhs: LatticeLaw, rhs: LatticeLaw) -> CxVerdict:
@@ -222,7 +229,7 @@ def sum_points(draw):
 def test_packed_sum_matches_cauchy_products(point):
     n, pairs = point
     assert binomial_sum(n, pairs) == cauchy_sum(n, pairs), point
-    table = lattice.point_from_pairs(n, tuple(pairs))
+    table = point_with_parts(n, pairs)
     reference = form_coefficients_by_cauchy(n, [F(p, q) for p, q in pairs])
     assert [F(c, table.the_sum.den) for c in table.form] == list(reference), point
 
@@ -297,7 +304,7 @@ def test_holds_predicate_is_the_verdicts_holds(point):
     # so failing relations, with and without equal means, are read too, and
     # each bool is checked against the Fraction scan of the laws' atoms.
     n, pairs = point
-    table = lattice.point_from_pairs(n, pairs)
+    table = point_with_parts(n, pairs)
     laws = (table.the_sum, table.pooled, table.mixed)
     relations = (
         (0, 1, table.sum_vs_pooled, table.pooled.den),
@@ -350,6 +357,12 @@ def test_farey_set_is_bounded_by_the_grid_limit():
     with pytest.raises(ParameterError) as raised:
         farey_fractions(573)
     assert str(raised.value) == "denominator bound 573 gives more than 100000 fractions"
+    # m = 2 admits the most values in one grid: up to --denom 37 (433 values,
+    # 93 961 points), also at n = 500, the deepest lattice.
+    assert len(farey_fractions(37)) == 433
+    RunConfig(n_values=(500,), m_values=(2,), denominator=37)
+    with pytest.raises(ParameterError):
+        RunConfig(n_values=(1,), m_values=(2,), denominator=38)
 
 
 @pytest.mark.parametrize("include_ends", [True, False])
@@ -589,19 +602,24 @@ def test_sweep_takes_no_dot_product_per_angle(monkeypatch):
 
 def test_sweep_builds_its_probe_family_once(monkeypatch):
     # The family has no angles, so it does not depend on m * n: one family
-    # per (groups, seed), evaluated into one table per m * n.
+    # per stride, evaluated into one table per (n, m) block, also where two
+    # blocks share m * n (6 at n = 2, m = 3 and at n = 3, m = 2).
     families = []
+    tables = []
 
     def counting_family(*args, **kwargs):
         families.append(None)
         return builtin_family(*args, **kwargs)
 
+    def counting_table(points, probes):
+        tables.append(points)
+        return probe_table(points, probes)
+
     monkeypatch.setattr(sweep, "builtin_family", counting_family)
-    sweep._probes.cache_clear()
-    sweep._probe_table.cache_clear()
+    monkeypatch.setattr(sweep, "probe_table", counting_table)
     rows, ok = run_sweep(RunConfig(n_values=(1, 2, 3), m_values=(2, 3), denominator=3, seed=5))
     assert ok and len(families) == 1
-    assert sweep._probe_table.cache_info().currsize == 5  # m * n in 2, 3, 4, 6, 9
+    assert tables == [2, 3, 4, 6, 6, 9]
 
 
 def sweep_probes(points, functions, seed):
@@ -693,50 +711,35 @@ def test_cached_point_equals_uncached_laws(point):
 
 def test_grid_point_builds_one_power_and_one_pooled_law(monkeypatch):
     """On the m = 3 grid every point takes one packed power for its sum and
-    builds one pooled law; the mixture's binomial laws are built once per
-    (mn, x) key, and no other law is cached."""
+    builds one pooled law; each (n, m) block builds each value's binomial
+    law of degree mn once, for the mixtures of all its points."""
     powers = []
-    binomials = []
+    pooled = []
+    laws = []
     power = lattice.binomial_sum
-    build = lattice.bernstein_numerators
+    build_pooled = lattice.bernstein_numerators
+    build_law = sweep.binomial_numerators
 
     def counting_power(n, pairs):
         powers.append(None)
         return power(n, pairs)
 
-    def counting_build(n, a, q):
-        binomials.append(None)
-        return build(n, a, q)
+    def counting_pooled(n, a, q):
+        pooled.append(None)
+        return build_pooled(n, a, q)
+
+    def counting_law(n, a, q):
+        laws.append((n, a, q))
+        return build_law(n, a, q)
 
     monkeypatch.setattr(lattice, "binomial_sum", counting_power)
-    monkeypatch.setattr(lattice, "bernstein_numerators", counting_build)
-    lattice._binomial.cache_clear()
+    monkeypatch.setattr(lattice, "bernstein_numerators", counting_pooled)
+    monkeypatch.setattr(sweep, "binomial_numerators", counting_law)
     config = RunConfig(n_values=(1, 2, 3), m_values=(3,), denominator=5, seed=0)
     tasks = grid_tasks(config)
     rows, ok = run_sweep(config)
     assert ok and len(rows) == len(tasks) == 858
-    assert len(powers) == len(tasks)
-    keys = {(m * n, x) for n, m, xs, *_ in tasks for x in xs}
+    assert len(powers) == len(pooled) == len(tasks)
+    keys = {(m * n, x.numerator, x.denominator) for n, m, xs, *_ in tasks for x in xs}
     assert len(keys) == 33
-    # The law cache wraps the builder itself, so its misses count those laws
-    # and the patched builder sees only the pooled ones.
-    assert lattice._binomial.cache_info().misses <= len(keys)
-    assert len(binomials) <= len(tasks)
-    # The law cache and the library's tables and probe rows are the point's
-    # only caches: no sum is kept between points.
-    cached = {
-        name
-        for module in (lattice, rasa)
-        for name, value in vars(module).items()
-        if hasattr(value, "cache_info")
-    }
-    assert cached == {"_binomial", "_cached_point", "_probe_row"}
-
-
-def test_law_cache_holds_the_largest_farey_set_a_grid_admits():
-    # A grid evaluates one (n, m) at a time and reads one binomial law per
-    # value, at degree mn; m = 2 admits the most values, up to --denom 37.
-    RunConfig(n_values=(500,), m_values=(2,), denominator=37)
-    with pytest.raises(ParameterError):
-        RunConfig(n_values=(1,), m_values=(2,), denominator=38)
-    assert len(farey_fractions(37)) == 433 < lattice.LAW_CACHE_SIZE
+    assert sorted(laws) == sorted(keys)

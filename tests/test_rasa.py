@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,7 @@ from convexorder.sweep import RunConfig
 from oracles import bernstein, pair_by_fractions, psi_values_by_fractions
 
 HALF = F(1, 2)
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestBernstein:
@@ -119,8 +124,15 @@ def test_package_caches_are_bounded():
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 caches.append((info.name, name, value.cache_info().maxsize))
-    assert caches
     assert all(maxsize is not None for _, _, maxsize in caches), caches
+    # Every process-wide cache is listed here: a sweep's state lives with its
+    # (n, m) block, and a library point's binomial laws with the call that
+    # sums them.
+    assert {f"{module}.{name}" for module, name, _ in caches} == {
+        "cx_order._segments",
+        "rasa._cached_point",
+        "rasa._probe_row",
+    }
 
 
 class TestRasaPair:
@@ -384,6 +396,28 @@ class TestGeneralized:
         table = rasa.lattice_point(n, xs)
         assert table.pooled.den == (m * common) ** (m * n)
         assert psi_sign_pattern(n, xs).change_count == 2
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_library_point_with_many_parameters_keeps_no_law():
+    # 400 distinct parameters k/997 at n = 1: the mixture has 400 binomial
+    # laws of degree 400.  Built and summed one by one they peak at about
+    # 17 MB in a fresh process; kept in a process-wide cache, at 100 MB.
+    # The child reports its own peak, VmHWM: its ru_maxrss would count this
+    # process's peak too, which Linux carries over the child's exec.
+    code = (
+        "from fractions import Fraction\n"
+        "from convexorder.rasa import lattice_point\n"
+        "lattice_point(1, [Fraction(k, 997) for k in range(1, 401)])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 40
 
 
 class TestGeneralForm:
