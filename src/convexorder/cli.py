@@ -35,12 +35,13 @@ runs and the names it catches or calls (``ParameterError``,
 line needs.  So the command list (``--help``), no arguments and an unknown
 command load this module alone of the package, and neither ``argparse``
 nor ``fractions``.  A command's ``--help`` adds ``argparse``, and for
-``verify-rasa`` ``convex_functions`` and ``exact``, where ``--functions``
-takes its default.  ``verify-rasa`` runs on ``sweep``, ``lattice``,
-``convex_functions`` and ``exact``, and not ``rasa``: ``lattice`` builds
-the point.  ``psi-pattern`` runs on ``rasa``, ``lattice`` and ``exact``,
-and the commands that read or report laws add ``distributions`` and
-``cx_order``.
+``verify-rasa`` ``_base``, where ``--functions`` takes its default.
+``verify-rasa`` runs on ``sweep``, ``lattice``, ``_base`` and ``exact``,
+and not ``rasa``: ``lattice`` builds the point.  It loads
+``convex_functions`` only when a row needs the probe table, which a
+default sweep, whose rows relation (c) decides, never does.
+``psi-pattern`` runs on ``rasa``, ``lattice`` and ``exact``, and the
+commands that read or report laws add ``distributions`` and ``cx_order``.
 """
 
 from __future__ import annotations
@@ -286,9 +287,9 @@ _OUT = _arg("--out", help="Report path (stdout when omitted).")
 
 
 def _functions_arg() -> tuple[tuple, dict]:
-    # Resolved when verify-rasa's parser is built, which loads
-    # ``convex_functions``; the command list and the other commands do not.
-    from .convex_functions import KNOWN_FUNCTION_GROUPS
+    # Resolved when verify-rasa's parser is built, which loads ``_base``
+    # alone of the package; the command list and the other commands do not.
+    from ._base import KNOWN_FUNCTION_GROUPS
 
     return _arg("--functions", default=",".join(KNOWN_FUNCTION_GROUPS), help=_DEFAULT)
 

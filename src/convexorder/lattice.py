@@ -82,11 +82,15 @@ checks the grid's largest m * n.  A Hoeffding check of 1000 parameters
 took 0.17 s in-process on one 2-core x86-64 host, and of 2000 about 0.9 s.
 
 The lattice 0..m*n carries every law, form and psi sequence, and its cost
-grows fast with it: one ``verify-rasa`` grid point with all probe groups
-(m = 2, parameters 1/3 and 1/2, probe table included) took 0.03 s at
-m * n = 500, 0.09 to 0.12 s at 1000 and 0.56 to 0.68 s at 2000 in a fresh
-process on one 2-core x86-64 host, and with parameters 12/37 and 35/37,
-0.46 to 0.60 s at 1000.  A psi pattern at m * n = 1000 took 0.04 to 0.05 s
+grows fast with it.  One ``verify-rasa`` grid point with all probe groups
+(m = 2, parameters 1/3 and 1/2, its laws included), whose minimum relation
+(c) decides, took 0.007 s of CPU at m * n = 500, 0.05 s at 1000 and 0.39
+to 0.42 s at 2000 in a fresh process, after its imports, on one 2-core
+x86-64 host (three runs each).  A point that builds the probe table and
+takes its dot products, such as one without the angles, took 0.02 to
+0.04 s, 0.09 s and 0.49 to 0.51 s.  With parameters 12/37 and 35/37 a
+point took 0.36 to 0.38 s at 1000, and 0.40 to 0.41 s with the table.
+A psi pattern at m * n = 1000 took 0.04 to 0.05 s
 there with two parameters and 0.5 to 0.74 s with 100 (k/101), as its sums
 of int power products also grow with m; 700 parameters k/1497 at n = 1
 took 1.2 to 1.4 s.  ``rasa.MAX_POINT_BITS`` bounds the parameters' bits.

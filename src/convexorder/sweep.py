@@ -4,24 +4,29 @@ A sweep enumerates grid points lexicographically in (n, m, sorted parameter
 tuple), where the parameters run over all reduced fractions in [0, 1] with
 denominator up to a bound.  Those fractions are built and bounded once per
 grid, with their int numerators, denominators and report text.  Each
-stride builds its probe family once and walks the grid one (n, m) block at
-a time.  A block builds its probe table and each value's binomial law of
-degree mn, the parts of every mixture in the block, and lets them go
-before the next block builds its own.  Each point hands its int pairs and
-laws straight to ``lattice.point_from_pairs``, which takes the independent
-sum as one packed int power.  That one integer pass returns the point's
-stop-loss table: its three verdicts, read as bools, the angles' minimum
-(gap (c)) and the form coefficients that every other probe meets in one
-dot product.  A sweep keeps no cache, and loads neither ``rasa`` nor the
-``DiscreteDistribution`` route.  Each point is evaluated by a pure function
-into one plain tuple, its values in ``ROW_FIELDS`` order, so the grid can
-be split into strides: each stride reads every ``jobs``-th point of each
-block, forked children evaluate all strides but the first, the parent
-evaluates the first, and each child's rows come back over a pipe as one
-``marshal`` string.  Rows are always put back in grid order, and a stride
-whose child fails is evaluated in the parent, so reports are
-byte-identical for a fixed configuration and seed regardless of the
-parallelism degree.
+stride walks the grid one (n, m) block at a time.  A block builds each
+value's binomial law of degree mn, the parts of every mixture in the
+block, and lets them go before the next block builds its own.  Each point
+hands its int pairs and laws straight to ``lattice.point_from_pairs``,
+which takes the independent sum as one packed int power.  That one integer
+pass returns the point's stop-loss table: its three verdicts, read as
+bools, and its form coefficients.  Every built-in probe is convex, so
+where the angles are probed and relation (c) holds, the table alone gives
+the form's minimum, 0, with no probe evaluated (see
+``evaluate_grid_point``).  Any other row takes the angles' minimum from gap
+(c) and meets every other probe in one integer dot product with the form's
+coefficients: a stride builds its probe family, and a block its probe
+table, only once a row needs them, so a sweep whose rows relation (c)
+decides does not load ``convex_functions``.  A sweep keeps no cache, and
+loads neither ``rasa`` nor the ``DiscreteDistribution`` route.  Each point
+is evaluated by a pure function into one plain tuple, its values in
+``ROW_FIELDS`` order, so the grid can be split into strides: each stride
+reads every ``jobs``-th point of each block, forked children evaluate all
+strides but the first, the parent evaluates the first, and each child's
+rows come back over a pipe as one ``marshal`` string.  Rows are always put
+back in grid order, and a stride whose child fails is evaluated in the
+parent, so reports are byte-identical for a fixed configuration and seed
+regardless of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -34,9 +39,16 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, islice, repeat
 from typing import Sequence
 
-from .convex_functions import KNOWN_FUNCTION_GROUPS, _Value, builtin_family
+from ._base import KNOWN_FUNCTION_GROUPS, _Value
 from .exact import ParameterError, _quoted, binomial_numerators
-from .lattice import MAX_LATTICE_LENGTH, _holds, dot, point_from_pairs, probe_table
+from .lattice import (
+    MAX_LATTICE_LENGTH,
+    StopLossTable,
+    _holds,
+    dot,
+    point_from_pairs,
+    probe_table,
+)
 
 __all__ = [
     "RunConfig",
@@ -210,27 +222,59 @@ def grid_tasks(config: RunConfig) -> list[tuple]:
     ]
 
 
+class _Probes:
+    """A stride's probes: whether the angles are probed, and every other
+    group as one (n, m) block's probe table.
+
+    The family of those groups, which does not depend on the lattice, is
+    built once per stride, and the table once per block, each only when a
+    row first needs it: a row that relation (c) decides needs neither.
+    """
+
+    __slots__ = ("angles", "groups", "seed", "family", "points", "table")
+
+    def __init__(self, functions: Sequence[str], seed: int) -> None:
+        self.angles = "angles" in functions
+        self.groups = tuple(g for g in functions if g != "angles")
+        self.seed = seed
+        self.family = None
+        self.start(0)
+
+    def start(self, points: int) -> None:
+        """Move to a block on the lattice 0..points, its table not yet built."""
+        self.points = points
+        self.table = None
+
+    def rows(self) -> tuple[list[list[int]], int]:
+        """The block's probe table: one row per probe but the angles, and
+        the rows' common denominator (``lattice.probe_table``)."""
+        if self.table is None:
+            if self.family is None:
+                from .convex_functions import builtin_family
+
+                self.family = builtin_family(1, groups=self.groups, seed=self.seed)
+            self.table = probe_table(self.points, self.family)
+        return self.table
+
+
 def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
     """The rows of every ``jobs``-th grid point from the ``start``-th on.
 
-    Each parameter value is its reduced int pair and its text, built once,
-    and so is the probe family without the angles, which does not depend
-    on the lattice.  The grid is walked one (n, m) block at a
-    time: each block builds its probe table and each value's binomial law
-    of degree mn once, and every point of the block reads them.
+    Each parameter value is its reduced int pair and its text, built once.
+    The grid is walked one (n, m) block at a time: each block builds each
+    value's binomial law of degree mn once, and every point of the block
+    reads them, and the block's probe table when it needs one (``_Probes``).
     """
     fractions = [
         ((x.numerator, x.denominator), str(x)) for x in farey_fractions(config.denominator)
     ]
-    groups = tuple(g for g in config.functions if g != "angles")
-    family = builtin_family(1, groups=groups, seed=config.seed)
-    angles = "angles" in config.functions
+    probes = _Probes(config.functions, config.seed)
     rows: list[tuple] = []
     offset = 0  # the grid index of the block's first point
     for n in config.n_values:
         for m in config.m_values:
             mn = m * n
-            probes = (*probe_table(mn, family), angles)
+            probes.start(mn)
             values = [(pair, text, binomial_numerators(mn, *pair)) for pair, text in fractions]
             block = combinations_with_replacement(values, m)
             first = (start - offset) % jobs
@@ -245,38 +289,37 @@ def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
     return rows
 
 
-def evaluate_grid_point(n: int, m: int, xs: tuple, probes: tuple) -> tuple:
-    """Verdicts and the minimal form value at one grid point (pure).
+def evaluate_grid_point(n: int, m: int, xs: tuple, probes: _Probes) -> tuple:
+    """Verdicts and the minimal form value at one grid point.
 
     ``xs`` holds each parameter as its reduced int pair, its text and the
-    numerators of its binomial law of degree mn, and ``probes`` the block's
-    probe rows, their denominator and whether the angles are probed.  One
-    stop-loss table holds the point's form coefficients and its three gaps,
-    and each relation holds when its gap does (``lattice._holds``, the test
-    ``gap_verdict`` makes first).  By the bridge identity, the form on the
-    angle at j / (mn) is relation (c)'s gap at j over mn L^(mn), so the
-    angles' minimum is that vector's minimum.  Every other probe is one
-    integer dot product with the form's coefficients.  The minimum is
-    written as ``str`` writes its Fraction, reduced by one gcd.  Returns the
-    row's values in ``ROW_FIELDS`` order.
+    numerators of its binomial law of degree mn, and ``probes`` the
+    stride's probes, moved to this point's block.  The row depends on these
+    alone: the block's probe table, built when a row first needs it, is the
+    same whichever row asks.  One stop-loss table holds the point's form
+    coefficients and its three gaps, and each relation holds when its gap
+    does (``lattice._holds``, the test ``gap_verdict`` makes first).
+
+    By the bridge identity the form is m (E_mixed f - E_sum f), and every
+    built-in probe is convex.  So where relation (c), sum <=_cx mixture,
+    holds, no probe's form value is negative, and the angle at 1 gives
+    gap (c) at mn, which is 0: with the angles probed, the minimum is 0,
+    and the row reads it without evaluating a probe.  Gap (c) is pi(form),
+    and the stop-loss map pi reads every coefficient of the form but the
+    one at 0; the sum of the form's coefficients, 0 since both laws have
+    mass 1, pins that one, so the row reads 0 only where that sum is 0 too.
+    Any other row takes the minimum over every probe (``_form_minimum``).
+    Returns the row's values in ``ROW_FIELDS`` order.
     """
     pairs, texts, laws = zip(*xs)
-    mn = m * n
     table = point_from_pairs(n, pairs, laws)
-    rows, den, angles = probes
-    # Both minima over mn L^(mn) P, P the probe table's denominator.
-    minima = []
-    if rows:
-        minima.append(min(map(dot, repeat(table.form), rows)) * mn)
-    if angles:
-        minima.append(min(table.sum_vs_mixture) * den)
-    num = min(minima)
-    common = math.gcd(num, mn * table.the_sum.den * den)
-    num //= common
-    form_den = mn * table.the_sum.den * den // common
     holds_a = _holds(table.sum_vs_pooled)
     holds_b = _holds(table.pooled_vs_mixture)
     holds_c = _holds(table.sum_vs_mixture)
+    if holds_c and probes.angles and not sum(table.form):
+        min_form, nonnegative = "0", True
+    else:
+        min_form, nonnegative = _form_minimum(m * n, table, probes)
     return (
         n,
         m,
@@ -284,9 +327,32 @@ def evaluate_grid_point(n: int, m: int, xs: tuple, probes: tuple) -> tuple:
         holds_a,
         holds_b,
         holds_c,
-        f"{num}/{form_den}" if form_den != 1 else str(num),
-        holds_a and holds_b and holds_c and num >= 0,
+        min_form,
+        holds_a and holds_b and holds_c and nonnegative,
     )
+
+
+def _form_minimum(mn: int, table: StopLossTable, probes: _Probes) -> tuple[str, bool]:
+    """The form's minimum over every probe at one point, as ``str`` writes
+    its Fraction, and whether it is nonnegative.
+
+    By the bridge identity, the form on the angle at j / (mn) is relation
+    (c)'s gap at j over mn L^(mn), so the angles' minimum is that vector's
+    minimum.  Every other probe is one integer dot product with the form's
+    coefficients.  The minimum is reduced by one gcd.
+    """
+    rows, den = probes.rows()
+    # Both minima over mn L^(mn) P, P the probe table's denominator.
+    minima = []
+    if rows:
+        minima.append(min(map(dot, repeat(table.form), rows)) * mn)
+    if probes.angles:
+        minima.append(min(table.sum_vs_mixture) * den)
+    num = min(minima)
+    common = math.gcd(num, mn * table.the_sum.den * den)
+    form_den = mn * table.the_sum.den * den // common
+    num //= common
+    return (f"{num}/{form_den}" if form_den != 1 else str(num)), num >= 0
 
 
 def _available_cpus() -> int:

@@ -53,7 +53,7 @@ from convexorder.lattice import (
     probe_table,
     stop_loss_numerators,
 )
-from convexorder import lattice, sweep
+from convexorder import convex_functions, lattice, sweep
 from convexorder.distributions import binomial_numerators
 from convexorder.rasa import lattice_point
 from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, grid_tasks, run_sweep
@@ -592,18 +592,21 @@ def test_sweep_takes_no_dot_product_per_angle(monkeypatch):
         return dot(a, b)
 
     monkeypatch.setattr(sweep, "dot", counting_dot)
-    # Three monomials, one affine function and five random ones per point.
-    for functions, per_point in ((("angles",), 0), (KNOWN_FUNCTION_GROUPS, 9)):
+    # Relation (c) holds at every point, so with the angles probed no row
+    # takes a dot product.  Without them each row takes one per probe:
+    # three monomials, one affine function and five random ones.
+    without_angles = ("monomials", "affine", "random-pwl")
+    for functions, per_point in (
+        (KNOWN_FUNCTION_GROUPS, 0), (without_angles, 9), (("angles",), 0)
+    ):
         calls.clear()
         config = RunConfig(n_values=(1, 2), m_values=(2, 3), denominator=4, functions=functions)
         rows, ok = run_sweep(config)
-        assert ok and len(calls) == per_point * len(rows), functions
+        assert ok and all(row["verdict_c"] for row in rows)
+        assert len(calls) == per_point * len(rows), functions
 
 
 def test_sweep_builds_its_probe_family_once(monkeypatch):
-    # The family has no angles, so it does not depend on m * n: one family
-    # per stride, evaluated into one table per (n, m) block, also where two
-    # blocks share m * n (6 at n = 2, m = 3 and at n = 3, m = 2).
     families = []
     tables = []
 
@@ -615,11 +618,148 @@ def test_sweep_builds_its_probe_family_once(monkeypatch):
         tables.append(points)
         return probe_table(points, probes)
 
-    monkeypatch.setattr(sweep, "builtin_family", counting_family)
+    monkeypatch.setattr(convex_functions, "builtin_family", counting_family)
     monkeypatch.setattr(sweep, "probe_table", counting_table)
+    # Relation (c) decides every row of a default grid: no row needs a probe.
     rows, ok = run_sweep(RunConfig(n_values=(1, 2, 3), m_values=(2, 3), denominator=3, seed=5))
+    assert ok and families == [] and tables == []
+    # Without the angles every row needs the table.  The family does not
+    # depend on m * n: one family per stride, evaluated into one table per
+    # (n, m) block, also where two blocks share m * n (6 at n = 2, m = 3 and
+    # at n = 3, m = 2).
+    config = RunConfig(
+        n_values=(1, 2, 3), m_values=(2, 3), denominator=3, seed=5,
+        functions=("monomials", "affine", "random-pwl"),
+    )
+    rows, ok = run_sweep(config)
     assert ok and len(families) == 1
     assert tables == [2, 3, 4, 6, 6, 9]
+
+
+def sweep_row(n, xs, functions=KNOWN_FUNCTION_GROUPS, seed=0):
+    """``sweep.evaluate_grid_point`` at (n, xs), with the parts and probes a
+    stride hands it."""
+    m = len(xs)
+    mn = m * n
+    probes = sweep._Probes(functions, seed)
+    probes.start(mn)
+    values = tuple(
+        ((x.numerator, x.denominator), str(x), binomial_numerators(mn, x.numerator, x.denominator))
+        for x in xs
+    )
+    return sweep.evaluate_grid_point(n, m, values, probes)
+
+
+def full_probe_minimum(n, xs, seed=0, tables=None) -> F:
+    """The form's exact minimum over every probe group, angles included,
+    each probe one dot product with the form's coefficients.
+
+    ``tables`` keeps each m * n's probe table for the caller's next point.
+    """
+    mn = len(xs) * n
+    table = point_with_parts(n, [(x.numerator, x.denominator) for x in xs])
+    tables = {} if tables is None else tables
+    if mn not in tables:
+        tables[mn] = probe_table(mn, builtin_family(mn, seed=seed))
+    rows, den = tables[mn]
+    return F(min(dot(table.form, row) for row in rows), table.the_sum.den * den)
+
+
+# The grids the CI report pins run, as (n values, m, denominator, points
+# sampled): the deep grid, the wide grid, the long lattices at m = 2 and
+# m = 3, and the two long blocks.
+PIN_GRIDS = (
+    (range(10, 13), 2, 16, 40),
+    (range(1, 5), 3, 12, 40),
+    ((150,), 2, 5, 6),
+    ((40,), 3, 3, 6),
+    ((299, 300), 2, 5, 2),
+)
+
+
+def test_rows_relation_c_decides_are_the_minimum_over_every_probe(monkeypatch):
+    """Where a sweep row reads its minimum from relation (c), every probe
+    group, evaluated through ``probe_table`` and ``dot``, gives that minimum:
+    exactly 0."""
+    fallbacks = []
+    minimum = sweep._form_minimum
+
+    def recording_minimum(*args):
+        fallbacks.append(None)
+        return minimum(*args)
+
+    monkeypatch.setattr(sweep, "_form_minimum", recording_minimum)
+    rng = random.Random(2016)
+    decided = 0
+    for n_values, m, denominator, count in PIN_GRIDS:
+        config = RunConfig(n_values=n_values, m_values=(m,), denominator=denominator)
+        tables = {}
+        for n, _, xs, *_ in rng.sample(grid_tasks(config), count):
+            fallbacks.clear()
+            row = sweep_row(n, xs)
+            if fallbacks:
+                continue
+            decided += 1
+            assert row[6] == "0" and row[7], row
+            assert full_probe_minimum(n, xs, tables=tables) == 0, (n, xs)
+    assert decided == sum(count for *_, count in PIN_GRIDS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    xs=st.integers(2, 4).flatmap(
+        lambda m: st.lists(boundary_or_inner, min_size=m, max_size=m)
+    ),
+    seed=st.integers(0, 1000),
+)
+def test_decided_row_equals_the_full_probe_row(n, xs, seed):
+    mn = len(xs) * n
+    row = sweep_row(n, xs, seed=seed)
+    table = point_with_parts(n, [(x.numerator, x.denominator) for x in xs])
+    assert lattice._holds(table.sum_vs_mixture) and sum(table.form) == 0
+    # The row every probe gives, through the path of a row (c) leaves open.
+    probes = sweep._Probes(KNOWN_FUNCTION_GROUPS, seed)
+    probes.start(mn)
+    text, nonnegative = sweep._form_minimum(mn, table, probes)
+    assert row[6] == text == str(full_probe_minimum(n, xs, seed))
+    assert row[7] == (row[3] and row[4] and row[5] and nonnegative)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{0: -1}, {1: -1}, {-1: -1}, {1: -1, 2: 1}],
+    ids=["coefficient-0", "coefficient-1", "last-coefficient", "moved-unit"],
+)
+def test_a_broken_form_is_caught(monkeypatch, change):
+    """A table whose form is off falls back to the probes and does not read
+    0.  Gap (c) reads every coefficient but the one at 0, so there (c) still
+    holds and the form's sum catches the change; a unit moved from one
+    coefficient to the next keeps the sum at 0, and (c) catches it."""
+    config = RunConfig(n_values=(1, 2), m_values=(2, 3), denominator=3)
+    honest_rows, _ = run_sweep(config)
+    honest = sweep.point_from_pairs
+    fallbacks = []
+    minimum = sweep._form_minimum
+
+    def broken(n, pairs, parts):
+        table = honest(n, pairs, parts)
+        form = list(table.form)
+        for index, delta in change.items():
+            form[index] += delta
+        return table._replace(form=form, sum_vs_mixture=stop_loss_numerators(form))
+
+    def recording_minimum(*args):
+        fallbacks.append(None)
+        return minimum(*args)
+
+    monkeypatch.setattr(sweep, "point_from_pairs", broken)
+    monkeypatch.setattr(sweep, "_form_minimum", recording_minimum)
+    rows, ok = run_sweep(config)
+    assert not ok and len(fallbacks) == len(rows) == len(honest_rows)
+    for row, honest_row in zip(rows, honest_rows):
+        assert row != honest_row and row["min_form"] != "0", row
+        assert row["verdict_c"] == (change == {0: -1}), row
 
 
 def sweep_probes(points, functions, seed):

@@ -20,10 +20,11 @@ KERNELS = (
 )
 
 # What a sweep runs: the lattice route, never ``rasa``, ``distributions`` or
-# ``cx_order``.
+# ``cx_order``.  Relation (c) decides every row of a default sweep, so it
+# evaluates no test function and does not load ``convex_functions`` either.
 SWEEP_MODULES = {
+    "convexorder._base",
     "convexorder.cli",
-    "convexorder.convex_functions",
     "convexorder.exact",
     "convexorder.lattice",
     "convexorder.sweep",
@@ -109,6 +110,15 @@ def test_sweep_loads_only_the_lattice_route(fmt):
     # Each report writer imports only the codec it writes with.
     assert ("csv" in modules) == (fmt == "csv")
     assert ("json" in modules) == (fmt == "json")
+
+
+def test_sweep_without_angles_loads_the_test_functions():
+    # Without the angles no row reads its minimum from relation (c): every
+    # row takes the other probes' table, built from ``convex_functions``.
+    proc, modules = _run_cli(*SWEEP_ARGS, "--functions", "monomials")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    assert _submodules(modules) == SWEEP_MODULES | {"convexorder.convex_functions"}
 
 
 def test_psi_pattern_loads_neither_distributions_nor_cx_order():
