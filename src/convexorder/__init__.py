@@ -45,12 +45,10 @@ _MODULE_EXPORTS = {
         "cx_compare_oracle",
         "levin_steckin_check",
         "ohlin_check",
-        "sign_changes",
         "szostok_decision",
     ),
     "distributions": (
         "DiscreteDistribution",
-        "Rational",
         "bernoulli",
         "binomial",
         "convolve",
@@ -65,14 +63,15 @@ _MODULE_EXPORTS = {
         "MAX_RATIONAL_DIGITS",
         "ParameterError",
         "as_rational",
+        "sign_changes",
     ),
+    "lattice": ("GeneralizedVerdicts",),
     "lawtext": ("MAX_ATOMS", "MAX_LAW_BITS", "parse_distribution"),
     "randomgen": (
         "random_equal_mean_pair",
         "random_probability",
     ),
     "rasa": (
-        "GeneralizedVerdicts",
         "PsiPattern",
         "bernstein_vector",
         "poisson_binomial",

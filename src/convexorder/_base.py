@@ -2,9 +2,9 @@
 
 ``sweep.RunConfig`` is a ``_Value`` whose test-function groups default to
 all the groups, as ``verify-rasa --functions`` does, but a sweep whose rows
-relation (c) decides evaluates no test function.  So both names live here,
-and ``convex_functions`` re-exports them, so that such a sweep does not
-load it.  This module imports nothing.
+relation (c) decides evaluates no test function.  So both names have their
+one home here, which ``sweep`` and ``convex_functions`` import from, and a
+sweep does not load ``convex_functions``.  This module imports nothing.
 """
 
 # The groups of ``convex_functions.builtin_family``, by the names a sweep

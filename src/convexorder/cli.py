@@ -597,8 +597,9 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     import random
 
     from .exact import FormatError, ParameterError, as_rational
+    from .lattice import MAX_LATTICE_LENGTH
     from .randomgen import random_probability
-    from .rasa import MAX_LATTICE_LENGTH, verify_hoeffding
+    from .rasa import verify_hoeffding
 
     if not 0 <= random_count <= MAX_RANDOM_INSTANCES:
         _fail(2, f"--random: {random_count} is not in the range 0<=x<={MAX_RANDOM_INSTANCES}")

@@ -33,7 +33,6 @@ __all__ = [
     "expectation",
     "random_piecewise_linear",
     "builtin_family",
-    "KNOWN_FUNCTION_GROUPS",
 ]
 
 
@@ -91,7 +90,8 @@ class PiecewiseLinear(_Value):
     `slopes[i]` applies between `breakpoints[i-1]` and `breakpoints[i]`
     (unbounded at the ends), so len(slopes) == len(breakpoints) + 1, and
     convexity requires the slopes to be nondecreasing.  `value_at_zero`
-    anchors the function.
+    anchors the function.  Both sequences are held as tuples, so a function
+    built from lists equals and hashes as the one built from tuples.
     """
 
     __slots__ = ("value_at_zero", "breakpoints", "slopes", "_intercepts")
@@ -99,8 +99,8 @@ class PiecewiseLinear(_Value):
     def __init__(
         self,
         value_at_zero: Fraction,
-        breakpoints: tuple[Fraction, ...],
-        slopes: tuple[Fraction, ...],
+        breakpoints: Sequence[Fraction],
+        slopes: Sequence[Fraction],
     ) -> None:
         if len(slopes) != len(breakpoints) + 1:
             raise ParameterError("need exactly one more slope than breakpoints")
@@ -108,7 +108,7 @@ class PiecewiseLinear(_Value):
             raise ParameterError("breakpoints must be strictly increasing")
         if any(s > t for s, t in zip(slopes, slopes[1:])):
             raise ParameterError("slopes must be nondecreasing (convexity)")
-        self._fill(value_at_zero, breakpoints, slopes)
+        self._fill(value_at_zero, tuple(breakpoints), tuple(slopes))
         # f(t) = f(0) + s_0 t + sum_i (s_{i+1} - s_i) (max(t - b_i, 0) - max(-b_i, 0)),
         # one angle per breakpoint anchored at 0, is intercepts[j] + s_j t on
         # the piece from b_{j-1} to b_j: each breakpoint passed moves
@@ -156,14 +156,14 @@ def random_piecewise_linear(rng: random.Random) -> PiecewiseLinear:
         den = rng.randint(2, _PWL_MAX_DEN)
         num = rng.randint(1, den - 1)
         points.add(Fraction(num, den))
-    breaks = tuple(sorted(points))
+    breaks = sorted(points)
     slope = Fraction(rng.randint(-12, 0), rng.randint(1, 4))
     slopes = [slope]
     for _ in range(k):
         slope += Fraction(rng.randint(0, 8), rng.randint(1, 4))
         slopes.append(slope)
     anchor = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-    return PiecewiseLinear(anchor, breaks, tuple(slopes))
+    return PiecewiseLinear(anchor, breaks, slopes)
 
 
 def builtin_family(

@@ -18,14 +18,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .convex_functions import Angle, ConvexTestFunction, expectation
-from .cx_order import (
-    CxVerdict,
-    SzostokReport,
-    crossing_points,
-    cx_compare_oracle,
-    szostok_decision,
-)
+from .cx_order import SzostokReport, crossing_points, cx_compare_oracle, szostok_decision
 from .distributions import DiscreteDistribution, convolve, dirac, mixture
+from .exact import CxVerdict
 
 __all__ = ["CounterexampleReport", "VerificationError", "build_counterexample", "analyze_counterexample"]
 

@@ -58,11 +58,12 @@ Laws on the integer lattice need no such table: there the stop-loss gap
 at every lattice point comes from two running sums per law
 (``lattice.stop_loss_numerators``), and ``lattice.gap_verdict`` reads it.
 Both routes hand their gaps to ``exact._oracle_verdict``, the one verdict
-reader, so equal laws get equal verdicts, witnesses included.  It and
-``CxVerdict`` live in :mod:`.exact`, as does ``sign_changes``, so the
-lattice route and ``rasa.psi_sign_pattern`` load neither this module nor
-``distributions``; all three names are re-exported here.  This module
-reads laws only through their int numerators and never builds one.
+reader, so equal laws get equal verdicts, witnesses included.  It,
+``CxVerdict`` and ``sign_changes`` have their home in :mod:`.exact`, so
+the lattice route and ``rasa.psi_sign_pattern`` load neither this module
+nor ``distributions``.  Every name this module exports is defined here.
+This module reads laws only through their int numerators and never builds
+one.
 """
 
 from __future__ import annotations
@@ -81,16 +82,13 @@ from .exact import (
     _quoted,
     _sign_runs,
     as_rational,
-    sign_changes,
 )
 
 __all__ = [
-    "CxVerdict",
     "OhlinReport",
     "LevinSteckinReport",
     "SzostokReport",
     "StandingHypothesisError",
-    "sign_changes",
     "cx_compare_oracle",
     "ohlin_check",
     "crossing_points",

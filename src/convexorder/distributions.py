@@ -18,11 +18,11 @@ built on top of this module rely on that convention.
 Values are immutable after construction and may be shared freely between
 threads or processes; every operation here is a pure function.
 
-The errors, the rational coercion :func:`as_rational`, the message quoting
-``_quoted`` and the binomial numerators come from :mod:`.exact`, which the
-lattice route shares without loading this module, and are re-exported here
-under their old names.  The text and JSON parsers and their limits live in
-:mod:`.lawtext` and are read through this module on first use.
+Every name this module exports is defined here.  The errors, the rational
+coercion ``as_rational`` and the binomial numerators it builds laws from
+have their home in :mod:`.exact`, which the lattice route shares without
+loading this module; the text and JSON parsers and their limits have theirs
+in :mod:`.lawtext`.
 """
 
 from __future__ import annotations
@@ -37,35 +37,22 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
-    MAX_RATIONAL_DIGITS,
-    FormatError,
     ParameterError,
     RationalLike,
-    _power_products,  # noqa: F401  (re-exported)
     _quoted,
     _slots,
     as_rational,
     binomial_numerators,
 )
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
-    "ParameterError",
-    "FormatError",
-    "MAX_RATIONAL_DIGITS",
-    "MAX_ATOMS",
-    "MAX_LAW_BITS",
     "DiscreteDistribution",
-    "as_rational",
     "dirac",
     "bernoulli",
     "binomial",
     "convolve",
     "convolve_many",
     "mixture",
-    "parse_distribution",
     "distribution_to_json_obj",
 ]
 
@@ -481,22 +468,8 @@ def _weighted_atoms(
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON formats
+# JSON form
 # ---------------------------------------------------------------------------
-#
-# The parsers live in :mod:`.lawtext`, loaded on first use, so a process
-# that builds laws without reading one never compiles them.  Their names
-# stay reachable here.
-
-_LAWTEXT_NAMES = frozenset({"MAX_ATOMS", "MAX_LAW_BITS", "parse_distribution"})
-
-
-def __getattr__(name: str):
-    if name in _LAWTEXT_NAMES:
-        from . import lawtext
-
-        return getattr(lawtext, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def distribution_to_json_obj(d: DiscreteDistribution) -> dict:

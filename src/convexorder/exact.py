@@ -11,9 +11,9 @@ values in messages through :func:`_quoted`, build binomial laws from
 one int with :func:`_slots`, count sign changes with :func:`sign_changes`
 and hand their stop-loss gaps to
 :func:`_oracle_verdict`, so equal laws get equal verdicts, witnesses
-included.  This module imports no other module of the package, so a
-``verify-rasa`` sweep, which runs only the lattice route, never loads
-``distributions`` or ``cx_order``; both re-export the names defined here.
+included.  These names have their one home here, and this module imports
+no other module of the package, so a ``verify-rasa`` sweep, which runs only
+the lattice route, never loads ``distributions`` or ``cx_order``.
 """
 
 from __future__ import annotations

@@ -37,9 +37,10 @@ Every part of its mixture is one binomial law of degree mn, which the
 caller hands in: a ``verify-rasa`` sweep builds each Farey value's law once
 per (n, m) block, calls the builder directly and reads its verdicts as
 bools through ``_holds``; ``rasa`` builds a library point's parts one by
-one as the builder reads them, and re-exports these names.  This module
-keeps no cache, and imports only :mod:`.exact` from the package, so a sweep loads neither
-``rasa``, ``cx_order`` nor ``distributions``.
+one as the builder reads them.  Every name this module exports is defined
+here.  This module keeps no cache, and imports only :mod:`.exact` from the
+package, so a sweep loads neither ``rasa``, ``cx_order`` nor
+``distributions``.
 
 Nothing here normalises: a numerator vector is never reduced by a common
 factor, and a Fraction is built only for the values handed back to callers.

@@ -8,7 +8,7 @@ merge; a negative mass on any line or entry is rejected, not netted.
 :func:`.distributions.distribution_to_json_obj` writes the JSON form.
 
 Only ``cx-compare`` and callers of :func:`parse_distribution` load this
-module; :mod:`.distributions` hands out its names on first use.
+module, which is the one home of its names.
 """
 
 from __future__ import annotations

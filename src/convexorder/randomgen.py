@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .distributions import DiscreteDistribution, ParameterError
+from .distributions import DiscreteDistribution
+from .exact import ParameterError
 
 __all__ = [
     "random_probability",

@@ -15,21 +15,22 @@ verifiers here decide those order relations with the exact oracle.
 
 The forms and the verifiers of the Rasa relations run on the integer lattice
 kernel (:mod:`.lattice`) and share one route: ``lattice.point_from_pairs``
-builds one ``StopLossTable`` per parameter tuple in one integer pass.  The
-table holds the sum, the pooled law and the mixture as int numerators, the
-form's coefficients F = M - m S read off the same integers, and the gap
-vectors of the relations (a), (b) and (c) over common denominators; its
-three verdicts are read from those gaps.  That builder, the table,
-``GeneralizedVerdicts`` and ``MAX_LATTICE_LENGTH`` live in ``lattice`` and
-are re-exported here, so a ``verify-rasa`` sweep, which calls the builder
-directly with reduced int pairs and its block's binomial laws, does not
-load this module.  Library calls go through :func:`lattice_point`, which
-checks its input once and keeps the last 64 tables it built, so the forms
-and the verifiers of one point share one table; the tables it returns are
+builds one ``lattice.StopLossTable`` per parameter tuple in one integer
+pass.  The table holds the sum, the pooled law and the mixture as int
+numerators, the form's coefficients F = M - m S read off the same
+integers, and the gap vectors of the relations (a), (b) and (c) over
+common denominators; its three verdicts are read from those gaps.  That
+builder, the table, ``GeneralizedVerdicts`` and ``MAX_LATTICE_LENGTH``
+have their home in ``lattice``, so a ``verify-rasa`` sweep, which calls
+the builder directly with reduced int pairs and its block's binomial
+laws, does not load this module; every name this module exports is
+defined here.  Library calls go through :func:`lattice_point`, which
+checks its input once and keeps the last table it built, so consecutive
+forms and verifiers on one point share one table; the table it returns is
 shared and only ever read.  The binomial laws of a point's mixture are
-built for that point and dropped once summed.  Every probe of
-a form is one dot product with F, and ``verify_theorem_main`` is relation
-(c) at m = 2, read from that table.
+built for that point and dropped once summed.  Every probe of a form is
+one dot product with F, and ``verify_theorem_main`` is relation (c) at
+m = 2, read from that table.
 
 Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
 ``DiscreteDistribution``.  ``distributions`` and ``cx_order`` are imported
@@ -76,15 +77,11 @@ if TYPE_CHECKING:
     from .distributions import DiscreteDistribution
 
 __all__ = [
-    "MAX_LATTICE_LENGTH",
     "PsiPattern",
-    "GeneralizedVerdicts",
-    "StopLossTable",
     "bernstein_vector",
     "rasa_form",
     "rasa_form_general",
     "lattice_point",
-    "point_from_pairs",
     "verify_theorem_main",
     "verify_generalized",
     "poisson_binomial",
@@ -141,9 +138,11 @@ def lattice_point(n: int, xs: Sequence[RationalLike]) -> StopLossTable:
     interval, so m * n is checked before the parameters' interval.
 
     Library callers probe one point with many test functions and decide its
-    relations too, so the last 64 tables are kept per process, keyed by n
-    and the parameters' reduced pairs: every spelling of one value reads one
-    table.  A returned table is shared; its lists are only ever read.
+    relations too, so the last table is kept per process, keyed by n and
+    the parameters' reduced pairs: consecutive calls on one point, in any
+    spelling of its values, build one table, and calls that move from point
+    to point hold one table at a time.  A returned table is shared; its
+    lists are only ever read.
     """
     xs = _read_point(n, xs)
     for x in xs:
@@ -184,7 +183,7 @@ def _read_point(n: int, xs: Sequence[RationalLike]) -> list[Fraction]:
     return xs
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _cached_point(n: int, pairs: tuple[tuple[int, int], ...]) -> StopLossTable:
     mn = len(pairs) * n
     return point_from_pairs(n, pairs, (binomial_numerators(mn, p, q) for p, q in pairs))

@@ -58,7 +58,6 @@ __all__ = [
     "grid_size",
     "run_sweep",
     "sweep_rows",
-    "KNOWN_FUNCTION_GROUPS",
 ]
 
 MAX_GRID_POINTS = 100_000
@@ -79,7 +78,7 @@ ints, the parameters joined by ";" and the minimal form value as `p/q`
 strings, and the three verdicts and ``ok``, which comes last, as bools."""
 
 
-def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
+def farey_fractions(max_den: int) -> list[Fraction]:
     """All reduced fractions in [0, 1] with denominator <= max_den, sorted.
 
     The Farey sequence comes in order from its next-term recurrence: after
@@ -101,7 +100,7 @@ def farey_fractions(max_den: int, include_ends: bool = True) -> list[Fraction]:
         k = (max_den + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
         values.append(Fraction(a, b))
-    return values if include_ends else values[1:-1]
+    return values
 
 
 class RunConfig(_Value):

@@ -40,7 +40,7 @@ from convexorder import (
     expectation,
     random_piecewise_linear,
 )
-from convexorder.distributions import _quoted
+from convexorder.exact import _quoted
 
 
 def stop_loss_by_survival_integral(d: DiscreteDistribution, t: Fraction) -> Fraction:

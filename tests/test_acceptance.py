@@ -134,13 +134,13 @@ def test_criterion_4_concentration_inequality_random_instances():
 def test_criterion_5_psi_sign_pattern_on_grids():
     started = time.perf_counter()
     checked = 0
-    interior2 = farey_fractions(10, include_ends=False)
+    interior2 = farey_fractions(10)[1:-1]
     for n in range(1, 7):
         for i, x in enumerate(interior2):
             for y in interior2[i + 1 :]:
                 checked += 1
                 _assert_psi_shape(n, [x, y])
-    interior3 = farey_fractions(4, include_ends=False)
+    interior3 = farey_fractions(4)[1:-1]
     for n in range(1, 4):
         for xs in combinations_with_replacement(interior3, 3):
             if all(x == xs[0] for x in xs):

@@ -31,10 +31,12 @@ from convexorder import (
 )
 from convexorder import cli, sweep
 from convexorder.cli import _json_rows, main
-from convexorder.distributions import MAX_ATOMS, MAX_LAW_BITS
+from convexorder._base import KNOWN_FUNCTION_GROUPS
 from convexorder.exact import ParameterError
-from convexorder.rasa import MAX_LATTICE_LENGTH, MAX_POINT_BITS
-from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, run_sweep
+from convexorder.lattice import MAX_LATTICE_LENGTH
+from convexorder.lawtext import MAX_ATOMS, MAX_LAW_BITS
+from convexorder.rasa import MAX_POINT_BITS
+from convexorder.sweep import RunConfig, run_sweep
 from helpers import distribution_to_text
 from test_distributions import (
     first_count_over_law_bits,

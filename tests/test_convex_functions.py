@@ -15,6 +15,7 @@ from convexorder import (
     expectation,
     random_piecewise_linear,
     builtin_family,
+    rasa_form,
 )
 
 
@@ -49,6 +50,17 @@ def test_piecewise_linear_hand_values():
     assert f(F(3, 4)) == 0
     assert f(F(1)) == F(1, 2)
     assert f(F(-1)) == 1  # slope -1 extends left of all breakpoints
+
+
+def test_piecewise_linear_from_lists_is_the_one_from_tuples():
+    from_lists = PiecewiseLinear(F(0), [F(1, 2)], [F(-1), F(1)])
+    from_tuples = PiecewiseLinear(F(0), (F(1, 2),), (F(-1), F(1)))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists.breakpoints == (F(1, 2),) and from_lists.slopes == (F(-1), F(1))
+    assert rasa_form(2, F(1, 3), F(1, 2), from_lists) == rasa_form(
+        2, F(1, 3), F(1, 2), from_tuples
+    )
 
 
 def test_piecewise_linear_multiple_breaks():

@@ -28,7 +28,8 @@ from convexorder import (
     szostok_decision,
 )
 from convexorder.cli import report_data
-from convexorder.cx_order import _segments, _weighted_atoms
+from convexorder.cx_order import _segments
+from convexorder.distributions import _weighted_atoms
 from oracles import (
     cdf_integral_by_midpoints,
     convex_order_by_probing,
@@ -274,6 +275,7 @@ class TestSzostok:
         assert report.decision
 
     def test_unequal_means_raise(self):
+        assert issubclass(StandingHypothesisError, ParameterError)
         with pytest.raises(StandingHypothesisError):
             szostok_decision(dirac(0), bernoulli(HALF), F(0), F(1))
 

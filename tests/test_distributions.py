@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexorder import distributions, lawtext
+from convexorder import distributions, exact, lawtext
 from convexorder import (
     DiscreteDistribution,
     MAX_ATOMS,
@@ -770,7 +770,7 @@ class TestLawSizeLimit:
 )
 def test_quoted_values_are_exact_when_short_and_bounded_when_long(p, q):
     value = F(p, q)
-    text = distributions._quoted(value)
+    text = exact._quoted(value)
     if max(abs(value.numerator), value.denominator).bit_length() <= 200:
         assert text == str(value)
         return
@@ -784,8 +784,8 @@ def test_quoted_values_are_exact_when_short_and_bounded_when_long(p, q):
 
 
 def test_quoted_long_values():
-    assert distributions._quoted(1 - F(1, 10**80)) == "about 9.99999e-1 (a 266-bit denominator)"
-    assert distributions._quoted(F(-(10**4400))) == "about -1.00000e4400"
+    assert exact._quoted(1 - F(1, 10**80)) == "about 9.99999e-1 (a 266-bit denominator)"
+    assert exact._quoted(F(-(10**4400))) == "about -1.00000e4400"
 
 
 def test_messages_quote_huge_masses_and_weight_sums():
@@ -808,18 +808,3 @@ _line_texts = st.lists(
 @given(text=st.one_of(_line_texts, st.text()))
 def test_text_lines_are_the_lines_splitlines_numbers(text):
     assert list(lawtext._text_lines(text)) == text.splitlines()
-
-
-def test_parser_names_read_through_distributions():
-    """The parsers live in ``lawtext``; ``distributions`` and the package
-    hand out the same objects, and an unknown name is still an error."""
-    import convexorder
-
-    for name in ("MAX_ATOMS", "MAX_LAW_BITS", "parse_distribution"):
-        assert getattr(distributions, name) is getattr(lawtext, name)
-        assert getattr(convexorder, name) is getattr(lawtext, name)
-    namespace = {}
-    exec("from convexorder.distributions import *", namespace)
-    assert set(distributions.__all__) <= set(namespace)
-    with pytest.raises(AttributeError, match="no attribute 'parse'"):
-        distributions.parse

@@ -54,9 +54,10 @@ from convexorder.lattice import (
     stop_loss_numerators,
 )
 from convexorder import convex_functions, lattice, sweep
-from convexorder.distributions import binomial_numerators
+from convexorder._base import KNOWN_FUNCTION_GROUPS
+from convexorder.exact import binomial_numerators
 from convexorder.rasa import lattice_point
-from convexorder.sweep import KNOWN_FUNCTION_GROUPS, RunConfig, grid_tasks, run_sweep
+from convexorder.sweep import RunConfig, grid_tasks, run_sweep
 
 from oracles import (
     binomial_by_fractions,
@@ -365,13 +366,10 @@ def test_farey_set_is_bounded_by_the_grid_limit():
         RunConfig(n_values=(1,), m_values=(2,), denominator=38)
 
 
-@pytest.mark.parametrize("include_ends", [True, False])
-def test_farey_recurrence_matches_the_sorted_set(include_ends):
+def test_farey_recurrence_matches_the_sorted_set():
     for max_den in range(1, 81):
         values = {F(p, q) for q in range(1, max_den + 1) for p in range(q + 1)}
-        if not include_ends:
-            values -= {F(0), F(1)}
-        assert farey_fractions(max_den, include_ends) == sorted(values)
+        assert farey_fractions(max_den) == sorted(values)
 
 
 def test_criterion_2_grid():

@@ -35,6 +35,7 @@ from convexorder import (
     verify_theorem_main,
 )
 from convexorder import rasa
+from convexorder.lattice import MAX_LATTICE_LENGTH
 from convexorder.sweep import RunConfig
 from oracles import bernstein, pair_by_fractions, psi_values_by_fractions
 
@@ -207,16 +208,16 @@ class TestHoeffding:
     @pytest.mark.parametrize("call", [verify_hoeffding, poisson_binomial])
     def test_parameter_count_over_the_limit_raises_before_any_parameter_is_read(self, call):
         # Reading any of these would raise FormatError instead.
-        ps = [object()] * (rasa.MAX_LATTICE_LENGTH + 1)
+        ps = [object()] * (MAX_LATTICE_LENGTH + 1)
         with pytest.raises(ParameterError) as raised:
             call(ps)
         assert str(raised.value) == (
-            f"{rasa.MAX_LATTICE_LENGTH + 1} parameters given, "
-            f"above the limit of {rasa.MAX_LATTICE_LENGTH}"
+            f"{MAX_LATTICE_LENGTH + 1} parameters given, "
+            f"above the limit of {MAX_LATTICE_LENGTH}"
         )
 
     def test_parameter_count_at_the_limit_verifies(self):
-        assert verify_hoeffding(["1/3", "1/2"] * (rasa.MAX_LATTICE_LENGTH // 2)).holds
+        assert verify_hoeffding(["1/3", "1/2"] * (MAX_LATTICE_LENGTH // 2)).holds
 
 
 class TestPsiPattern:
@@ -291,7 +292,7 @@ class TestGeneralized:
 
     def test_lattice_length_over_the_limit_raises_before_the_cache_is_read(self):
         # m * n = 1002: the message psi_sign_pattern gives, and no table built.
-        message = f"m * n is 1002, above the limit of {rasa.MAX_LATTICE_LENGTH}"
+        message = f"m * n is 1002, above the limit of {MAX_LATTICE_LENGTH}"
         lookups = rasa._cached_point.cache_info()
         for call in (
             lambda: verify_generalized(501, ["1/3", "1/2"]),
@@ -345,7 +346,7 @@ class TestGeneralized:
     def test_lattice_length_is_checked_before_the_parameters_interval(self, call):
         with pytest.raises(ParameterError) as raised:
             call()
-        assert str(raised.value) == f"m * n is 1002, above the limit of {rasa.MAX_LATTICE_LENGTH}"
+        assert str(raised.value) == f"m * n is 1002, above the limit of {MAX_LATTICE_LENGTH}"
 
 
     # m = 2, n = 1 and parameters 1/L, 2/L: m * n * bit_length(m * L) is
@@ -398,17 +399,13 @@ class TestGeneralized:
         assert psi_sign_pattern(n, xs).change_count == 2
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_library_point_with_many_parameters_keeps_no_law():
-    # 400 distinct parameters k/997 at n = 1: the mixture has 400 binomial
-    # laws of degree 400.  Built and summed one by one they peak at about
-    # 17 MB in a fresh process; kept in a process-wide cache, at 100 MB.
-    # The child reports its own peak, VmHWM: its ru_maxrss would count this
-    # process's peak too, which Linux carries over the child's exec.
-    code = (
-        "from fractions import Fraction\n"
-        "from convexorder.rasa import lattice_point\n"
-        "lattice_point(1, [Fraction(k, 997) for k in range(1, 401)])\n"
+def _peak_mb(code: str) -> float:
+    """The peak resident size, in MB, of a fresh interpreter that runs code.
+
+    The child reports its own peak, VmHWM: its ru_maxrss would count this
+    process's peak too, which Linux carries over the child's exec.
+    """
+    code += (
         "print(next(line.split()[1] for line in open('/proc/self/status')\n"
         "           if line.startswith('VmHWM:')))\n"
     )
@@ -417,7 +414,32 @@ def test_library_point_with_many_parameters_keeps_no_law():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) / 1024 < 40
+    return int(proc.stdout) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_library_point_with_many_parameters_keeps_no_law():
+    # 400 distinct parameters k/997 at n = 1: the mixture has 400 binomial
+    # laws of degree 400.  Built and summed one by one they peak at about
+    # 17 MB in a fresh process; kept in a process-wide cache, at 100 MB.
+    assert _peak_mb(
+        "from fractions import Fraction\n"
+        "from convexorder.rasa import lattice_point\n"
+        "lattice_point(1, [Fraction(k, 997) for k in range(1, 401)])\n"
+    ) < 40
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_library_points_in_turn_keep_one_table():
+    # 16 distinct points at m = 2, n = 250 with denominator 8191: only the
+    # last table is kept, and the loop peaks at about 21 MB in a fresh
+    # process; the last 64 tables kept took it to about 50 MB.
+    assert _peak_mb(
+        "from fractions import Fraction\n"
+        "from convexorder.rasa import lattice_point\n"
+        "for i in range(16):\n"
+        "    lattice_point(250, (Fraction(1 + i, 8191), Fraction(2 + i, 8191)))\n"
+    ) < 30
 
 
 class TestGeneralForm:
@@ -448,7 +470,7 @@ def test_pooled_vs_mixture_single_crossing_on_grid():
     # the mixture side of the order is reachable from the pooled binomial by
     # a single crossing wherever the parameters are interior and distinct
     for m, n_values, denom in ((2, (1, 2), 4), (3, (1,), 3)):
-        values = farey_fractions(denom, include_ends=False)
+        values = farey_fractions(denom)[1:-1]
         for n in n_values:
             for xs in combinations_with_replacement(values, m):
                 pooled = binomial(m * n, sum(xs, F(0)) / m)

@@ -2,9 +2,11 @@
 
 Every case runs in a fresh interpreter, because this test session has long
 since imported every module.  The probe prints the loaded module names at
-exit, after the command itself has run or exited.
+exit, after the command itself has run or exited.  The checks that each
+exported name has one home read the modules' sources instead.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -13,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import convexorder
+
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+PACKAGE_DIR = Path(SRC_DIR) / "convexorder"
 
 KERNELS = (
     "sweep", "rasa", "lattice", "cx_order", "distributions", "counterexample", "randomgen",
@@ -93,6 +98,12 @@ def test_named_import_loads_only_its_modules():
     assert _submodules(modules) == {
         "convexorder.distributions", "convexorder.cx_order", "convexorder.exact",
     }
+
+
+def test_names_shared_by_both_routes_load_from_their_home():
+    proc, modules = _run("from convexorder import sign_changes, GeneralizedVerdicts\n")
+    assert proc.returncode == 0, proc.stderr
+    assert _submodules(modules) == {"convexorder.exact", "convexorder.lattice"}
 
 
 def test_exact_imports_no_other_package_module():
@@ -193,7 +204,49 @@ def test_commands_load_no_dataclasses(tmp_path, args):
     assert "inspect" not in modules
 
 
+def _defined_and_listed(module: str) -> tuple[set[str], list[str]]:
+    """The names module's top level defines, by def, class or assignment,
+    and its ``__all__`` when that is a literal list.
+
+    An assignment of a bare name or attribute, such as ``Alias = Fraction``,
+    gives a second name to an object defined elsewhere, so it defines
+    nothing.
+    """
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    defined, listed = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names and isinstance(node.value, ast.List):
+                listed = ast.literal_eval(node.value)
+            if not isinstance(node.value, (ast.Name, ast.Attribute)):
+                defined |= names
+    return defined, listed
+
+
+MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_lists_only_the_names_it_defines(module):
+    defined, listed = _defined_and_listed(module)
+    assert len(set(listed)) == len(listed), listed
+    foreign = [name for name in listed if name not in defined]
+    assert not foreign, foreign
+
+
 def test_every_export_is_its_modules_object():
+    # Each exported name is defined in the module the package maps it to,
+    # its one home, and listed in that module's ``__all__``.
+    homeless = []
+    for name, module in convexorder._EXPORTS.items():
+        defined, listed = _defined_and_listed(module)
+        if name not in defined or name not in listed:
+            homeless.append((name, module))
+    assert not homeless, homeless
     proc, _ = _run(
         "import importlib\n"
         "import convexorder\n"

@@ -14,21 +14,18 @@ import pickle
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-import convexorder
-from convexorder import cx_order, distributions, exact
 from convexorder.convex_functions import Affine, Angle, Monomial, PiecewiseLinear
 from convexorder.counterexample import CounterexampleReport, analyze_counterexample
 from convexorder.cx_order import (
-    CxVerdict,
     LevinSteckinReport,
     OhlinReport,
-    StandingHypothesisError,
     SzostokReport,
     cx_compare_oracle,
 )
-from convexorder.distributions import DiscreteDistribution, ParameterError, bernoulli, dirac
-from convexorder.lattice import gap_verdict
-from convexorder.rasa import GeneralizedVerdicts, PsiPattern, rasa_form
+from convexorder.distributions import bernoulli, dirac
+from convexorder.exact import CxVerdict, ParameterError
+from convexorder.lattice import GeneralizedVerdicts, gap_verdict
+from convexorder.rasa import PsiPattern, rasa_form
 from convexorder.sweep import RunConfig
 from oracles import pair_by_fractions
 
@@ -276,29 +273,6 @@ def test_records_are_named_tuples_with_their_properties():
     holds = CxVerdict(True, True, None, F(0))
     assert GeneralizedVerdicts(holds, holds, holds).all_hold
     assert not GeneralizedVerdicts(holds, holds, CxVerdict(False, True, F(1), F(0))).all_hold
-
-
-def test_moved_names_are_one_object_under_every_path():
-    # The pieces both law routes share live in ``exact``; the modules that
-    # defined them before and the package's exports name the same objects.
-    moved = {
-        distributions: (
-            "ParameterError", "FormatError", "MAX_RATIONAL_DIGITS", "RationalLike",
-            "as_rational", "_quoted", "binomial_numerators", "_power_products",
-        ),
-        cx_order: (
-            "CxVerdict", "_oracle_verdict", "ParameterError", "as_rational", "_quoted",
-            "sign_changes",
-        ),
-        convexorder: (
-            "CxVerdict", "FormatError", "MAX_RATIONAL_DIGITS", "ParameterError", "as_rational",
-            "sign_changes",
-        ),
-    }
-    for module, names in moved.items():
-        for name in names:
-            assert getattr(module, name) is getattr(exact, name), (module.__name__, name)
-    assert issubclass(StandingHypothesisError, exact.ParameterError)
 
 
 def test_verdict_reprs_are_unchanged():
