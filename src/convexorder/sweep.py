@@ -6,18 +6,23 @@ denominator up to a bound.  Those fractions are built and bounded once per
 grid, with their int numerators, denominators and report text.  Each
 stride walks the grid one (n, m) block at a time.  A block builds each
 value's binomial law of degree mn, the parts of every mixture in the
-block, and lets them go before the next block builds its own.  Each point
-hands its int pairs and laws straight to ``lattice.point_from_pairs``,
-which takes the independent sum as one packed int power.  That one integer
-pass returns the point's stop-loss table: its three verdicts, read as
-bools, and its form coefficients.  Every built-in probe is convex, so
-where the angles are probed and relation (c) holds, the table alone gives
-the form's minimum, 0, with no probe evaluated (see
-``evaluate_grid_point``).  Any other row takes the angles' minimum from gap
-(c) and meets every other probe in one integer dot product with the form's
-coefficients: a stride builds its probe family, and a block its probe
-table, only once a row needs them, so a sweep whose rows relation (c)
-decides does not load ``convex_functions``.  A sweep keeps no cache, and
+block, and lets them go before the next block builds its own.  Every
+built-in probe is convex, so where the angles are probed and relation (c)
+holds, the point's three verdicts, read as bools, and the sum of its form's
+coefficients give the form's minimum, 0, with no probe evaluated (see
+``evaluate_grid_point``).  Where the angles are probed and the block's
+lattice is short (``lattice._point_packing``), each law is one packed int
+and ``lattice._packed_gaps`` gives those bools and that sum with no list.
+Any other block, and a row of a packed block that needs the form's
+coefficients, hands its int pairs and list laws straight to
+``lattice.point_from_pairs``, which takes the independent sum as one
+packed int power and returns the point's stop-loss table: its three gaps
+and its form coefficients.  A row whose minimum is not read as 0 takes
+the angles' minimum from gap (c) and meets every other probe in one
+integer dot product with the form's coefficients: a stride builds its
+probe family, and a block its probe table, only once a row needs them, so
+a sweep whose rows relation (c) decides does not load
+``convex_functions``.  A sweep keeps no cache, and
 loads neither ``rasa`` nor the ``DiscreteDistribution`` route.  Each point
 is evaluated by a pure function into one plain tuple, its values in
 ``ROW_FIELDS`` order, so the grid can be split into strides: each stride
@@ -45,6 +50,9 @@ from .lattice import (
     MAX_LATTICE_LENGTH,
     StopLossTable,
     _holds,
+    _packed_gaps,
+    _Packing,
+    _point_packing,
     dot,
     point_from_pairs,
     probe_table,
@@ -261,8 +269,10 @@ def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
 
     Each parameter value is its reduced int pair and its text, built once.
     The grid is walked one (n, m) block at a time: each block builds each
-    value's binomial law of degree mn once, and every point of the block
-    reads them, and the block's probe table when it needs one (``_Probes``).
+    value's binomial law of degree mn once, packed where
+    ``lattice._point_packing`` packs the block and as a list of numerators
+    elsewhere, and every point of the block reads them, and the block's
+    probe table when it needs one (``_Probes``).
     """
     fractions = [
         ((x.numerator, x.denominator), str(x)) for x in farey_fractions(config.denominator)
@@ -274,11 +284,13 @@ def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
         for m in config.m_values:
             mn = m * n
             probes.start(mn)
-            values = [(pair, text, binomial_numerators(mn, *pair)) for pair, text in fractions]
+            packing = _point_packing(n, m, config.denominator) if probes.angles else None
+            law = binomial_numerators if packing is None else packing.law
+            values = [(pair, text, law(mn, *pair)) for pair, text in fractions]
             block = combinations_with_replacement(values, m)
             first = (start - offset) % jobs
             rows += [
-                evaluate_grid_point(n, m, xs, probes)
+                evaluate_grid_point(n, m, xs, probes, packing)
                 for xs in islice(block, first, None, jobs)
             ]
             offset += math.comb(len(values) + m - 1, m)
@@ -288,16 +300,22 @@ def _stride(config: RunConfig, start: int, jobs: int) -> list[tuple]:
     return rows
 
 
-def evaluate_grid_point(n: int, m: int, xs: tuple, probes: _Probes) -> tuple:
+def evaluate_grid_point(
+    n: int, m: int, xs: tuple, probes: _Probes, packing: _Packing | None = None
+) -> tuple:
     """Verdicts and the minimal form value at one grid point.
 
-    ``xs`` holds each parameter as its reduced int pair, its text and the
-    numerators of its binomial law of degree mn, and ``probes`` the
-    stride's probes, moved to this point's block.  The row depends on these
-    alone: the block's probe table, built when a row first needs it, is the
-    same whichever row asks.  One stop-loss table holds the point's form
-    coefficients and its three gaps, and each relation holds when its gap
-    does (``lattice._holds``, the test ``gap_verdict`` makes first).
+    ``xs`` holds each parameter as its reduced int pair, its text and its
+    binomial law of degree mn: its numerators, or, where the block's
+    ``packing`` is given, the law that packing packs (``_Packing.law``).
+    ``probes`` holds the stride's probes, moved to this point's block.  The
+    row depends on these alone: the block's probe table, built when a row
+    first needs it, is the same whichever row asks.  On the list route one
+    stop-loss table holds the point's form coefficients and its three gaps,
+    and each relation holds when its gap does (``lattice._holds``, the test
+    ``gap_verdict`` makes first).  A packed point's three gaps are three
+    ints, each read by one masked compare (``_Packing.holds``), and its
+    form's sum is read from F mod (X - 1).
 
     By the bridge identity the form is m (E_mixed f - E_sum f), and every
     built-in probe is convex.  So where relation (c), sum <=_cx mixture,
@@ -307,10 +325,18 @@ def evaluate_grid_point(n: int, m: int, xs: tuple, probes: _Probes) -> tuple:
     and the stop-loss map pi reads every coefficient of the form but the
     one at 0; the sum of the form's coefficients, 0 since both laws have
     mass 1, pins that one, so the row reads 0 only where that sum is 0 too.
-    Any other row takes the minimum over every probe (``_form_minimum``).
+    Any other row takes the minimum over every probe (``_form_minimum``),
+    on a packed block from the list route's table, for which the row builds
+    its own m laws.
     Returns the row's values in ``ROW_FIELDS`` order.
     """
     pairs, texts, laws = zip(*xs)
+    if packing is not None:
+        gap_a, gap_b, gap_c, balanced = _packed_gaps(n, pairs, laws, packing)
+        if packing.holds(gap_c) and balanced and probes.angles:
+            holds_a, holds_b = packing.holds(gap_a), packing.holds(gap_b)
+            return (n, m, ";".join(texts), holds_a, holds_b, True, "0", holds_a and holds_b)
+        laws = (binomial_numerators(m * n, p, q) for p, q in pairs)
     table = point_from_pairs(n, pairs, laws)
     holds_a = _holds(table.sum_vs_pooled)
     holds_b = _holds(table.pooled_vs_mixture)

@@ -733,9 +733,12 @@ def test_a_broken_form_is_caught(monkeypatch, change):
     """A table whose form is off falls back to the probes and does not read
     0.  Gap (c) reads every coefficient but the one at 0, so there (c) still
     holds and the form's sum catches the change; a unit moved from one
-    coefficient to the next keeps the sum at 0, and (c) catches it."""
+    coefficient to the next keeps the sum at 0, and (c) catches it.  Every
+    block takes the list route here; ``test_a_broken_packed_form_is_caught``
+    breaks the packed route's form."""
     config = RunConfig(n_values=(1, 2), m_values=(2, 3), denominator=3)
     honest_rows, _ = run_sweep(config)
+    monkeypatch.setattr(sweep, "_point_packing", lambda n, m, max_den: None)
     honest = sweep.point_from_pairs
     fallbacks = []
     minimum = sweep._form_minimum
@@ -758,6 +761,43 @@ def test_a_broken_form_is_caught(monkeypatch, change):
     for row, honest_row in zip(rows, honest_rows):
         assert row != honest_row and row["min_form"] != "0", row
         assert row["verdict_c"] == (change == {0: -1}), row
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{0: -1}, {1: -1}, {-1: -1}, {1: -1, 2: 1}],
+    ids=["coefficient-0", "coefficient-1", "last-coefficient", "moved-unit"],
+)
+def test_a_broken_packed_form_is_caught(monkeypatch, change):
+    """A packed point whose form is off is read by the list route instead,
+    which gives the honest row.  The change is made to the mixture's first
+    part, so the form's coefficient moves by c^(mn), c = L / q_1: as with
+    the list route's table, relation (c) still holds where only the
+    coefficient at 0 moves, and the form's sum or (c) catches every change."""
+    config = RunConfig(n_values=(1, 2), m_values=(2, 3), denominator=3)
+    honest_rows, _ = run_sweep(config)
+    honest_gaps = sweep._packed_gaps
+    honest_point = sweep.point_from_pairs
+    packed_c = []
+    fallbacks = []
+
+    def broken_gaps(n, pairs, parts, packing):
+        mn = len(pairs) * n
+        # The form's coefficient at k sits in slot mn - k.
+        delta = sum(d << (packing.width * (mn - k % (mn + 1))) for k, d in change.items())
+        gaps = honest_gaps(n, pairs, (parts[0] + delta, *parts[1:]), packing)
+        packed_c.append(packing.holds(gaps[2]))
+        return gaps
+
+    def recording_point(*args):
+        fallbacks.append(None)
+        return honest_point(*args)
+
+    monkeypatch.setattr(sweep, "_packed_gaps", broken_gaps)
+    monkeypatch.setattr(sweep, "point_from_pairs", recording_point)
+    assert run_sweep(config) == (honest_rows, True)
+    assert len(fallbacks) == len(packed_c) == len(honest_rows)
+    assert packed_c == [change == {0: -1}] * len(honest_rows)
 
 
 def sweep_probes(points, functions, seed):
@@ -848,9 +888,10 @@ def test_cached_point_equals_uncached_laws(point):
 
 
 def test_grid_point_builds_one_power_and_one_pooled_law(monkeypatch):
-    """On the m = 3 grid every point takes one packed power for its sum and
-    builds one pooled law; each (n, m) block builds each value's binomial
-    law of degree mn once, for the mixtures of all its points."""
+    """On the m = 3 grid, every block taken by the list route, every point
+    takes one packed power for its sum and builds one pooled law; each
+    (n, m) block builds each value's binomial law of degree mn once, for
+    the mixtures of all its points."""
     powers = []
     pooled = []
     laws = []
@@ -873,6 +914,7 @@ def test_grid_point_builds_one_power_and_one_pooled_law(monkeypatch):
     monkeypatch.setattr(lattice, "binomial_sum", counting_power)
     monkeypatch.setattr(lattice, "bernstein_numerators", counting_pooled)
     monkeypatch.setattr(sweep, "binomial_numerators", counting_law)
+    monkeypatch.setattr(sweep, "_point_packing", lambda n, m, max_den: None)
     config = RunConfig(n_values=(1, 2, 3), m_values=(3,), denominator=5, seed=0)
     tasks = grid_tasks(config)
     rows, ok = run_sweep(config)
