@@ -513,8 +513,7 @@ def cmd_counterexample(fmt, force_json, out, scan, seed):
     """Reproduce the four-atom counterexample and certify every exact value."""
     from .counterexample import VerificationError, analyze_counterexample
 
-    if not 0 <= scan <= MAX_SCAN_PAIRS:
-        _fail(2, f"--scan: {scan} is not in the range 0<=x<={MAX_SCAN_PAIRS}")
+    _check_bounds("--scan", scan, 0, MAX_SCAN_PAIRS)
     _check_bounds("--seed", seed, 0)
     if force_json:
         fmt = "json"
@@ -601,8 +600,7 @@ def cmd_hoeffding(ps, random_count, seed, n_max, denom, out):
     from .randomgen import random_probability
     from .rasa import verify_hoeffding
 
-    if not 0 <= random_count <= MAX_RANDOM_INSTANCES:
-        _fail(2, f"--random: {random_count} is not in the range 0<=x<={MAX_RANDOM_INSTANCES}")
+    _check_bounds("--random", random_count, 0, MAX_RANDOM_INSTANCES)
     if len(ps) > MAX_LATTICE_LENGTH:
         _fail(2, f"{len(ps)} probabilities given, above the limit of {MAX_LATTICE_LENGTH}")
     _check_bounds("--seed", seed, 0)

@@ -37,7 +37,9 @@ Every part of its mixture is one binomial law of degree mn, which the
 caller hands in: a ``verify-rasa`` sweep on a long lattice builds each
 Farey value's law once per (n, m) block, calls the builder directly and
 reads its verdicts as bools through ``_holds``; ``rasa`` builds a library
-point's parts one by one as the builder reads them.
+point's parts one by one as the builder reads them.  The builder's mixture
+step, :func:`_mixture`, also sums the coefficient-free laws of
+``rasa.psi_sign_pattern``.
 
 On a short lattice a sweep needs no list at all.  :func:`_packed_gaps`
 builds the same point on Kronecker-packed ints, each law reversed, so that
@@ -102,10 +104,11 @@ x86-64 host (three runs each).  A point that builds the probe table and
 takes its dot products, such as one without the angles, took 0.02 to
 0.04 s, 0.09 s and 0.49 to 0.51 s.  With parameters 12/37 and 35/37 a
 point took 0.36 to 0.38 s at 1000, and 0.40 to 0.41 s with the table.
-A psi pattern at m * n = 1000 took 0.04 to 0.05 s
-there with two parameters and 0.5 to 0.74 s with 100 (k/101), as its sums
-of int power products also grow with m; 700 parameters k/1497 at n = 1
-took 1.2 to 1.4 s.  ``rasa.MAX_POINT_BITS`` bounds the parameters' bits.
+A psi pattern at m * n = 1000 took 0.036 to 0.043 s
+there with two parameters (1/3 and 1/2) and 0.56 to 0.61 s with 100
+(k/101), as its mixture's parts also grow with m; 700 parameters k/1497 at
+n = 1 took 1.32 to 1.49 s (quartiles of 16 fresh processes).
+``rasa.MAX_POINT_BITS`` bounds the parameters' bits.
 """
 
 
@@ -253,9 +256,7 @@ def point_from_pairs(
     is summed in, and a caller may share one list among points.  The sum is
     one packed power, :func:`binomial_sum`, over the product of the q_i^n,
     brought to L^(mn), L the least common denominator, by one integer
-    factor.  The parts that share a q are summed, and each such sum is
-    scaled to L^(mn) as it is added to the mixture, which is taken over
-    m L^(mn).
+    factor, and :func:`_mixture` sums the parts over m L^(mn).
 
     The stop-loss map pi is linear, so two passes give all three gaps.
     With S, P and M the numerators of the sum, the pooled law and the
@@ -270,20 +271,8 @@ def point_from_pairs(
     s = binomial_sum(n, pairs)
     factor = full_den // s.den
     s = s.nums if factor == 1 else [factor * v for v in s.nums]
-    # The m-fold self sum of binomial(n, p/q) is binomial(mn, p/q) over
-    # q^(mn), which divides L^(mn).
-    own: dict[int, Sequence[int]] = {}
-    for (_, q), part in zip(pairs, parts):
-        if q in own:
-            part = list(map(add, own[q], part))
-        own[q] = part
-    mixed = [0] * (mn + 1)
-    for q, part in own.items():
-        factor = (common_den // q) ** mn
-        if factor == 1:
-            mixed = list(map(add, mixed, part))
-        else:
-            mixed = [a + factor * b for a, b in zip(mixed, part)]
+    # The m-fold self sum of binomial(n, p/q) is binomial(mn, p/q).
+    mixed = _mixture(mn, common_den, pairs, parts)
     total = sum(p * (common_den // q) for p, q in pairs)
     pooled = bernstein_numerators(mn, total, m * common_den)
     form = [c - m * a for a, c in zip(s, mixed)]
@@ -300,6 +289,34 @@ def point_from_pairs(
         [scale * c - a for a, c in zip(sum_vs_pooled, sum_vs_mixture)],
         sum_vs_mixture,
     )
+
+
+def _mixture(
+    mn: int, common_den: int, pairs: Sequence[tuple[int, int]], parts: Iterable[Sequence[int]]
+) -> list[int]:
+    """The sum of ``parts``, each part's mn + 1 numerators over q_i^(mn) for
+    q_i the denominator of its pair, as numerators over L^(mn), L =
+    ``common_den`` a common multiple of the q_i.
+
+    The parts that share a q are summed, and each such sum is scaled to
+    L^(mn) once, as it is added in.  The step is linear in its parts:
+    :func:`point_from_pairs` hands it binomial laws and
+    ``rasa.psi_sign_pattern`` the same laws without their binomial
+    coefficients.
+    """
+    own: dict[int, Sequence[int]] = {}
+    for (_, q), part in zip(pairs, parts):
+        if q in own:
+            part = list(map(add, own[q], part))
+        own[q] = part
+    mixed = [0] * (mn + 1)
+    for q, part in own.items():
+        factor = (common_den // q) ** mn
+        if factor == 1:
+            mixed = list(map(add, mixed, part))
+        else:
+            mixed = [a + factor * b for a, b in zip(mixed, part)]
+    return mixed
 
 
 class _Packing(NamedTuple):

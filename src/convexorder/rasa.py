@@ -34,8 +34,10 @@ m = 2, read from that table.
 
 Only ``poisson_binomial`` and ``verify_hoeffding`` stay on
 ``DiscreteDistribution``.  ``distributions`` and ``cx_order`` are imported
-only inside them, the functions that use them.  ``psi_sign_pattern`` sums
-int powers and counts its sign changes with ``exact.sign_changes``.  Test
+only inside them, the functions that use them.  ``psi_sign_pattern``
+takes its mixture from the builder's mixture step, ``lattice._mixture``,
+on int power products, so this module holds no mixture arithmetic of its
+own, and counts its sign changes with ``exact.sign_changes``.  Test
 functions appear here only in annotations, so this module loads ``exact``
 and ``lattice`` of the package and not ``convex_functions``:
 ``psi-pattern`` runs on ``rasa``, ``exact`` and ``lattice`` alone, and
@@ -67,6 +69,7 @@ from .lattice import (
     MAX_LATTICE_LENGTH,
     GeneralizedVerdicts,
     StopLossTable,
+    _mixture,
     dot,
     point_from_pairs,
     probe_table,
@@ -106,10 +109,11 @@ taken 3.3 s and 200 of them 128 s before failing to print psi.
 At 14 000, on one 2-core x86-64 host with Python 3.11, a point at m = 2,
 n = 500 (1/8191 and 2/8191) took 1.7 s and 23 MB, and one at m = 5,
 n = 200 (1/2, 1/3, 1/5, 1/7, 1/11) 0.24 s and 26 MB; their psi patterns
-took 0.20 s and 0.29 s.  Many parameters cost more time, because each
-adds a binomial law of degree mn to the mixture, though each law is
-dropped once summed: 700 values k/1497 at n = 1 took 3.4 to 4.3 s and
-22 MB as a point, and 1.4 to 1.6 s and 19 MB as a psi pattern.
+took 0.22 to 0.24 s and 0.34 to 0.41 s (quartiles of 16 fresh
+processes).  Many parameters cost more time, because each adds a binomial
+law of degree mn to the mixture, though each law is dropped once summed:
+700 values k/1497 at n = 1 took 3.4 to 4.3 s and 22 MB as a point, and
+1.32 to 1.49 s and 19 MB as a psi pattern.
 """
 
 
@@ -279,8 +283,10 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
     The point is read as :func:`lattice_point` reads it (``_read_point``).
     Parameters must then be strictly inside (0, 1) and not all equal; the
     all equal input makes psi identically zero and is rejected as degenerate.
-    The sequence is summed in ints over one common denominator, and one
-    Fraction is built per value.
+    The mixture is ``lattice._mixture``, the point's mixture step, on the
+    parameters' binomial laws of degree mn without their coefficients; the
+    sequence is taken in ints over one common denominator, and one Fraction
+    is built per value.
     """
     xs = _read_point(n, xs)
     for x in xs:
@@ -290,20 +296,17 @@ def psi_sign_pattern(n: int, xs: Sequence[RationalLike]) -> PsiPattern:
         raise ParameterError("degenerate input: all parameters equal, psi == 0")
     m = len(xs)
     mn = m * n
-    # With x_i = a_i / q over the least common denominator q and A = sum a_i,
-    # psi_k = (m^(mn-1) sum_i a_i^k (q - a_i)^(mn-k) - A^k (mq - A)^(mn-k))
-    # over (mq)^mn; the ints below are those numerators.
-    q = math.lcm(*(x.denominator for x in xs))
-    numerators = [x.numerator * (q // x.denominator) for x in xs]
-    own = [0] * (mn + 1)
-    for a in numerators:
-        for k, term in enumerate(_power_products(a, q - a, mn)):
-            own[k] += term
-    total = sum(numerators)
-    pooled = _power_products(total, m * q - total, mn)
+    # With x_i = a_i / L over the least common denominator L and A = sum a_i,
+    # psi_k = (m^(mn-1) sum_i a_i^k (L - a_i)^(mn-k) - A^k (mL - A)^(mn-k))
+    # over (mL)^mn; the ints below are those numerators.
+    pairs = [(x.numerator, x.denominator) for x in xs]
+    common_den = math.lcm(*(q for _, q in pairs))
+    mixed = _mixture(mn, common_den, pairs, (_power_products(p, q - p, mn) for p, q in pairs))
+    total = sum(p * (common_den // q) for p, q in pairs)
+    pooled = _power_products(total, m * common_den - total, mn)
     m_power = m ** (mn - 1)
-    nums = [m_power * v - w for v, w in zip(own, pooled)]
-    den = (m * q) ** mn
+    nums = [m_power * v - w for v, w in zip(mixed, pooled)]
+    den = (m * common_den) ** mn
     pattern = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in nums)
     return PsiPattern(
         values=tuple(Fraction(v, den) for v in nums),

@@ -364,7 +364,7 @@ def _form_minimum(mn: int, table: StopLossTable, probes: _Probes) -> tuple[str, 
     By the bridge identity, the form on the angle at j / (mn) is relation
     (c)'s gap at j over mn L^(mn), so the angles' minimum is that vector's
     minimum.  Every other probe is one integer dot product with the form's
-    coefficients.  The minimum is reduced by one gcd.
+    coefficients.
     """
     rows, den = probes.rows()
     # Both minima over mn L^(mn) P, P the probe table's denominator.
@@ -374,10 +374,7 @@ def _form_minimum(mn: int, table: StopLossTable, probes: _Probes) -> tuple[str, 
     if probes.angles:
         minima.append(min(table.sum_vs_mixture) * den)
     num = min(minima)
-    common = math.gcd(num, mn * table.the_sum.den * den)
-    form_den = mn * table.the_sum.den * den // common
-    num //= common
-    return (f"{num}/{form_den}" if form_den != 1 else str(num)), num >= 0
+    return str(Fraction(num, mn * table.the_sum.den * den)), num >= 0
 
 
 def _available_cpus() -> int:

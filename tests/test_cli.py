@@ -1002,11 +1002,12 @@ class TestCounterexampleCommand:
     [
         (
             ["counterexample", "--scan", str(cli.MAX_SCAN_PAIRS + 1)],
-            f"0<=x<={cli.MAX_SCAN_PAIRS}",
+            f"--scan is {cli.MAX_SCAN_PAIRS + 1}, above the limit of {cli.MAX_SCAN_PAIRS}",
         ),
         (
             ["hoeffding", "--random", str(cli.MAX_RANDOM_INSTANCES + 1)],
-            f"0<=x<={cli.MAX_RANDOM_INSTANCES}",
+            f"--random is {cli.MAX_RANDOM_INSTANCES + 1}, above the limit of "
+            f"{cli.MAX_RANDOM_INSTANCES}",
         ),
         (
             ["hoeffding", "--random", "1", "--n-max", "1000000000"],
@@ -1034,6 +1035,31 @@ def test_size_argument_over_limit_exits_2_at_once(argv, message):
     assert time.perf_counter() - started < 1
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["counterexample", "--scan", "-1"], "--scan is -1, below the minimum of 0\n"),
+        (
+            ["counterexample", "--scan", str(cli.MAX_SCAN_PAIRS + 1)],
+            f"--scan is {cli.MAX_SCAN_PAIRS + 1}, above the limit of {cli.MAX_SCAN_PAIRS}\n",
+        ),
+        (["hoeffding", "1/2", "--random", "-1"], "--random is -1, below the minimum of 0\n"),
+        (
+            ["hoeffding", "--random", str(cli.MAX_RANDOM_INSTANCES + 1)],
+            f"--random is {cli.MAX_RANDOM_INSTANCES + 1}, above the limit of "
+            f"{cli.MAX_RANDOM_INSTANCES}\n",
+        ),
+    ],
+    ids=["scan-below", "scan-above", "random-below", "random-above"],
+)
+def test_count_option_out_of_range_exits_2_with_the_bounds_line(argv, message):
+    # The one CLI bound check words every bound alike.
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == message
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexorder import (
     Angle,
@@ -264,6 +266,41 @@ class TestPsiPattern:
     def test_boundary_rejected(self):
         with pytest.raises(ParameterError):
             psi_sign_pattern(1, [F(0), HALF])
+
+
+@st.composite
+def psi_points(draw):
+    """(n, xs): up to 20 interior parameters, not all equal, drawn from a
+    few values over a few shared denominators, so that values and
+    denominators repeat."""
+    dens = draw(st.lists(st.integers(2, 13), min_size=1, max_size=3))
+    value = st.sampled_from(dens).flatmap(
+        lambda q: st.builds(F, st.integers(1, q - 1), st.just(q))
+    )
+    pool = draw(st.lists(value, min_size=2, max_size=6))
+    xs = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=20))
+    if all(x == xs[0] for x in xs):
+        xs.append(next(x for x in [*pool, F(1, 2), F(1, 3)] if x != xs[0]))
+    return draw(st.integers(1, 3 if len(xs) <= 6 else 1)), xs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(psi_points())
+def test_psi_agrees_with_fractions_and_with_the_point_s_mixture(point):
+    # psi and the point's table take their mixture from one step; psi
+    # against the Fraction oracle checks that step, and psi against the
+    # table checks that both callers hand it the same laws:
+    # C(mn, k) psi_k (m L)^(mn) = m^(mn-1) mixed_k - pooled_k.
+    n, xs = point
+    values = psi_sign_pattern(n, xs).values
+    assert values == psi_values_by_fractions(n, xs)
+    table = rasa.lattice_point(n, xs)
+    m = len(xs)
+    mn = m * n
+    assert table.pooled.den == math.lcm(*(x.denominator for x in xs)) ** mn * m**mn
+    assert [math.comb(mn, k) * v * table.pooled.den for k, v in enumerate(values)] == [
+        m ** (mn - 1) * a - b for a, b in zip(table.mixed.nums, table.pooled.nums)
+    ]
 
 
 class TestGeneralized:
