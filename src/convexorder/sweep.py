@@ -73,10 +73,10 @@ MAX_GRID_POINTS = 100_000
 
 Every row is held as a tuple until the report is written, and the report is
 written in chunks: 73,696 points (``--n 1..4 --m 3 --denom 12``, a 13.6 MB
-report) peak at 34.5 MB with one job and 32 MB with two, and take 5.1 s
-serially and 2.6 s with two jobs (medians of five runs) on one 2-core
-x86-64 host with Python 3.11, so this bounds a sweep at roughly 42 MB and
-7 s of one core.
+report) peak at 29.7 MB with one job and 29.8 MB with two, 14 MB above a
+ten-point sweep's 15.6 MB, and take 1.19 s with one job and 1.07 s with two
+(wall-time medians of five fresh processes on one 2-core x86-64 host with
+Python 3.11), so this bounds a sweep at roughly 35 MB and 1.6 s of one core.
 """
 
 
@@ -219,10 +219,10 @@ def grid_size(config: RunConfig) -> int:
 
 def grid_tasks(config: RunConfig) -> list[tuple]:
     """All grid points in deterministic lexicographic order, as
-    (n, m, parameters as Fractions, function groups, seed)."""
+    (n, m, parameters as Fractions)."""
     values = farey_fractions(config.denominator)
     return [
-        (n, m, xs, config.functions, config.seed)
+        (n, m, xs)
         for n in config.n_values
         for m in config.m_values
         for xs in combinations_with_replacement(values, m)

@@ -323,7 +323,7 @@ class TestVerifyRasa:
         monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
         assert run_sweep(config) == serial
         assert evaluated == [
-            (n, m, ";".join(map(str, xs))) for n, m, xs, *_ in sweep.grid_tasks(config)[0::2]
+            (n, m, ";".join(map(str, xs))) for n, m, xs in sweep.grid_tasks(config)[0::2]
         ]
         assert capsys.readouterr().err == ""
 

@@ -692,7 +692,7 @@ def test_rows_relation_c_decides_are_the_minimum_over_every_probe(monkeypatch):
     for n_values, m, denominator, count in PIN_GRIDS:
         config = RunConfig(n_values=n_values, m_values=(m,), denominator=denominator)
         tables = {}
-        for n, _, xs, *_ in rng.sample(grid_tasks(config), count):
+        for n, _, xs in rng.sample(grid_tasks(config), count):
             fallbacks.clear()
             row = sweep_row(n, xs)
             if fallbacks:
@@ -920,6 +920,6 @@ def test_grid_point_builds_one_power_and_one_pooled_law(monkeypatch):
     rows, ok = run_sweep(config)
     assert ok and len(rows) == len(tasks) == 858
     assert len(powers) == len(pooled) == len(tasks)
-    keys = {(m * n, x.numerator, x.denominator) for n, m, xs, *_ in tasks for x in xs}
+    keys = {(m * n, x.numerator, x.denominator) for n, m, xs in tasks for x in xs}
     assert len(keys) == 33
     assert sorted(laws) == sorted(keys)

@@ -185,7 +185,7 @@ def test_routes_agree_on_grid_points(n_values, m, denominator, count):
         tasks = random.Random(2016).sample(tasks, count)
     packings = {}
     decided = reversed_holding = 0
-    for n, _, xs, *_ in tasks:
+    for n, _, xs in tasks:
         if n not in packings:
             packings[n] = block_packing(n, m, denominator)
         pairs = [(x.numerator, x.denominator) for x in xs]
