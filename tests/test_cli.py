@@ -44,6 +44,7 @@ from test_distributions import (
     primes,
     rational_distributions,
 )
+from test_report_bytes import spawn_cli
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -517,20 +518,13 @@ def test_failed_stdout_write_exits_2_with_one_line(capsys, monkeypatch, argv, fa
     ],
 )
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_full_device_as_stdout_exits_2_with_one_line(argv, unbuffered):
-    env = dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONUNBUFFERED=unbuffered)
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "convexorder", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-            timeout=120,
-        )
-    assert proc.returncode == 2
+def test_full_device_as_stdout_exits_2_with_one_line(tmp_path, argv, unbuffered):
+    exit_code, _, stderr = spawn_cli(
+        tmp_path, argv, 120, stdout="/dev/full", env={"PYTHONUNBUFFERED": unbuffered}
+    )
+    assert exit_code == 2
     # One line: no traceback, and no "Exception ignored" from the flush at exit.
-    assert proc.stderr == FULL_STDOUT
+    assert stderr == FULL_STDOUT
 
 
 # Runs one command in-process under ``tracemalloc`` in a fresh interpreter,
@@ -882,19 +876,11 @@ def test_huge_file_exits_2_in_bounded_memory(tmp_path, source):
         source.write_text("0 1\n" * 5_000_000)
     limit = 300 << 20
     # The child limits its own address space, then runs the command.
-    code = (
-        f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-        "from convexorder.cli import main; main()"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "cx-compare", str(source), str(one)],
-        env=dict(os.environ, PYTHONPATH=SRC_DIR),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2, proc.stderr[-500:]
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr[-500:]
+    prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    exit_code, _, stderr = spawn_cli(tmp_path, ["cx-compare", str(source), str(one)], 20, prelude)
+    assert exit_code is not None, "killed after 20 s"
+    assert exit_code == 2, stderr[-500:]
+    assert len(stderr.splitlines()) == 1, stderr[-500:]
 
 
 # Hostile file contents: valid laws in both formats, atom lines and JSON

@@ -9,13 +9,21 @@ command the same way, at a width of 80 columns.  The inputs of
 literally.
 
 Reports too large to keep as files are pinned in ``PINS`` by the SHA-256 of
-their stdout.  Each runs in a fresh interpreter, as the console script
-starts it, with DeprecationWarnings as errors, and must exit 0 within its
-row's timeout with nothing on stderr.  A sweep runs once with ``--jobs 1``
-and once with ``--jobs 2``, so both must give the pinned bytes; a stride
-evaluated in the parent, or a fork with threads running, writes to stderr
-and fails the run.  A row with a peak bound also bounds each run's peak
-resident size.
+their stdout.  Each must exit 0 within its row's timeout with nothing on
+stderr.  A sweep runs once with ``--jobs 1`` and once with ``--jobs 2``, so
+both must give the pinned bytes; a stride evaluated in the parent, or a fork
+with threads running, writes to stderr and fails the run.  A row with a peak
+bound also bounds each run's peak resident size.
+
+Hostile inputs are listed in ``EXITS``: numbers, grids and files too large
+to handle, and arguments that cannot go together.  Each must end within its
+row's bound with its exit code, exactly one line on stderr and nothing on
+stdout: no traceback and no hang.
+
+``spawn_cli`` runs the rows of both tables in a fresh interpreter, as the
+console script starts it, with DeprecationWarnings as errors, and kills the
+run with its process group at the row's bound.  ``test_cli`` runs its
+real-process exits through it too.
 """
 
 import hashlib
@@ -23,6 +31,7 @@ import os
 import signal
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,6 +39,7 @@ import pytest
 from click.testing import CliRunner
 
 from convexorder.cli import main
+from test_distributions import primes
 
 REPORTS = Path(__file__).resolve().parent / "reports"
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -247,6 +257,47 @@ def _reap(pid: int, timeout: float) -> int | None:
     return os.waitstatus_to_exitcode(status) if done else None
 
 
+def spawn_cli(
+    tmp_path: Path,
+    argv: list[str],
+    timeout: float,
+    prelude: str = "",
+    stdout: str | None = None,
+    env: dict[str, str] | None = None,
+) -> tuple[int | None, bytes | None, str]:
+    """Run ``convexorder ARGV`` in a fresh interpreter, as the console
+    script starts it, after ``prelude``, with DeprecationWarnings as errors
+    and the extra environment ``env``; kill it and its process group after
+    ``timeout`` seconds.  Its stdout goes to the file or device ``stdout``,
+    or else to a file under ``tmp_path``.  Return the exit code (``None``
+    if the run was killed), the bytes of that file (``None`` if ``stdout``
+    was given) and stderr."""
+    code = (
+        prelude + "import runpy, sys\n"
+        f"sys.argv = ['convexorder', *{argv!r}]\n"
+        "runpy.run_module('convexorder', run_name='__main__')\n"
+    )
+    out, err = stdout or tmp_path / "stdout", tmp_path / "stderr"
+    create = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    pid = os.posix_spawn(
+        sys.executable,
+        [sys.executable, "-c", code],
+        dict(
+            os.environ,
+            PYTHONPATH=SRC_DIR,
+            PYTHONWARNINGS="error::DeprecationWarning",
+            **(env or {}),
+        ),
+        file_actions=[
+            (os.POSIX_SPAWN_OPEN, 1, str(out), create, 0o644),
+            (os.POSIX_SPAWN_OPEN, 2, str(err), create, 0o644),
+        ],
+        setpgroup=0,
+    )
+    exit_code = _reap(pid, timeout)
+    return exit_code, None if stdout else out.read_bytes(), err.read_text()
+
+
 @pytest.mark.parametrize(
     "name, jobs", PIN_RUNS, ids=[f"{name}-jobs{jobs}" if jobs else name for name, jobs in PIN_RUNS]
 )
@@ -259,27 +310,94 @@ def test_pinned_report(tmp_path, name, jobs):
         prelude += "import convexorder.sweep\nconvexorder.sweep._available_cpus = lambda: 2\n"
     if pin.peak_mb is not None:
         prelude += _PEAK.format(path=str(tmp_path / "peak"))
-    code = (
-        prelude + "import runpy, sys\n"
-        f"sys.argv = ['convexorder', *{argv!r}]\n"
-        "runpy.run_module('convexorder', run_name='__main__')\n"
-    )
-    out, err = tmp_path / "report", tmp_path / "stderr"
-    create = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-    pid = os.posix_spawn(
-        sys.executable,
-        [sys.executable, "-c", code],
-        dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONWARNINGS="error::DeprecationWarning"),
-        file_actions=[
-            (os.POSIX_SPAWN_OPEN, 1, str(out), create, 0o644),
-            (os.POSIX_SPAWN_OPEN, 2, str(err), create, 0o644),
-        ],
-        setpgroup=0,
-    )
-    exit_code = _reap(pid, pin.timeout)
+    exit_code, report, stderr = spawn_cli(tmp_path, argv, pin.timeout, prelude)
     assert exit_code is not None, f"killed after {pin.timeout} s"
-    assert (exit_code, err.read_text()) == (0, "")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == pin.sha256
+    assert (exit_code, stderr) == (0, "")
+    assert hashlib.sha256(report).hexdigest() == pin.sha256
     if pin.peak_mb is not None:
         peak_mb = int((tmp_path / "peak").read_text()) / 1024
         assert peak_mb < pin.peak_mb
+
+
+class Exit(NamedTuple):
+    """A hostile input: the command line, the exit code it ends with, and
+    the seconds a run may take.  ``{dir}`` in an argument is the directory
+    that holds the law files of ``law_files``, and ``{name}`` the law file
+    ``name.txt`` there."""
+
+    args: list[str]
+    code: int = 2
+    timeout: int = 20
+
+
+NINES = "9" * 4300
+
+EXITS = {
+    # An exponent counts as its magnitude in digits, so the literal fails
+    # the 10 000-digit limit before its denominator is built.
+    "hoeffding-exponent": Exit(["hoeffding", "1/2", "1e-999999"]),
+    # Grids and lattices too large to build are refused from their sizes.
+    "sweep-long-range": Exit(["verify-rasa", "--n", "1..10000000000", "--m", "2", "--denom", "2"]),
+    "sweep-huge-n": Exit(["verify-rasa", "--n", "999999999999999999", "--m", "2", "--denom", "2"]),
+    # Only JSON reports a scan.
+    "scan-csv": Exit(["counterexample", "--format", "csv", "--scan", "3"]),
+    "hoeffding-huge-n-max": Exit(["hoeffding", "--random", "1", "--n-max", "1000000000"]),
+    "hoeffding-1001": Exit(["hoeffding", *["1/3"] * 1001]),
+    "hoeffding-n-max-0": Exit(["hoeffding", "--random", "1", "--n-max", "0"]),
+    # Two files within both parse limits whose mean gap has a denominator
+    # of over 4300 digits, Python's limit for printing an int: the first
+    # 1000 primes' product.
+    "compare-digits": Exit(["cx-compare", "{digits-a}", "{digits-b}", "--method", "oracle"]),
+    # A Hoeffding parameter with such a denominator.
+    "hoeffding-digits": Exit(["hoeffding", "1/2", "1e-5000"]),
+    # A 4300-digit n or grid bound parses, but m * n and the grid's size
+    # have 4301 digits.
+    "psi-nines": Exit(["psi-pattern", "--n", NINES, "1/2", "1/3"]),
+    "sweep-nines": Exit(["verify-rasa", "--n", "1", "--m", "2", "--denom", NINES]),
+    # The reciprocals of the first 300 primes pass the point's bit bound:
+    # exit 2 at once, where they once ran for over ten minutes.
+    "psi-300-primes": Exit(
+        ["psi-pattern", "--n", "1", *(f"1/{p}" for p in islice(primes(), 300))], timeout=10
+    ),
+    # m = 0 under a huge grid bound.
+    "sweep-m0": Exit(["verify-rasa", "--n", "1", "--m", "0", "--denom", "1000000000000"]),
+    # A report path that is a directory.
+    "out-dir": Exit(["hoeffding", "1/2", "1/3", "--out", "{dir}"]),
+    # Error messages that quote a huge value stay one line: the masses 1/p_k
+    # over the first 1800 primes sum to a fraction of over 6000 digits ...
+    "compare-masses": Exit(["cx-compare", "{primes-1800}", "{digits-b}"]),
+    # ... and Szostok's total integral on the digit files has over 4300.
+    "szostok-digits": Exit(["cx-compare", "{digits-a}", "{digits-b}", "--method", "szostok"], 3),
+}
+
+
+@pytest.fixture(scope="module")
+def law_files(tmp_path_factory) -> dict[str, str]:
+    """The law files of the ``cx-compare`` rows, and their directory."""
+    folder = tmp_path_factory.mktemp("laws")
+    ps = list(islice(primes(), 1800))
+    texts = {
+        "digits-a": "".join(f"{k}/{p} 1/1000\n" for k, p in enumerate(ps[:1000])),
+        "digits-b": "".join(
+            f"{i + 1}/{p} 1/{500 * p}\n{i + 2}/{p} {p - 1}/{500 * p}\n"
+            for i, p in enumerate(ps[:500])
+        ),
+        "primes-1800": "".join(f"{k} 1/{p}\n" for k, p in enumerate(ps)),
+    }
+    paths = {"dir": str(folder)}
+    for name, text in texts.items():
+        (folder / f"{name}.txt").write_text(text)
+        paths[name] = str(folder / f"{name}.txt")
+    return paths
+
+
+@pytest.mark.parametrize("name", EXITS)
+def test_hostile_input_exits(tmp_path, law_files, name):
+    row = EXITS[name]
+    argv = [arg.format_map(law_files) for arg in row.args]
+    exit_code, stdout, stderr = spawn_cli(tmp_path, argv, row.timeout)
+    assert exit_code is not None, f"killed after {row.timeout} s"
+    assert exit_code == row.code, stderr[-500:]
+    # One line: no traceback.
+    assert stderr.endswith("\n") and len(stderr.splitlines()) == 1, stderr[-500:]
+    assert stdout == b""
