@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 from .exact import (
     ParameterError,
     RationalLike,
+    _packed_product,
     _quoted,
     _slots,
     as_rational,
@@ -346,13 +347,14 @@ def convolve_many(parts: Sequence[DiscreteDistribution]) -> DiscreteDistribution
 
     When the lattice, at one slot of the denominator's byte length per
     point, fits in :data:`MAX_PACKED_BYTES`, the numerators are folded as
-    one int holding a slot per point: every partial product's coefficient
-    is at most the final denominator, so no slot ever carries into the
-    next.  The int is read back once, through its bytes, and empty slots
-    are dropped.  Above the bound a dict of partial sums is folded part by
-    part, and so is a sparse lattice, one with more points than the parts
-    can have distinct sums: reading its empty slots back would cost more
-    than the dict's updates.
+    one int holding a slot per point, by ``exact._packed_product``, the
+    fold ``lattice.binomial_sum`` runs too: every partial product's
+    coefficient is at most the final denominator, so no slot ever carries
+    into the next.  ``exact._slots`` reads the int back once, through its
+    bytes, and empty slots are dropped.  Above the bound a dict of partial
+    sums is folded part by part, and so is a sparse lattice, one with more
+    points than the parts can have distinct sums: reading its empty slots
+    back would cost more than the dict's updates.
     """
     if not parts:
         raise ParameterError("convolve_many needs at least one distribution")
@@ -373,7 +375,9 @@ def convolve_many(parts: Sequence[DiscreteDistribution]) -> DiscreteDistribution
         for offsets, part in zip(shifted, parts)
     ]
     if length * slot <= MAX_PACKED_BYTES and _sums_bound(shifted) >= length:
-        keys, nums = _packed_fold(folded, length, slot)
+        values = _slots(_packed_product(folded, 8 * slot), length, slot)
+        keys = [k for k, v in enumerate(values) if v]
+        nums = [values[k] for k in keys]
     else:
         keys, nums = _dict_fold(folded)
     return DiscreteDistribution._from_ints(
@@ -387,20 +391,6 @@ def _sums_bound(shifted: list[list[int]]) -> int:
     per multiset of r of their points."""
     repeats = Counter(map(tuple, shifted))
     return math.prod(math.comb(len(o) + r - 1, r) for o, r in repeats.items())
-
-
-def _packed_fold(
-    parts: list[tuple[list[int], Sequence[int]]], length: int, slot: int
-) -> tuple[list[int], list[int]]:
-    """The lattice points and numerators of the sum of the (offsets, nums)
-    parts, folded in one int of ``length`` slots of ``slot`` bytes."""
-    bits = 8 * slot
-    packed = 1
-    for offsets, nums in parts:
-        packed = sum((packed * v) << (bits * o) for o, v in zip(offsets, nums))
-    values = _slots(packed, length, slot)
-    keys = [k for k, v in enumerate(values) if v]
-    return keys, [values[k] for k in keys]
 
 
 def _dict_fold(

@@ -1,15 +1,15 @@
 """The exact pieces that both law routes share: errors, rationals, binomial
-numerators, the packed-int slot reader, sign runs and the one convex-order
-verdict reader.
+numerators, the packed-int product and its slot reader, sign runs and the
+one convex-order verdict reader.
 
 Laws read from files or built by the library are held as
 ``distributions.DiscreteDistribution`` and compared by ``cx_order``; laws
 of a Rasa sweep are held on the integer lattice by ``lattice``.  Both routes
 raise the same errors, coerce parameters with :func:`as_rational`, quote
 values in messages through :func:`_quoted`, build binomial laws from
-:func:`binomial_numerators`, read the polynomial products they pack into
-one int with :func:`_slots`, count sign changes with :func:`sign_changes`
-and hand their stop-loss gaps to
+:func:`binomial_numerators`, fold their independent sums into one int with
+:func:`_packed_product` and read it back with :func:`_slots`, count sign
+changes with :func:`sign_changes` and hand their stop-loss gaps to
 :func:`_oracle_verdict`, so equal laws get equal verdicts, witnesses
 included.  These names have their one home here, and this module imports
 no other module of the package, so a ``verify-rasa`` sweep, which runs only
@@ -19,7 +19,7 @@ the lattice route, never loads ``distributions`` or ``cx_order``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "RationalLike",
@@ -170,12 +170,32 @@ def _power_products(a: int, b: int, n: int) -> list[int]:
     return out
 
 
+def _packed_product(
+    parts: Iterable[tuple[Sequence[int], Sequence[int]]], bits: int
+) -> int:
+    """The product of the polynomials sum_j nums[j] z^offsets[j], one per
+    (offsets, nums) part, as one int with z = 2^bits.
+
+    The one writer of the Kronecker layout :func:`_slots` reads, for both
+    independent sums: ``distributions.convolve_many``'s parts and
+    ``lattice.binomial_sum``'s factors.  A running int is multiplied by
+    each of a part's small numerators and shifted to its offset, so a step
+    costs time linear in the int, where a product of two packed ints would
+    cost a full big-int multiplication.  The int holds the product's
+    coefficients exactly when every partial product's are below 2^bits.
+    """
+    packed = 1
+    for offsets, nums in parts:
+        packed = sum((packed * v) << (bits * o) for o, v in zip(offsets, nums))
+    return packed
+
+
 def _slots(packed: int, count: int, slot: int) -> list[int]:
     """The ``count`` slots of ``slot`` bytes each of a nonnegative int, lowest first.
 
-    The one reader of the Kronecker layout that both packed routes write, a
-    polynomial's coefficient c_k at bit 8 * slot * k: the int is read back
-    once through its little-endian bytes.  It holds the coefficients
+    The one reader of the Kronecker layout :func:`_packed_product` writes,
+    a polynomial's coefficient c_k at bit 8 * slot * k: the int is read
+    back once through its little-endian bytes.  It holds the coefficients
     exactly when each is below 2^(8 * slot).
     """
     raw = packed.to_bytes(count * slot, "little")

@@ -10,9 +10,10 @@ of m independent binomial(n, a/q) draws is binomial(mn, a/q), the same
 integers over q^(mn).  The sum of independent binomial(n, p_i/q_i) draws
 has the generating function (prod_i ((q_i - p_i) + p_i z))^n over
 (prod_i q_i)^n, so :func:`binomial_sum` takes it as one int power by
-Kronecker substitution (Harvey, J. Symb. Comput. 2009), the packing
-``distributions.convolve_many`` also folds its parts in; ``exact._slots``
-reads both back.  A uniform mixture of laws brought to one
+Kronecker substitution (Harvey, J. Symb. Comput. 2009): the factors are
+folded into one int by ``exact._packed_product``, the fold
+``distributions.convolve_many`` runs on its parts too, and
+``exact._slots`` reads both back.  A uniform mixture of laws brought to one
 denominator D is the plain sum of their numerators over len(laws) * D.
 
 A law's stop-loss table is the vector of E(X - j)_+ times its denominator at
@@ -67,7 +68,8 @@ from itertools import accumulate, compress
 from operator import add, mul, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact import _HOLDS, CxVerdict, _oracle_verdict, _slots, binomial_numerators
+from .exact import _HOLDS, CxVerdict, _oracle_verdict, _packed_product, _slots
+from .exact import binomial_numerators
 
 __all__ = [
     "MAX_LATTICE_LENGTH",
@@ -131,17 +133,15 @@ def binomial_sum(n: int, pairs: Sequence[tuple[int, int]]) -> LatticeLaw:
     Its numerators are the coefficients of the polynomial power
     (prod_i ((q_i - p_i) + p_i z))^n, which Kronecker substitution makes one
     int power: z is packed as 2^(8 slot), for slot the byte length of the
-    denominator.  Every coefficient is at most the denominator, so no slot
+    denominator, ``exact._packed_product`` folds the factors into one int,
+    a multiply by q_i - p_i and one by p_i per factor, and the product is
+    raised to n.  Every coefficient is at most the denominator, so no slot
     carries into the next, and ``exact._slots`` reads them back.
     """
     den = math.prod(q for _, q in pairs) ** n
     slot = (den.bit_length() + 7) // 8
-    packed = [(q - p) + (p << 8 * slot) for p, q in pairs]
-    # A balanced product tree: a running product would multiply its growing
-    # int by each factor in turn, quadratic in the number of parameters.
-    while len(packed) > 1:
-        packed = [math.prod(packed[i:i + 2]) for i in range(0, len(packed), 2)]
-    return LatticeLaw(_slots(packed[0] ** n, len(pairs) * n + 1, slot), den)
+    packed = _packed_product((((0, 1), (q - p, p)) for p, q in pairs), 8 * slot)
+    return LatticeLaw(_slots(packed**n, len(pairs) * n + 1, slot), den)
 
 
 def stop_loss_numerators(nums: Sequence[int]) -> list[int]:

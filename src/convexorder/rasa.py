@@ -112,8 +112,9 @@ n = 200 (1/2, 1/3, 1/5, 1/7, 1/11) 0.24 s and 26 MB; their psi patterns
 took 0.22 to 0.24 s and 0.34 to 0.41 s (quartiles of 16 fresh
 processes).  Many parameters cost more time, because each adds a binomial
 law of degree mn to the mixture, though each law is dropped once summed:
-700 values k/1497 at n = 1 took 3.4 to 4.3 s and 22 MB as a point, and
-1.32 to 1.49 s and 19 MB as a psi pattern.
+700 values k/1497 at n = 1 took 3.2 to 4.0 s (median 3.5 s, six fresh
+processes) and 21 MB as a point, and 1.32 to 1.49 s and 19 MB as a psi
+pattern.
 """
 
 

@@ -542,9 +542,10 @@ def _fraction_route(parts):
 
 
 def _folded_packed(parts):
-    """convolve_many(parts), and whether it took the packed fold."""
+    """convolve_many(parts), and whether it took the packed fold, the
+    ``exact._packed_product`` that ``distributions`` imports."""
     with mock.patch.object(
-        distributions, "_packed_fold", wraps=distributions._packed_fold
+        distributions, "_packed_product", wraps=exact._packed_product
     ) as packed:
         law = convolve_many(parts)
     return law, packed.called

@@ -250,6 +250,10 @@ def test_packed_sum_matches_cauchy_products(point):
         # K = 601, ints of about 2400 bits.
         (200, [(1, 3), (2, 5), (3, 7)]),
         (300, [(12, 37), (35, 37)]),
+        # Many parameters, where one running product folds every factor in.
+        (1, [(k, 61) for k in range(62)]),
+        (2, [(1, q) for q in range(2, 42)]),
+        (1, [(0, 1), (1, 1), (1, 2)] * 15),
     ],
 )
 def test_packed_sum_fills_its_slots(n, pairs):
